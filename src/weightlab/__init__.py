@@ -10,6 +10,7 @@ from .errors import (
     AsymmetricDistance,
     EmptyRadiusRange,
     InconsistentPair,
+    InvalidFunction,
     InvalidParams,
     NonpositiveMeasure,
     NonpositiveWeight,

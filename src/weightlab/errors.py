@@ -36,6 +36,10 @@ class NonpositiveWeight(WeightlabError):
     """An operation requiring a (strictly) positive weight got a bad entry."""
 
 
+class InvalidFunction(WeightlabError, ValueError):
+    """A function argument has the wrong shape or a non-finite entry."""
+
+
 class EmptyRadiusRange(WeightlabError):
     """No admissible radius sample at or above the requested cutoff."""
 

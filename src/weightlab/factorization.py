@@ -32,6 +32,9 @@ from .weights import _as_weight, a1_constant, ap_constant, blo_norm, rhinf_const
 RECONSTRUCTION_RTOL = 1e-12
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+SWEEP_TOL = 1e-6  # stop when a full sweep improves less than this, relatively
+BRACKET = 1.0  # half-width of the per-coordinate search interval
+INIT_SCALE = 0.75  # stddev of the random restart offsets
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,7 @@ class FactorOptions:
 
     multistarts: int = 8
     max_sweeps: int = 40
-    sweep_tol: float = 1e-6  # stop when a full sweep improves less than this, relatively
-    bracket: float = 1.0  # half-width of the per-coordinate search interval
     golden_iters: int = 28
-    init_scale: float = 0.75  # stddev of the random restart offsets
     random_dirs: int = 4  # seeded random-direction searches appended per sweep
     seed: int = 0
 
@@ -98,8 +98,7 @@ def _a1_value(fam: BallFamily, values: np.ndarray) -> float:
     a = fam.averages_at_pos(values)
     mn = fam.running_min_at_pos(values)
     np.divide(a, mn, out=a)
-    np.copyto(a, -np.inf, where=fam.not_ball_end)
-    return float(a.max())
+    return float(a.max(where=fam.is_ball_end, initial=-np.inf))
 
 
 def _golden_min(g, lo: float, hi: float, iters: int):
@@ -148,7 +147,7 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
             x = np.zeros(n)
         else:
             rng = np.random.default_rng(opts.seed + start)
-            x = rng.normal(0.0, opts.init_scale, size=n)
+            x = rng.normal(0.0, INIT_SCALE, size=n)
         cur = objective(x)
         converged = False
         for sweep in range(opts.max_sweeps):
@@ -162,7 +161,7 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
                     x[i] = xi
                     return val
 
-                t, val = _golden_min(g, xi - opts.bracket, xi + opts.bracket,
+                t, val = _golden_min(g, xi - BRACKET, xi + BRACKET,
                                      opts.golden_iters)
                 if val < cur:
                     x[i] = t
@@ -179,12 +178,12 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
                     def h(t: float, d=d) -> float:
                         return objective(x + t * d)
 
-                    t, val = _golden_min(h, -opts.bracket, opts.bracket,
+                    t, val = _golden_min(h, -BRACKET, BRACKET,
                                          opts.golden_iters)
                     if val < cur:
                         x = x + t * d
                         cur = val
-            if (before - cur) / max(before, 1.0) < opts.sweep_tol:
+            if (before - cur) / max(before, 1.0) < SWEEP_TOL:
                 converged = True
                 break
         if cur < best_val:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidFunction
 from .space import Ball, BallFamily, BallRef, FiniteMetricMeasureSpace
 
 
@@ -69,16 +70,16 @@ class BallAverageTable:
         fam = self.family
         for c in range(fam.n):
             for rank, end in enumerate(fam.end_positions(c), start=1):
-                yield BallRef(c, rank, float(fam.sorted_dist[c, end])), \
+                yield BallRef(c, rank, float(fam.radius_at_pos(c, end))), \
                     float(self.avg_at_pos[c, end])
 
 
 def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
     if f.shape != (space.n,):
-        raise ValueError(f"function must have shape ({space.n},), got {f.shape}")
+        raise InvalidFunction(f"function must have shape ({space.n},), got {f.shape}")
     if not np.all(np.isfinite(f)):
-        raise ValueError("function has non-finite entries")
+        raise InvalidFunction("function has non-finite entries")
     return f
 
 
@@ -110,9 +111,8 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
     fam = space.ball_family
     n = space.n
     dt = fam.index_dtype
-    masked = fam.averages_at_pos(f)  # fresh buffer, masked in place
     fill = -np.inf if mode == "max" else np.inf
-    np.copyto(masked, fill, where=fam.not_ball_end)
+    masked = np.where(fam.is_ball_end, fam.averages_at_pos(f), fill)
     S, arg = _suffix_extremum(masked, mode, dt)
     # candidate value/witness for (center, point): best ball of that center
     cand = np.take_along_axis(S, fam.pos, axis=1)
@@ -130,11 +130,11 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
     wit_rank = sel // n
     wit_center = sel % n
     end_pos = cand_pos[wit_center, np.arange(n)]
-    wit_radius = fam.sorted_dist[wit_center, end_pos]
+    wit_radius = fam.radius_at_pos(wit_center, end_pos)
     values = values.copy()
     values.flags.writeable = False
     return OperatorOutput(values, wit_center.astype(np.int64),
-                          wit_rank.astype(np.int64), wit_radius.copy())
+                          wit_rank.astype(np.int64), wit_radius)
 
 
 def natural_maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:

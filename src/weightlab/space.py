@@ -76,10 +76,6 @@ class FiniteMetricMeasureSpace:
     def ball_family(self) -> "BallFamily":
         return BallFamily(self)
 
-    def distinct_distances(self, center: int) -> np.ndarray:
-        """Sorted distinct distances from a center, starting with 0."""
-        return np.unique(self.dist[center])
-
 
 @dataclass(frozen=True)
 class BallRef:
@@ -111,29 +107,29 @@ class BallFamily:
     distances. All per-ball averages reduce to prefix-sum lookups at those
     boundary positions, in a fixed summation order (ascending distance, then
     id), which makes every downstream constant reproducible bit for bit.
+
+    The index is the only source of ball structure and holds five n x n
+    arrays: order, prefix_measure, is_ball_end, rank_at_pos and pos. Radii
+    are read from the space's distances through order.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
         self.space = space
         n = space.n
-        dist = space.dist
         # int32 indices halve the memory traffic of the operator sweeps
         self.index_dtype = np.int32 if n <= 30_000 else np.int64
-        # stable sort: ties in distance resolve to ascending point id
-        self.order = np.argsort(dist, axis=1, kind="stable").astype(self.index_dtype)
-        self.sorted_dist = np.take_along_axis(dist, self.order, axis=1)
-        self.sorted_measure = space.measure[self.order]
-        self.prefix_measure = np.cumsum(self.sorted_measure, axis=1)
+        # stable sort: ties in distance resolve to ascending point id, so
+        # order[c, 0] == c on a validated space
+        self.order = np.argsort(space.dist, axis=1, kind="stable").astype(self.index_dtype)
+        self.prefix_measure = np.cumsum(space.measure[self.order], axis=1)
         # prefix ending at position i is a ball iff the next distance differs
+        sorted_dist = np.take_along_axis(space.dist, self.order, axis=1)
         self.is_ball_end = np.empty((n, n), dtype=bool)
-        if n > 1:
-            self.is_ball_end[:, :-1] = self.sorted_dist[:, 1:] > self.sorted_dist[:, :-1]
+        np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=self.is_ball_end[:, :-1])
         self.is_ball_end[:, -1] = True
-        self.not_ball_end = ~self.is_ball_end
         # rank (1-based) of the ball ending at each boundary position
         self.rank_at_pos = np.cumsum(self.is_ball_end, axis=1,
                                      dtype=self.index_dtype)
-        self.rank_count = self.rank_at_pos[:, -1].copy()
         # position of every point in every center's order (inverse permutation)
         self.pos = np.empty((n, n), dtype=self.index_dtype)
         rows = np.arange(n)[:, None]
@@ -151,12 +147,10 @@ class BallFamily:
         exactly, so singleton balls average without round-off. Works in
         one fresh buffer to keep large-n memory traffic down.
         """
-        fs = f[self.order]
-        f_center = fs[:, 0].copy()
-        np.multiply(fs, self.sorted_measure, out=fs)
+        fs = (f * self.space.measure)[self.order]
         np.cumsum(fs, axis=1, out=fs)
         np.divide(fs, self.prefix_measure, out=fs)
-        fs[:, 0] = f_center
+        fs[:, 0] = f
         return fs
 
     def running_min_at_pos(self, f: np.ndarray) -> np.ndarray:
@@ -172,30 +166,35 @@ class BallFamily:
     def end_positions(self, center: int) -> np.ndarray:
         return np.nonzero(self.is_ball_end[center])[0]
 
+    def radius_at_pos(self, center: int, pos):
+        """Distance from the center to the point at position(s) pos of its order."""
+        return self.space.dist[center, self.order[center, pos]]
+
     def ball_at(self, center: int, rank: int) -> Ball:
         ends = self.end_positions(center)
         if not 1 <= rank <= len(ends):
             raise InvalidParams(f"rank {rank} out of range for center {center}")
-        end = ends[rank - 1]
-        members = np.sort(self.order[center, : end + 1])
-        return Ball(center, rank, float(self.sorted_dist[center, end]), members)
+        return self.ball_at_pos(center, int(ends[rank - 1]))
 
     def ball_at_pos(self, center: int, pos: int) -> Ball:
         rank = int(self.rank_at_pos[center, pos])
         members = np.sort(self.order[center, : pos + 1])
-        return Ball(center, rank, float(self.sorted_dist[center, pos]), members)
+        return Ball(center, rank, float(self.radius_at_pos(center, pos)), members)
 
     def sup_over_balls(self, values_at_pos: np.ndarray):
         """Max of a per-prefix table over realized balls, with witness.
 
-        Returns (value, BallRef). Ties resolve to the smallest center id,
-        then the smallest rank (row-major scan order), deterministically.
+        Returns (value, BallRef). Ties resolve to the smallest rank, then
+        the smallest center id, as in the operators. A NaN on a ball
+        propagates to the value, and the witness is a ball holding NaN.
         """
-        masked = np.where(self.is_ball_end, values_at_pos, -np.inf)
-        flat = int(masked.argmax())
-        c, p = divmod(flat, self.n)
-        return float(masked[c, p]), BallRef(c, int(self.rank_at_pos[c, p]),
-                                            float(self.sorted_dist[c, p]))
+        value = values_at_pos.max(where=self.is_ball_end, initial=-np.inf)
+        hits = values_at_pos == value if value == value else np.isnan(values_at_pos)
+        hits &= self.is_ball_end
+        flat = np.flatnonzero(hits)  # row-major: within a row, rank ascends
+        c, p = divmod(int(flat[self.rank_at_pos.take(flat).argmin()]), self.n)
+        return float(value), BallRef(c, int(self.rank_at_pos[c, p]),
+                                     float(self.radius_at_pos(c, p)))
 
 
 def _validate_matrix(dist: np.ndarray, check_triangle: bool = True) -> None:
@@ -353,12 +352,12 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
     wit_center, wit_radius = None, None
     fam = space.ball_family
     for c in range(space.n):
-        e = space.distinct_distances(c)
+        sd = space.dist[c, fam.order[c]]
+        e = sd[fam.is_ball_end[c]]
         samples = np.unique(np.concatenate([e, e / 2.0]))
         samples = samples[samples > 0.0]
         if samples.size == 0:
             continue
-        sd = fam.sorted_dist[c]
         # open-ball mass at radius r: prefix mass of points with dist < r
         lo = np.searchsorted(sd, samples, side="left")
         hi = np.searchsorted(sd, 2.0 * samples, side="left")
@@ -369,10 +368,9 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
             wit_center, wit_radius = c, float(samples[i])
     witness = None
     if wit_center is not None:
-        fam_c = fam
-        pos = int(np.searchsorted(fam_c.sorted_dist[wit_center], wit_radius, side="left")) - 1
-        witness = BallRef(wit_center, int(fam_c.rank_at_pos[wit_center, pos]),
-                          float(fam_c.sorted_dist[wit_center, pos]))
+        sd = space.dist[wit_center, fam.order[wit_center]]
+        pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
+        witness = BallRef(wit_center, int(fam.rank_at_pos[wit_center, pos]), float(sd[pos]))
     return FunctionalResult("doubling", best, witness,
                             point=None,
                             alt_value=wit_radius)
@@ -426,33 +424,26 @@ def annular_decay_constant(
     wit = (None, None, None)
     fam = space.ball_family
     for c in range(space.n):
-        e = space.distinct_distances(c)  # e[0] == 0
+        ends = fam.is_ball_end[c]
+        e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
         m = len(e) - 1
         if m == 0:
             continue
-        ends = fam.end_positions(c)  # one per distinct distance
         cum = fam.prefix_measure[c, ends]  # mass of {d <= e[i]}
-        # interval i covers r in (e[i], e[i+1]] for i < m, and (e[m], inf)
-        for i in range(m + 1):
-            right = e[i + 1] if i < m else np.inf
-            if right < r_min:
-                continue
-            r_star = max(float(e[i]), r_min)
-            ball_mass = cum[i]
-            js = np.arange(1, i + 1)
-            if js.size == 0:
-                continue
-            deltas = 1.0 - e[js] / r_star
-            ok = deltas > 0.0
-            if not ok.any():
-                continue
-            ann = cum[i] - cum[js - 1]
-            ratios = ann[ok] / (deltas[ok] ** alpha * ball_mass)
-            k = int(ratios.argmax())
-            if ratios[k] > best:
-                best = float(ratios[k])
-                dsel = deltas[ok][k]
-                wit = (c, r_star, float(dsel))
+        # interval i covers r in (e[i], e[i+1]] for i < m, and (e[m], inf);
+        # rows are the intervals reaching r_min, columns the j = 1..m
+        i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)
+        r_star = np.maximum(e[i], r_min)
+        deltas = 1.0 - e[None, 1:] / r_star[:, None]
+        ok = (deltas > 0.0) & (np.arange(1, m + 1)[None, :] <= i[:, None])
+        ann = cum[i, None] - cum[None, :-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = ann / (deltas ** alpha * cum[i, None])
+        ratios[~ok] = -np.inf
+        k, j = divmod(int(ratios.argmax()), m)  # first maximum, as a row scan finds it
+        if ratios[k, j] > best:
+            best = float(ratios[k, j])
+            wit = (c, float(r_star[k]), float(deltas[k, j]))
     return AnnularDecayQuery(alpha, r_min, best, wit[0], wit[1], wit[2])
 
 

@@ -336,10 +336,8 @@ class SuiteParams:
     p: float = 2.0
     s: float = 2.0
     tol: Tolerances = field(default_factory=Tolerances)
-    include_factorization: bool = True
-    factor_first_only: bool = True  # one factorization per instance suffices
+    include_factorization: bool = True  # of the first weight; one per instance suffices
     include_soft: bool = True
-    factor_options: "factorization.FactorOptions | None" = None
 
 
 def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
@@ -383,8 +381,7 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
         if params.include_soft:
             run(f"{tag}.unquantified", lambda: _prefix(
                 tag, report_unquantified(space, w, params.s, tol, inp)))
-        if params.include_factorization and not (params.factor_first_only
-                                                 and name != names[0]):
+        if params.include_factorization and name == names[0]:
             run(f"{tag}.factorization", lambda: _prefix(
                 tag, _factorization_reports(space, w, params, inp)))
     if names:
@@ -402,8 +399,8 @@ def _prefix(tag: str, reports: list[CheckReport]) -> list[CheckReport]:
 
 
 def _factorization_reports(space, w, params: SuiteParams, inputs: str):
-    options = params.factor_options or factorization.SUITE_OPTIONS
-    pair = factorization.refined_jones(space, w, params.p, params.s, options)
+    pair = factorization.refined_jones(space, w, params.p, params.s,
+                                       factorization.SUITE_OPTIONS)
     return factorization.verify_factorization(space, w, pair, params.tol,
                                               inputs=inputs)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
-from .operators import maximal, minimal
+from .operators import _as_function, maximal, minimal
 from .space import FiniteMetricMeasureSpace, FunctionalResult
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
@@ -145,7 +145,7 @@ def _require_cross_agreement(kind: str, value: float, alt: float) -> None:
 
 def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of avg |f - f_B|."""
-    f = np.asarray(f, dtype=np.float64)
+    f = _as_function(space, f)
     fam = space.ball_family
     a = fam.averages_at_pos(f)
     n = space.n
@@ -153,7 +153,7 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     tri = np.tril(np.ones((n, n)), k=0)  # row j: members are positions <= j
     for c in range(n):
         fs = f[fam.order[c]]
-        mus = fam.sorted_measure[c]
+        mus = space.measure[fam.order[c]]
         dev = np.abs(fs[None, :] - a[c][:, None]) * mus[None, :]
         vals[c] = (dev * tri).sum(axis=1) / fam.prefix_measure[c]
     vals[:, 0] = 0.0  # singletons oscillate exactly zero
@@ -163,7 +163,7 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
 
 def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (avg f - min over ball of f)."""
-    f = np.asarray(f, dtype=np.float64)
+    f = _as_function(space, f)
     fam = space.ball_family
     vals = fam.averages_at_pos(f) - fam.running_min_at_pos(f)
     value, ref = fam.sup_over_balls(vals)
@@ -172,7 +172,7 @@ def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
 
 def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (max over ball of f - avg f)."""
-    f = np.asarray(f, dtype=np.float64)
+    f = _as_function(space, f)
     fam = space.ball_family
     vals = fam.running_max_at_pos(f) - fam.averages_at_pos(f)
     value, ref = fam.sup_over_balls(vals)

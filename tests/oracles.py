@@ -131,6 +131,23 @@ def annular_naive(space, alpha, r_min):
     return best
 
 
+def annular_ratio(space, alpha, x, r, delta):
+    """mu(B(x,r) minus B(x,(1-delta)r)) / (delta**alpha mu(B(x,r))) at one triple.
+
+    The scan samples r at the left end of an interval on which the open
+    ball is constant, so B(x, r) is taken as its limit from above,
+    {d <= r}. The inner radius (1-delta) r is a realized distance up to
+    round-off; it is snapped to that distance, which the open inner ball
+    excludes.
+    """
+    d = space.dist[x]
+    inner = d[np.abs(d - (1.0 - delta) * r).argmin()]
+    ball = d <= r
+    annulus = ball & (d >= inner)
+    return float(space.measure[annulus].sum()
+                 / (delta ** alpha * space.measure[ball].sum()))
+
+
 def jones_objective_naive(space, u, q, x):
     """max of the two A_1 certificates at log v2 = x, via ball enumeration."""
     u = np.asarray(u, dtype=float)

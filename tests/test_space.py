@@ -58,6 +58,14 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             two_point.dist[0, 1] = 3.0
 
+    def test_index_holds_at_most_21_bytes_per_cell(self):
+        # order, rank_at_pos and pos (int32), prefix_measure, is_ball_end
+        space = generate("random-points", {"n": 100}, seed=0)
+        fam = space.ball_family
+        assert fam.index_dtype == np.int32
+        held = sum(v.nbytes for v in vars(fam).values() if isinstance(v, np.ndarray))
+        assert held <= 21 * space.n ** 2
+
     def test_prefix_measure_strictly_increasing_to_total(self):
         space = generate("random-points", {"n": 11, "measure": "random"}, seed=6)
         fam = space.ball_family
@@ -149,14 +157,23 @@ class TestAnnularDecay:
 
     def test_random_spaces_match_oracle(self):
         rng = np.random.default_rng(0)
+        cases = []
         for seed in range(6):
             space = generate("random-points",
                              {"n": 8, "measure": "random"}, seed=seed)
             r_min = float(rng.uniform(0.2, 1.0)) * space.diameter
             alpha = float(rng.uniform(0.0, 1.0))
-            got = annular_decay_constant(space, alpha, r_min).value
+            cases.append((space, alpha, r_min))
+        space = generate("random-points", {"n": 30, "measure": "random"}, seed=6)
+        cases += [(space, alpha, 0.3 * space.diameter) for alpha in (0.5, 1.0)]
+        for space, alpha, r_min in cases:
+            res = annular_decay_constant(space, alpha, r_min)
             want = oracles.annular_naive(space, alpha, r_min)
-            assert got == pytest.approx(want, rel=1e-12)
+            assert res.value == pytest.approx(want, rel=1e-12)
+            # the witness triple attains the reported constant
+            at_witness = oracles.annular_ratio(space, alpha, res.witness_center,
+                                               res.witness_radius, res.witness_delta)
+            assert at_witness == pytest.approx(res.value, rel=1e-12)
 
     def test_monotone_in_r_min_and_alpha(self):
         space = generate("random-points", {"n": 10}, seed=5)

@@ -4,7 +4,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from weightlab import (
+    InvalidFunction,
     NonpositiveWeight,
+    WeightlabError,
     a1_constant,
     ainf_constant,
     ap_constant,
@@ -12,6 +14,7 @@ from weightlab import (
     bmo_norm,
     build_space,
     buo_norm,
+    generate,
     rhinf_constant,
     rhs_constant,
     transform,
@@ -49,6 +52,16 @@ class TestWorkedExample:
     def test_witness_is_the_full_ball(self, two_point):
         ref = ap_constant(two_point, W2, 2.0).witness
         assert ref.rank == 2 and ref.radius == 1.0
+
+
+class TestBallWitness:
+    def test_tie_resolves_to_smallest_rank_then_center(self):
+        # every center attains the maximum 1.0 on the whole space: centers 0
+        # and 2 at rank 3, center 1 already at rank 2
+        space = build_space(np.array([0.0, 1.0, 2.0]), "l1", [0.25, 0.5, 0.25])
+        res = blo_norm(space, np.array([2.0, 0.0, 2.0]))
+        assert res.value == 1.0
+        assert (res.witness.center, res.witness.rank, res.witness.radius) == (1, 2, 1.0)
 
 
 class TestConstantWeight:
@@ -265,6 +278,20 @@ class TestEdgeCases:
             a1_constant(two_point, np.array([1.0, 0.0]))
         with pytest.raises(NonpositiveWeight):
             ainf_constant(two_point, np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("norm", [bmo_norm, blo_norm, buo_norm])
+    def test_oscillation_norm_rejects_nan_entry(self, norm):
+        space = generate("path", {"n": 6}, seed=0)
+        f = np.array([0.0, 1.0, np.nan, 0.5, 2.0, 1.0])
+        with pytest.raises(InvalidFunction) as exc:
+            norm(space, f)
+        assert isinstance(exc.value, WeightlabError) and isinstance(exc.value, ValueError)
+
+    @pytest.mark.parametrize("norm", [bmo_norm, blo_norm, buo_norm])
+    def test_oscillation_norm_rejects_wrong_length(self, norm):
+        space = generate("path", {"n": 6}, seed=0)
+        with pytest.raises(InvalidFunction):
+            norm(space, np.ones(5))
 
     def test_conditioning_warning_on_extreme_range(self, two_point):
         res = a1_constant(two_point, np.array([1e-7, 1e7]))
