@@ -188,6 +188,9 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
                 break
         if cur < best_val:
             best_x, best_val, best_start, best_conv = x.copy(), cur, start, converged
+    if best_x is None:
+        raise InvalidParams(f"factor search objective is non-finite ({cur!r}) at every start; "
+                            "the weight's dynamic range overflows the A_1 certificates")
     v2 = np.exp(best_x)
     v1 = u * np.power(v2, q - 1.0)
     return FactorSearch(v1, v2, best_val, _a1_value(fam, v1), _a1_value(fam, v2),

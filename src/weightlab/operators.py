@@ -10,9 +10,12 @@ Evaluates, for a function f on a finite metric measure space:
 A ball centered at c contains y exactly when its radius rank is at least
 the rank of dist(c, y) among c's distinct distances, so for each center the
 candidate averages form a suffix of the prefix-average array. One suffix
-extremum sweep per center gives all points their best ball from that
+maximum sweep per center gives all points their best ball from that
 center; the total cost is O(n^2) on top of the O(n^2 log n) sort held by
-the BallFamily.
+the BallFamily. Only the max side is swept: the min side is the max side
+of -f, negated (mnat f = -Mnat(-f)), since negation commutes exactly with
+the prefix sums, the division and the max (up to the sign of an average
+that cancels to exactly zero).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie between balls attaining the same extremum resolves to the smallest
@@ -83,46 +86,33 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
     return f
 
 
-def _suffix_extremum(masked: np.ndarray, mode: str, index_dtype):
-    """Per row: extremum over positions >= i, with its smallest position.
-
-    masked holds -inf (max) or +inf (min) at non-ball positions. Returns
-    (S, arg) where S[c, i] is the extremum over ball positions >= i and
-    arg[c, i] the smallest position attaining it.
-    """
-    n = masked.shape[1]
-    rev = masked[:, ::-1]
-    if mode == "max":
-        cm = np.maximum.accumulate(rev, axis=1)
-    else:
-        cm = np.minimum.accumulate(rev, axis=1)
-    idx = np.arange(n, dtype=index_dtype)[None, :]
-    # in reversed order, the latest index attaining the running extremum is
-    # the smallest original position; propagate it with a running max
-    marks = np.where(rev == cm, idx, index_dtype(-1))
-    argrev = np.maximum.accumulate(marks, axis=1)
-    S = cm[:, ::-1].copy()
-    arg = (n - 1 - argrev)[:, ::-1].copy()
-    return S, arg
-
-
 def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
-                      mode: str) -> OperatorOutput:
+                      negate: bool = False) -> OperatorOutput:
+    """Mnat f with witnesses; with negate, mnat f computed as -Mnat(-f)."""
     fam = space.ball_family
     n = space.n
     dt = fam.index_dtype
-    fill = -np.inf if mode == "max" else np.inf
-    masked = np.where(fam.is_ball_end, fam.averages_at_pos(f), fill)
-    S, arg = _suffix_extremum(masked, mode, dt)
-    # candidate value/witness for (center, point): best ball of that center
-    cand = np.take_along_axis(S, fam.pos, axis=1)
-    cand_pos = np.take_along_axis(arg, fam.pos, axis=1)
-    if mode == "max":
-        values = cand.max(axis=0)
-        attain = cand == values[None, :]
-    else:
-        values = cand.min(axis=0)
-        attain = cand == values[None, :]
+    avg = fam.averages_at_pos(-f if negate else f)
+    np.copyto(avg, -np.inf, where=~fam.is_ball_end)
+    # sweep each center's order from the far end: step k holds the best ball
+    # ending at a position >= n-1-k, i.e. the best ball containing the point
+    # at position n-1-k
+    rev = avg[:, ::-1]
+    best = np.maximum.accumulate(rev, axis=1)
+    # the latest step attaining the running max is the smallest position
+    last = np.maximum.accumulate(
+        np.where(rev == best, np.arange(n, dtype=dt), dt(-1)), axis=1)
+    del avg, rev
+    # scatter the sweep to point columns: (center, point) -> best ball
+    far_first = fam.order[:, ::-1]
+    cand = np.empty((n, n))
+    np.put_along_axis(cand, far_first, best, axis=1)
+    del best
+    cand_pos = np.empty((n, n), dtype=dt)
+    np.put_along_axis(cand_pos, far_first, dt(n - 1) - last, axis=1)
+    del last
+    values = cand.max(axis=0)
+    attain = cand == values[None, :]
     ranks = np.take_along_axis(fam.rank_at_pos, cand_pos, axis=1)
     centers = np.arange(n, dtype=dt)[:, None]
     key = np.where(attain, ranks * dt(n) + centers, np.iinfo(dt).max)
@@ -131,7 +121,8 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
     wit_center = sel % n
     end_pos = cand_pos[wit_center, np.arange(n)]
     wit_radius = fam.radius_at_pos(wit_center, end_pos)
-    values = values.copy()
+    if negate:
+        values = -values
     values.flags.writeable = False
     return OperatorOutput(values, wit_center.astype(np.int64),
                           wit_rank.astype(np.int64), wit_radius)
@@ -139,22 +130,22 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
 
 def natural_maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
     """Best signed average over balls containing each point; >= f pointwise."""
-    return _natural_extremal(space, _as_function(space, f), "max")
+    return _natural_extremal(space, _as_function(space, f))
 
 
 def natural_minimal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
     """Worst signed average over balls containing each point; <= f pointwise."""
-    return _natural_extremal(space, _as_function(space, f), "min")
+    return _natural_extremal(space, _as_function(space, f), negate=True)
 
 
 def maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
     """Hardy-Littlewood maximal function: natural_maximal of |f|."""
-    return _natural_extremal(space, np.abs(_as_function(space, f)), "max")
+    return _natural_extremal(space, np.abs(_as_function(space, f)))
 
 
 def minimal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
     """Minimal function: natural_minimal of |f|."""
-    return _natural_extremal(space, np.abs(_as_function(space, f)), "min")
+    return _natural_extremal(space, np.abs(_as_function(space, f)), negate=True)
 
 
 # ---------------------------------------------------------------------------

@@ -108,9 +108,10 @@ class BallFamily:
     boundary positions, in a fixed summation order (ascending distance, then
     id), which makes every downstream constant reproducible bit for bit.
 
-    The index is the only source of ball structure and holds five n x n
-    arrays: order, prefix_measure, is_ball_end, rank_at_pos and pos. Radii
-    are read from the space's distances through order.
+    The index is the only source of ball structure and holds four n x n
+    arrays: order, prefix_measure, is_ball_end and rank_at_pos, 17 bytes per
+    cell with int32 indices. Radii are read from the space's distances
+    through order.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -130,10 +131,6 @@ class BallFamily:
         # rank (1-based) of the ball ending at each boundary position
         self.rank_at_pos = np.cumsum(self.is_ball_end, axis=1,
                                      dtype=self.index_dtype)
-        # position of every point in every center's order (inverse permutation)
-        self.pos = np.empty((n, n), dtype=self.index_dtype)
-        rows = np.arange(n)[:, None]
-        self.pos[rows, self.order] = np.arange(n, dtype=self.index_dtype)[None, :]
 
     @property
     def n(self) -> int:

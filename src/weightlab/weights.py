@@ -17,6 +17,7 @@ zero-mass points are rejected at ingestion. a1 and rhinf each have an
 equivalent pointwise form through the maximal and minimal functions; both
 are computed and must agree (the shared average table makes the two
 suprema exactly equal), with the alternate value stored on the result.
+buo is the blo norm of -f, by the same sign symmetry the operators use.
 """
 
 from __future__ import annotations
@@ -74,16 +75,8 @@ def a1_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """
     w = _as_weight(space, w)
     fam = space.ball_family
-    a = fam.averages_at_pos(w)
-    mn = fam.running_min_at_pos(w)
-    value, ref = fam.sup_over_balls(a / mn)
-    mw = maximal(space, w).values
-    ratios = mw / w
-    point = int(ratios.argmax())
-    alt = float(ratios[point])
-    _require_cross_agreement("A_1", value, alt)
-    return FunctionalResult("A_1", value, ref, point=point, alt_value=alt,
-                            warnings=_conditioning(w))
+    value, ref = fam.sup_over_balls(fam.averages_at_pos(w) / fam.running_min_at_pos(w))
+    return _cross_checked("A_1", w, value, ref, maximal(space, w).values / w)
 
 
 def ainf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
@@ -125,15 +118,21 @@ def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """
     w = _as_weight(space, w)
     fam = space.ball_family
-    a = fam.averages_at_pos(w)
-    mx = fam.running_max_at_pos(w)
-    value, ref = fam.sup_over_balls(mx / a)
-    mw = minimal(space, w).values
-    ratios = w / mw
+    value, ref = fam.sup_over_balls(fam.running_max_at_pos(w) / fam.averages_at_pos(w))
+    return _cross_checked("RH_inf", w, value, ref, w / minimal(space, w).values)
+
+
+def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
+                   ratios: np.ndarray) -> FunctionalResult:
+    """Result of a ball-form sup, checked against its pointwise ratios.
+
+    Callers take the sup before they run the operator, so the n x n ball
+    table is freed before the operator sweep allocates its own.
+    """
     point = int(ratios.argmax())
     alt = float(ratios[point])
-    _require_cross_agreement("RH_inf", value, alt)
-    return FunctionalResult("RH_inf", value, ref, point=point, alt_value=alt,
+    _require_cross_agreement(kind, value, alt)
+    return FunctionalResult(kind, value, ref, point=point, alt_value=alt,
                             warnings=_conditioning(w))
 
 
@@ -163,20 +162,19 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
 
 def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (avg f - min over ball of f)."""
-    f = _as_function(space, f)
-    fam = space.ball_family
-    vals = fam.averages_at_pos(f) - fam.running_min_at_pos(f)
-    value, ref = fam.sup_over_balls(vals)
-    return FunctionalResult("BLO", value, ref)
+    return _lower_oscillation(space, "BLO", _as_function(space, f))
 
 
 def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
-    """sup over balls of (max over ball of f - avg f)."""
-    f = _as_function(space, f)
+    """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
+    return _lower_oscillation(space, "BUO", -_as_function(space, f))
+
+
+def _lower_oscillation(space: FiniteMetricMeasureSpace, kind: str,
+                       f: np.ndarray) -> FunctionalResult:
     fam = space.ball_family
-    vals = fam.running_max_at_pos(f) - fam.averages_at_pos(f)
-    value, ref = fam.sup_over_balls(vals)
-    return FunctionalResult("BUO", value, ref)
+    value, ref = fam.sup_over_balls(fam.averages_at_pos(f) - fam.running_min_at_pos(f))
+    return FunctionalResult(kind, value, ref)
 
 
 def transform(w, kind: str, exponent: float | None = None, other=None) -> np.ndarray:

@@ -165,7 +165,8 @@ def test_criterion_4_exact_identity_suite():
         rhs = -natural_minimal(space, -f).values
         assert np.array_equal(lhs, rhs)
         # oscillation flip, bit for bit
-        assert buo_norm(space, -f).value == blo_norm(space, f).value
+        buo, blo = buo_norm(space, -f), blo_norm(space, f)
+        assert buo.value == blo.value and buo.witness == blo.witness
         # positive homogeneity
         a = float(rng.uniform(0.25, 4.0))
         for norm in (blo_norm, buo_norm):

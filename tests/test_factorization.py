@@ -7,13 +7,15 @@ from weightlab import (
     InconsistentPair,
     InvalidParams,
     NonpositiveWeight,
+    WeightlabError,
     aggregate_verdict,
+    generate,
     jones_factor,
     refined_jones,
     refined_transform,
     verify_factorization,
 )
-from weightlab.factorization import FactorPair
+from weightlab.factorization import SUITE_OPTIONS, FactorPair
 from weightlab.families import sample_space, sample_weight
 
 E = np.e
@@ -127,6 +129,13 @@ class TestRefinedJones:
         assert pair.q == 3.0
         assert all(np.isfinite(v) and v >= 1.0 - 1e-12
                    for v in pair.certificates.values())
+
+    def test_overflowing_weight_raises(self):
+        # every A_1 certificate overflows, so no start has a finite objective
+        space = generate("path", {"n": 6}, seed=0)
+        w = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150])
+        with np.errstate(over="ignore"), pytest.raises(WeightlabError, match="non-finite"):
+            refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_reconstruction_and_bounds(self, seed):

@@ -84,6 +84,7 @@ class TestExactIdentities:
         assert np.array_equal(direct.values, -via_max.values)
         assert np.array_equal(direct.witness_center, via_max.witness_center)
         assert np.array_equal(direct.witness_rank, via_max.witness_rank)
+        assert np.array_equal(direct.witness_radius, via_max.witness_radius)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_abs_composition_bit_for_bit(self, seed):

@@ -58,13 +58,13 @@ class TestBuildSpace:
         with pytest.raises(ValueError):
             two_point.dist[0, 1] = 3.0
 
-    def test_index_holds_at_most_21_bytes_per_cell(self):
-        # order, rank_at_pos and pos (int32), prefix_measure, is_ball_end
+    def test_index_holds_at_most_17_bytes_per_cell(self):
+        # order and rank_at_pos (int32), prefix_measure, is_ball_end
         space = generate("random-points", {"n": 100}, seed=0)
         fam = space.ball_family
         assert fam.index_dtype == np.int32
         held = sum(v.nbytes for v in vars(fam).values() if isinstance(v, np.ndarray))
-        assert held <= 21 * space.n ** 2
+        assert held <= 17 * space.n ** 2
 
     def test_prefix_measure_strictly_increasing_to_total(self):
         space = generate("random-points", {"n": 11, "measure": "random"}, seed=6)
