@@ -142,52 +142,55 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
         return max(_a1_value(fam, v1), _a1_value(fam, v2))
 
     best_x, best_val, best_start, best_conv = None, np.inf, -1, False
-    for start in range(max(opts.multistarts, 1)):
-        if start == 0:
-            x = np.zeros(n)
-        else:
-            rng = np.random.default_rng(opts.seed + start)
-            x = rng.normal(0.0, INIT_SCALE, size=n)
-        cur = objective(x)
-        converged = False
-        for sweep in range(opts.max_sweeps):
-            before = cur
-            for i in range(n):
-                xi = x[i]
+    # a weight whose dynamic range overflows the certificates gives inf
+    # objectives; that is reported below, not warned about once per process
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(max(opts.multistarts, 1)):
+            if start == 0:
+                x = np.zeros(n)
+            else:
+                rng = np.random.default_rng(opts.seed + start)
+                x = rng.normal(0.0, INIT_SCALE, size=n)
+            cur = objective(x)
+            converged = False
+            for sweep in range(opts.max_sweeps):
+                before = cur
+                for i in range(n):
+                    xi = x[i]
 
-                def g(t: float) -> float:
-                    x[i] = t
-                    val = objective(x)
-                    x[i] = xi
-                    return val
+                    def g(t: float) -> float:
+                        x[i] = t
+                        val = objective(x)
+                        x[i] = xi
+                        return val
 
-                t, val = _golden_min(g, xi - BRACKET, xi + BRACKET,
-                                     opts.golden_iters)
-                if val < cur:
-                    x[i] = t
-                    cur = val
-            # the max of the two certificates is nonsmooth, so a pure
-            # coordinate sweep can stall off the minimum; a few seeded
-            # random directions per sweep restore descent
-            if opts.random_dirs and n > 1:
-                dir_rng = np.random.default_rng((opts.seed, start, sweep))
-                for _ in range(opts.random_dirs):
-                    d = dir_rng.normal(size=n)
-                    d /= float(np.linalg.norm(d))
-
-                    def h(t: float, d=d) -> float:
-                        return objective(x + t * d)
-
-                    t, val = _golden_min(h, -BRACKET, BRACKET,
+                    t, val = _golden_min(g, xi - BRACKET, xi + BRACKET,
                                          opts.golden_iters)
                     if val < cur:
-                        x = x + t * d
+                        x[i] = t
                         cur = val
-            if (before - cur) / max(before, 1.0) < SWEEP_TOL:
-                converged = True
-                break
-        if cur < best_val:
-            best_x, best_val, best_start, best_conv = x.copy(), cur, start, converged
+                # the max of the two certificates is nonsmooth, so a pure
+                # coordinate sweep can stall off the minimum; a few seeded
+                # random directions per sweep restore descent
+                if opts.random_dirs and n > 1:
+                    dir_rng = np.random.default_rng((opts.seed, start, sweep))
+                    for _ in range(opts.random_dirs):
+                        d = dir_rng.normal(size=n)
+                        d /= float(np.linalg.norm(d))
+
+                        def h(t: float, d=d) -> float:
+                            return objective(x + t * d)
+
+                        t, val = _golden_min(h, -BRACKET, BRACKET,
+                                             opts.golden_iters)
+                        if val < cur:
+                            x = x + t * d
+                            cur = val
+                if (before - cur) / max(before, 1.0) < SWEEP_TOL:
+                    converged = True
+                    break
+            if cur < best_val:
+                best_x, best_val, best_start, best_conv = x.copy(), cur, start, converged
     if best_x is None:
         raise InvalidParams(f"factor search objective is non-finite ({cur!r}) at every start; "
                             "the weight's dynamic range overflows the A_1 certificates")

@@ -20,10 +20,20 @@ that cancels to exactly zero).
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie between balls attaining the same extremum resolves to the smallest
 rank, then the smallest center id.
+
+Memo scope: inside ``_memo_scope()`` a function decorated with
+``_memoized`` returns its first result for each (space, input bytes,
+params) instead of recomputing it. ``theorems.run_suite`` opens one scope
+per call; outside a scope every call computes. The scope is a ContextVar,
+so each thread running a suite has its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +51,12 @@ class OperatorOutput:
     witness_rank: np.ndarray
     witness_radius: np.ndarray
 
+    def __post_init__(self):
+        # results are shared inside a memo scope: no caller may write to them
+        for arr in (self.values, self.witness_center, self.witness_rank,
+                    self.witness_radius):
+            arr.flags.writeable = False
+
     def witness(self, point: int) -> BallRef:
         return BallRef(int(self.witness_center[point]),
                        int(self.witness_rank[point]),
@@ -49,6 +65,43 @@ class OperatorOutput:
     def witness_ball(self, space: FiniteMetricMeasureSpace, point: int) -> Ball:
         return space.ball_family.ball_at(int(self.witness_center[point]),
                                          int(self.witness_rank[point]))
+
+
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "weightlab_memo", default=None)
+
+
+@contextlib.contextmanager
+def _memo_scope():
+    """Share the results of memoized calls until the block exits."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _memoized(fn):
+    """Decorate fn(space, f, *params): inside a memo scope, compute once per input.
+
+    The key holds the space itself (so its id cannot be reused while the
+    scope lives) and a digest of f's bytes, not the bytes. Exceptions are
+    not stored.
+    """
+    @functools.wraps(fn)
+    def wrapper(space, f, *params, **kwargs):
+        memo = _memo.get()
+        if memo is None:
+            return fn(space, f, *params, **kwargs)
+        data = np.ascontiguousarray(f)
+        key = (fn, space, data.dtype.str, data.shape,
+               hashlib.blake2b(data, digest_size=16).digest(),
+               params, tuple(sorted(kwargs.items())))
+        if key not in memo:
+            memo[key] = fn(space, f, *params, **kwargs)
+        return memo[key]
+
+    return wrapper
 
 
 def ball_averages(space: FiniteMetricMeasureSpace, f) -> "BallAverageTable":
@@ -86,6 +139,7 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
     return f
 
 
+@_memoized
 def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
                       negate: bool = False) -> OperatorOutput:
     """Mnat f with witnesses; with negate, mnat f computed as -Mnat(-f)."""
@@ -123,7 +177,6 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
     wit_radius = fam.radius_at_pos(wit_center, end_pos)
     if negate:
         values = -values
-    values.flags.writeable = False
     return OperatorOutput(values, wit_center.astype(np.int64),
                           wit_rank.astype(np.int64), wit_radius)
 

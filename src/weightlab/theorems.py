@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import factorization
-from .operators import maximal, minimal, natural_maximal, natural_minimal
+from .operators import _memo_scope, maximal, minimal, natural_maximal, natural_minimal
 from .report import (
     CheckReport,
     Tolerances,
@@ -348,7 +348,17 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
     Per-check errors become failed report entries; the suite never aborts.
     The aggregate verdict is pass exactly when every hard check passes.
     Report order is fixed by (weight name in given order, check id).
+
+    The checks share one memo scope: each constant, norm and operator sweep
+    of a given input is computed once per call and reused by every check
+    that asks for it again. Nothing outlives the call, so a second call
+    recomputes everything.
     """
+    with _memo_scope():
+        return _run_suite(space, weights, params, label)
+
+
+def _run_suite(space, weights, params: SuiteParams, label: str) -> list[CheckReport]:
     reports: list[CheckReport] = []
     names = list(weights)
 

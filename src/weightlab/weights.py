@@ -18,6 +18,11 @@ equivalent pointwise form through the maximal and minimal functions; both
 are computed and must agree (the shared average table makes the two
 suprema exactly equal), with the alternate value stored on the result.
 buo is the blo norm of -f, by the same sign symmetry the operators use.
+
+All eight are memoized: inside one ``theorems.run_suite`` call each
+(space, input, exponent) is computed once, its cross-check included, and
+later calls return the first result. Outside that call every call
+computes.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
-from .operators import _as_function, maximal, minimal
+from .operators import _as_function, _memoized, maximal, minimal
 from .space import FiniteMetricMeasureSpace, FunctionalResult
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
@@ -55,6 +60,7 @@ def _conditioning(w: np.ndarray) -> tuple[str, ...]:
     return ()
 
 
+@_memoized
 def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> FunctionalResult:
     """Muckenhoupt constant for exponent p in (1, inf)."""
     if not p > 1.0:
@@ -67,6 +73,7 @@ def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> FunctionalResul
     return FunctionalResult(f"A_p(p={p:g})", value, ref, warnings=_conditioning(w))
 
 
+@_memoized
 def a1_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """A_1 constant: sup over balls of (avg w) / (min over ball of w).
 
@@ -79,6 +86,7 @@ def a1_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     return _cross_checked("A_1", w, value, ref, maximal(space, w).values / w)
 
 
+@_memoized
 def ainf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """A_inf constant: sup over balls of (avg w) * exp(-avg log w)."""
     w = _as_weight(space, w)
@@ -89,6 +97,7 @@ def ainf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     return FunctionalResult("A_inf", value, ref, warnings=_conditioning(w))
 
 
+@_memoized
 def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> FunctionalResult:
     """Reverse Holder constant: sup over balls of (avg w**s)**(1/s) / (avg w).
 
@@ -110,6 +119,7 @@ def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> FunctionalResu
     return FunctionalResult(f"RH_s(s={s:g})", value, ref, warnings=_conditioning(w[w > 0]))
 
 
+@_memoized
 def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """RH_inf constant: sup over balls of (max over ball of w) / (avg w).
 
@@ -142,6 +152,7 @@ def _require_cross_agreement(kind: str, value: float, alt: float) -> None:
             f"{kind} forms disagree: ball form {value!r} vs pointwise form {alt!r}")
 
 
+@_memoized
 def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of avg |f - f_B|."""
     f = _as_function(space, f)
@@ -150,21 +161,28 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     n = space.n
     vals = np.empty((n, n))
     tri = np.tril(np.ones((n, n)), k=0)  # row j: members are positions <= j
+    # one reused (ball, member) buffer: fresh n x n temporaries per center
+    # made the kernel's speed depend on how the allocator recycled them
+    dev = np.empty((n, n))
     for c in range(n):
-        fs = f[fam.order[c]]
-        mus = space.measure[fam.order[c]]
-        dev = np.abs(fs[None, :] - a[c][:, None]) * mus[None, :]
-        vals[c] = (dev * tri).sum(axis=1) / fam.prefix_measure[c]
+        order = fam.order[c]
+        np.subtract(f[order][None, :], a[c][:, None], out=dev)
+        np.abs(dev, out=dev)
+        dev *= space.measure[order][None, :]
+        dev *= tri
+        vals[c] = dev.sum(axis=1) / fam.prefix_measure[c]
     vals[:, 0] = 0.0  # singletons oscillate exactly zero
     value, ref = fam.sup_over_balls(vals)
     return FunctionalResult("BMO", value, ref)
 
 
+@_memoized
 def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (avg f - min over ball of f)."""
     return _lower_oscillation(space, "BLO", _as_function(space, f))
 
 
+@_memoized
 def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
     return _lower_oscillation(space, "BUO", -_as_function(space, f))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,16 @@ class TestBench:
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "", "--out", str(out)]) == 0
         assert out.read_text() == "n,kernel,seconds\n"
+
+    def test_module_entry_point(self, tmp_path):
+        # `python -m weightlab` runs the CLI from a checkout, without installing
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "weightlab", "bench", "--sizes", ""],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "gate: fast vs naive" in done.stdout
 
 
 class TestToleranceOverride:

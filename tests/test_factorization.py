@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,11 +133,14 @@ class TestRefinedJones:
                    for v in pair.certificates.values())
 
     def test_overflowing_weight_raises(self):
-        # every A_1 certificate overflows, so no start has a finite objective
+        # every A_1 certificate overflows, so no start has a finite objective;
+        # the overflow is reported by the error alone, never by a RuntimeWarning
         space = generate("path", {"n": 6}, seed=0)
         w = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150])
-        with np.errstate(over="ignore"), pytest.raises(WeightlabError, match="non-finite"):
-            refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(WeightlabError, match="non-finite"):
+                refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_reconstruction_and_bounds(self, seed):

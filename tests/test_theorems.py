@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import oracles
+from weightlab import operators
 from weightlab import (
     SuiteParams,
+    a1_constant,
     aggregate_verdict,
     check_a1_characterization,
     check_commutation,
@@ -14,11 +18,16 @@ from weightlab import (
     check_oscillation_characterization,
     check_power_props,
     check_rhinf_characterization,
+    generate,
+    maximal,
+    refined_jones,
     report_unquantified,
     run_suite,
+    verify_factorization,
 )
+from weightlab.factorization import SUITE_OPTIONS
 from weightlab.families import sample_instance, sample_space, sample_weight
-from weightlab.report import reports_to_jsonl
+from weightlab.report import digest, reports_to_jsonl
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -197,7 +206,6 @@ class TestRunSuite:
         assert aggregate_verdict(reports)
 
     def test_corrupted_report_fails_aggregate(self, three_path):
-        from dataclasses import replace
         reports = run_suite(three_path, {"w": np.array([1.0, 2.0, 0.5])})
         assert aggregate_verdict(reports)
         bad = replace(reports[0], verdict="fail")
@@ -228,3 +236,75 @@ class TestRunSuite:
             assert aggregate_verdict(reports), [
                 (r.check_id, r.lhs, r.rhs) for r in reports
                 if r.hard and r.verdict != "pass"]
+
+    @staticmethod
+    def _tied_instance():
+        space = generate("grid", {"nx": 4, "ny": 5, "metric": "linf"}, seed=3)
+        rng = np.random.default_rng(3)
+        return space, {"w": rng.uniform(0.1, 5.0, size=space.n),
+                       "phi": sample_weight(rng, space, "uniform-log")}
+
+    @staticmethod
+    def _count_kernel(monkeypatch):
+        """Record (input bytes, side) of every operator kernel run."""
+        raw = operators._natural_extremal.__wrapped__
+        calls = []
+
+        def counted(space, f, negate=False):
+            calls.append((f.tobytes(), negate))
+            return raw(space, f, negate)
+
+        monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(counted))
+        return calls
+
+    def test_memo_matches_direct_checks(self):
+        space, weights = self._tied_instance()
+        # p' = 3/2 != p, so A_p of w is asked for at two exponents
+        params = SuiteParams(p=3.0, s=2.0)
+        got = reports_to_jsonl(run_suite(space, weights, params))
+        tol, p, s = params.tol, params.p, params.s
+        want = []
+        for name, w in weights.items():
+            inp = digest(space.dist, space.measure, w, p, s)
+            parts = [check_commutation(space, w, tol, inp),
+                     check_oscillation_characterization(space, np.log(w), tol, inp),
+                     check_harnack(space, w, p, tol, inp),
+                     [check_a1_characterization(space, w, tol, inp)],
+                     [check_rhinf_characterization(space, w, tol, inp)],
+                     check_converse_chain(space, w, tol, inp),
+                     check_power_props(space, w, s, p, tol, inp),
+                     check_duality(space, w, p, tol, inp),
+                     report_unquantified(space, w, s, tol, inp)]
+            if name == "w":
+                pair = refined_jones(space, w, p, s, SUITE_OPTIONS)
+                parts.append(verify_factorization(space, w, pair, tol, inputs=inp))
+            want += [replace(r, check_id=f"{name}.{r.check_id}") for part in parts for r in part]
+        inp = digest(space.dist, space.measure, weights["w"], weights["phi"])
+        want.append(replace(check_multiplier(space, weights["w"], weights["phi"], tol, inp),
+                            check_id="w*phi.multiplier"))
+        assert got == reports_to_jsonl(want)
+
+    def test_kernel_runs_once_per_input_and_side(self, monkeypatch):
+        calls = self._count_kernel(monkeypatch)
+        run_suite(*self._tied_instance())
+        assert calls and len(calls) == len(set(calls))
+
+    def test_memo_does_not_outlive_the_call(self, monkeypatch):
+        calls = self._count_kernel(monkeypatch)
+        space, weights = self._tied_instance()
+        first = reports_to_jsonl(run_suite(space, weights))
+        per_call = len(calls)
+        assert reports_to_jsonl(run_suite(space, weights)) == first
+        assert len(calls) == 2 * per_call
+        calls.clear()
+        for _ in range(2):
+            maximal(space, weights["w"])
+            a1_constant(space, weights["w"])
+        assert len(calls) == 4  # one sweep per maximal and one per a1 cross-check
+
+    def test_operator_outputs_are_read_only(self):
+        space, weights = self._tied_instance()
+        out = maximal(space, weights["w"])
+        for arr in (out.values, out.witness_center, out.witness_rank, out.witness_radius):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
