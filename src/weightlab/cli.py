@@ -146,22 +146,10 @@ def cmd_verify(args) -> int:
             print("verify: --random needs --seed", file=sys.stderr)
             return 2
         rng = np.random.default_rng(args.seed)
-        instances = [families.sample_instance(rng, args.max_n)
-                     for _ in range(args.count)]
-        if args.jobs > 1:
-            # instances are independent pure computations; assembling in
-            # submission order keeps the output deterministic
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                futures = [pool.submit(theorems.run_suite, space, weights,
-                                       params, f"i{k:04d}.")
-                           for k, (space, weights) in enumerate(instances)]
-                for fut in futures:
-                    reports.extend(fut.result())
-        else:
-            for k, (space, weights) in enumerate(instances):
-                reports.extend(theorems.run_suite(space, weights, params,
-                                                  label=f"i{k:04d}."))
+        for k in range(args.count):
+            space, weights = families.sample_instance(rng, args.max_n)
+            reports.extend(theorems.run_suite(space, weights, params,
+                                              label=f"i{k:04d}."))
     else:
         if not args.input:
             print("verify: need --input or --random", file=sys.stderr)
@@ -326,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--self-test", action="store_true")
     v.add_argument("--report", default=None, help="JSONL output path")
     v.add_argument("--summary", default=None, help="CSV output path")
-    v.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for --random batches; output order "
-                        "is independent of the setting")
     v.set_defaults(fn=cmd_verify)
 
     f = sub.add_parser("factor", help="refined two-factor decomposition")

@@ -12,10 +12,10 @@ the rank of dist(c, y) among c's distinct distances, so for each center the
 candidate averages form a suffix of the prefix-average array. One suffix
 maximum sweep per center gives all points their best ball from that
 center; the total cost is O(n^2) on top of the O(n^2 log n) sort held by
-the BallFamily. Only the max side is swept: the min side is the max side
-of -f, negated (mnat f = -Mnat(-f)), since negation commutes exactly with
-the prefix sums, the division and the max (up to the sign of an average
-that cancels to exactly zero).
+the BallFamily. Only the max side is swept: natural_minimal is defined
+as -Mnat(-f), so mnat f and Mnat(-f) are one kernel run and one memo
+entry. Negation commutes exactly with the prefix sums, the division and
+the max (up to the sign of an average that cancels to exactly zero).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie between balls attaining the same extremum resolves to the smallest
@@ -25,7 +25,8 @@ Memo scope: inside ``_memo_scope()`` a function decorated with
 ``_memoized`` returns its first result for each (space, input bytes,
 params) instead of recomputing it. ``theorems.run_suite`` opens one scope
 per call; outside a scope every call computes. The scope is a ContextVar,
-so each thread running a suite has its own.
+so a library caller running suites from several threads gives each thread
+its own.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import contextlib
 import contextvars
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -140,13 +141,12 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
 
 
 @_memoized
-def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
-                      negate: bool = False) -> OperatorOutput:
-    """Mnat f with witnesses; with negate, mnat f computed as -Mnat(-f)."""
+def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> OperatorOutput:
+    """Mnat f with witnesses."""
     fam = space.ball_family
     n = space.n
     dt = fam.index_dtype
-    avg = fam.averages_at_pos(-f if negate else f)
+    avg = fam.averages_at_pos(f)
     np.copyto(avg, -np.inf, where=~fam.is_ball_end)
     # sweep each center's order from the far end: step k holds the best ball
     # ending at a position >= n-1-k, i.e. the best ball containing the point
@@ -175,8 +175,6 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray,
     wit_center = sel % n
     end_pos = cand_pos[wit_center, np.arange(n)]
     wit_radius = fam.radius_at_pos(wit_center, end_pos)
-    if negate:
-        values = -values
     return OperatorOutput(values, wit_center.astype(np.int64),
                           wit_rank.astype(np.int64), wit_radius)
 
@@ -187,8 +185,9 @@ def natural_maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
 
 
 def natural_minimal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
-    """Worst signed average over balls containing each point; <= f pointwise."""
-    return _natural_extremal(space, _as_function(space, f), negate=True)
+    """Worst signed average over balls containing each point: -Mnat(-f), same witnesses."""
+    up = _natural_extremal(space, -_as_function(space, f))
+    return replace(up, values=-up.values)
 
 
 def maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
@@ -198,7 +197,7 @@ def maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
 
 def minimal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
     """Minimal function: natural_minimal of |f|."""
-    return _natural_extremal(space, np.abs(_as_function(space, f)), negate=True)
+    return natural_minimal(space, np.abs(_as_function(space, f)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ into one report whose lhs/rhs are the binding side; all sides are kept in
 Comparisons are relative with a unit floor: a side passes when
     rhs - lhs >= -tol * max(|lhs|, |rhs|, 1)      (inequalities)
     |lhs - rhs| <= tol * max(|lhs|, |rhs|, 1)     (equalities)
-so near-zero quantities compare at absolute tolerance tol.
+so near-zero quantities compare at absolute tolerance tol. An inequality
+side with one infinite term has slack rhs - lhs = +inf or -inf, so it
+passes or fails outright; equal infinities and NaN fail.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ class Tolerances:
 
 def _scale(lhs: float, rhs: float) -> float:
     return max(abs(lhs), abs(rhs), 1.0)
+
+
+def _slack(lhs: float, rhs: float) -> float:
+    """Relative slack of lhs <= rhs; an infinite difference is kept, not inf/inf."""
+    diff = rhs - lhs
+    return diff if math.isinf(diff) else diff / _scale(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -92,7 +100,7 @@ def inequality_report(check_id: str, sides, tol: float, inputs: str = "",
                       witness: dict | None = None, detail: dict | None = None,
                       ) -> CheckReport:
     """One report asserting every `(name, lhs, rhs)` side with lhs <= rhs."""
-    scaled = [(rhs - lhs) / _scale(lhs, rhs) for _, lhs, rhs in sides]
+    scaled = [_slack(lhs, rhs) for _, lhs, rhs in sides]
     worst = int(np.argmin(scaled))
     name, lhs, rhs = sides[worst]
     info = dict(detail or {})

@@ -325,6 +325,7 @@ class FunctionalResult:
     witness: BallRef | None = None
     point: int | None = None
     alt_value: float | None = None  # equivalent-form cross value, when one exists
+    sample_radius: float | None = None  # the radius r a doubling witness samples
     warnings: tuple[str, ...] = ()
 
     def witness_dict(self) -> dict:
@@ -368,9 +369,7 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
         sd = space.dist[wit_center, fam.order[wit_center]]
         pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
         witness = BallRef(wit_center, int(fam.rank_at_pos[wit_center, pos]), float(sd[pos]))
-    return FunctionalResult("doubling", best, witness,
-                            point=None,
-                            alt_value=wit_radius)
+    return FunctionalResult("doubling", best, witness, sample_radius=wit_radius)
 
 
 @dataclass(frozen=True)
@@ -420,7 +419,11 @@ def annular_decay_constant(
     best = 0.0
     wit = (None, None, None)
     fam = space.ball_family
-    for c in range(space.n):
+    # one set of (interval, j) buffers per call, viewed at each center's size:
+    # fresh per-center temporaries made the speed depend on the allocator
+    n = space.n
+    bufs = (np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=bool))
+    for c in range(n):
         ends = fam.is_ball_end[c]
         e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
         m = len(e) - 1
@@ -431,16 +434,22 @@ def annular_decay_constant(
         # rows are the intervals reaching r_min, columns the j = 1..m
         i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)
         r_star = np.maximum(e[i], r_min)
-        deltas = 1.0 - e[None, 1:] / r_star[:, None]
-        ok = (deltas > 0.0) & (np.arange(1, m + 1)[None, :] <= i[:, None])
-        ann = cum[i, None] - cum[None, :-1]
+        deltas, ratios, bad = (b[:len(i) * m].reshape(len(i), m) for b in bufs)
+        np.divide(e[None, 1:], r_star[:, None], out=deltas)
+        np.subtract(1.0, deltas, out=deltas)
+        # columns j > i have e[j] >= r_star, hence delta <= 0: this one test
+        # masks them along with the deltas outside (0, 1)
+        np.less_equal(deltas, 0.0, out=bad)
+        np.subtract(cum[i, None], cum[None, :-1], out=ratios)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = ann / (deltas ** alpha * cum[i, None])
-        ratios[~ok] = -np.inf
+            deltas **= alpha
+            deltas *= cum[i, None]
+            np.divide(ratios, deltas, out=ratios)
+        np.copyto(ratios, -np.inf, where=bad)
         k, j = divmod(int(ratios.argmax()), m)  # first maximum, as a row scan finds it
         if ratios[k, j] > best:
             best = float(ratios[k, j])
-            wit = (c, float(r_star[k]), float(deltas[k, j]))
+            wit = (c, float(r_star[k]), float(1.0 - e[j + 1] / r_star[k]))
     return AnnularDecayQuery(alpha, r_min, best, wit[0], wit[1], wit[2])
 
 

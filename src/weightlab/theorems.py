@@ -45,8 +45,8 @@ from .weights import (
 )
 
 
-def _worst_point(arr: np.ndarray, mode: str = "max") -> dict:
-    i = int(arr.argmax() if mode == "max" else arr.argmin())
+def _worst_point(arr: np.ndarray) -> dict:
+    i = int(arr.argmax())
     return {"point": i, "value": float(arr[i])}
 
 
@@ -291,7 +291,8 @@ def report_unquantified(space, w, s: float, tol: Tolerances = Tolerances(),
     constants of Mw, the A_1 constant of (M w**s)**(1/s), and the
     oscillation-to-BMO ratios of the four extremal operators at f = log w.
     Hard-asserts only the exact identities ||mnat f||_BUO = ||Mnat(-f)||_BLO
-    and ||Mf||_BLO = ||Mnat|f|||_BLO.
+    and ||Mf||_BLO = ||Mnat|f|||_BLO, which hold by construction (mnat, M
+    and BUO are defined through Mnat and BLO) and guard that definition.
     """
     w = _as_weight(space, w)
     f = np.log(w)

@@ -17,15 +17,17 @@ zero-mass points are rejected at ingestion. a1 and rhinf each have an
 equivalent pointwise form through the maximal and minimal functions; both
 are computed and must agree (the shared average table makes the two
 suprema exactly equal), with the alternate value stored on the result.
-buo is the blo norm of -f, by the same sign symmetry the operators use.
+buo is defined as the blo norm of -f (the operators' sign symmetry).
 
-All eight are memoized: inside one ``theorems.run_suite`` call each
+The other seven are memoized (buo through blo): in one ``run_suite`` call each
 (space, input, exponent) is computed once, its cross-check included, and
 later calls return the first result. Outside that call every call
 computes.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -179,20 +181,15 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
 @_memoized
 def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (avg f - min over ball of f)."""
-    return _lower_oscillation(space, "BLO", _as_function(space, f))
-
-
-@_memoized
-def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
-    """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
-    return _lower_oscillation(space, "BUO", -_as_function(space, f))
-
-
-def _lower_oscillation(space: FiniteMetricMeasureSpace, kind: str,
-                       f: np.ndarray) -> FunctionalResult:
+    f = _as_function(space, f)
     fam = space.ball_family
     value, ref = fam.sup_over_balls(fam.averages_at_pos(f) - fam.running_min_at_pos(f))
-    return FunctionalResult(kind, value, ref)
+    return FunctionalResult("BLO", value, ref)
+
+
+def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
+    """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
+    return replace(blo_norm(space, -_as_function(space, f)), kind="BUO")
 
 
 def transform(w, kind: str, exponent: float | None = None, other=None) -> np.ndarray:

@@ -142,14 +142,6 @@ class TestVerify:
                          "--max-n", "16", "--report", str(rep)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_preserves_output(self, tmp_path):
-        a, b = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
-        assert main(["verify", "--random", "--seed", "5", "--count", "4",
-                     "--max-n", "16", "--report", str(a)]) == 0
-        assert main(["verify", "--random", "--seed", "5", "--count", "4",
-                     "--max-n", "16", "--jobs", "4", "--report", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestFactor:
     def test_worked_example(self, two_point_doc, tmp_path, capsys):

@@ -112,7 +112,8 @@ class TestDoubling:
     def test_two_point_witness(self, two_point):
         res = doubling_constant(two_point)
         assert res.value == 2.0
-        assert res.alt_value == 1.0  # witness radius r in (1/2, 1]
+        assert res.sample_radius == 1.0  # witness radius r in (1/2, 1]
+        assert res.alt_value is None
         assert res.witness.center == 0
 
     def test_one_point(self, one_point):

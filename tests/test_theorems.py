@@ -27,7 +27,9 @@ from weightlab import (
 )
 from weightlab.factorization import SUITE_OPTIONS
 from weightlab.families import sample_instance, sample_space, sample_weight
-from weightlab.report import digest, reports_to_jsonl
+from weightlab.report import digest, inequality_report, reports_to_jsonl
+from weightlab.space import BallFamily
+from weightlab.weights import blo_norm, buo_norm
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -168,6 +170,28 @@ class TestRandomizedChecks:
             assert_all_pass(check_oscillation_characterization(space, f))
 
 
+class TestInfiniteSides:
+    def test_harnack_passes_on_an_infinite_bound(self):
+        # A_1(w) A_1(1/w) overflows to inf while max/min over a ball is 1e300
+        space = generate("path", {"n": 6}, seed=0)
+        w = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150])
+        reports = check_harnack(space, w, 2.0)
+        assert [r.rhs for r in reports] == [np.inf, np.inf]
+        assert_all_pass(reports)
+
+    @pytest.mark.parametrize("lhs, rhs, verdict", [
+        (1.0, np.inf, "pass"), (-np.inf, 1.0, "pass"),
+        (np.inf, 1.0, "fail"), (1.0, -np.inf, "fail"),
+        (np.inf, np.inf, "fail"), (np.nan, 1.0, "fail"),
+    ])
+    def test_inequality_side(self, lhs, rhs, verdict):
+        assert inequality_report("x", [("side", lhs, rhs)], 1e-9).verdict == verdict
+
+    def test_infinite_slack_never_binds(self):
+        report = inequality_report("x", [("loose", 1.0, np.inf), ("tight", 2.0, 2.0)], 1e-9)
+        assert report.detail["binding"] == "tight" and report.verdict == "pass"
+
+
 class TestReportUnquantified:
     def test_constant_weight_not_applicable(self, three_path):
         reports = report_unquantified(three_path, np.full(3, 2.0), 2.0)
@@ -246,13 +270,13 @@ class TestRunSuite:
 
     @staticmethod
     def _count_kernel(monkeypatch):
-        """Record (input bytes, side) of every operator kernel run."""
+        """Record the input bytes of every operator kernel run."""
         raw = operators._natural_extremal.__wrapped__
         calls = []
 
-        def counted(space, f, negate=False):
-            calls.append((f.tobytes(), negate))
-            return raw(space, f, negate)
+        def counted(space, f):
+            calls.append(f.tobytes())
+            return raw(space, f)
 
         monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(counted))
         return calls
@@ -301,6 +325,26 @@ class TestRunSuite:
             maximal(space, weights["w"])
             a1_constant(space, weights["w"])
         assert len(calls) == 4  # one sweep per maximal and one per a1 cross-check
+
+    @pytest.mark.parametrize("lower, upper", [
+        (operators.natural_minimal, operators.natural_maximal),
+        (buo_norm, blo_norm),
+    ])
+    def test_min_side_shares_the_max_side_of_minus_f(self, monkeypatch, lower, upper):
+        space, weights = self._tied_instance()
+        f = np.log(weights["w"])
+        passes = []
+        raw = BallFamily.averages_at_pos
+
+        def counted(fam, g):
+            passes.append(g.tobytes())
+            return raw(fam, g)
+
+        monkeypatch.setattr(BallFamily, "averages_at_pos", counted)
+        with operators._memo_scope():
+            lower(space, f)
+            upper(space, -f)
+        assert passes == [(-f).tobytes()]
 
     def test_operator_outputs_are_read_only(self):
         space, weights = self._tied_instance()
