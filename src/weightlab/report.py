@@ -39,9 +39,9 @@ class Tolerances:
 
     def eq_for(self, w) -> float:
         w = np.asarray(w, dtype=np.float64)
-        if w.size and w.min() > 0 and w.max() / w.min() > EQ_RELAX_RANGE:
-            return max(self.eq, EQ_RELAXED_TOL)
-        return self.eq
+        with np.errstate(over="ignore"):  # an overflowing range is inf, and relaxes
+            relax = w.size and w.min() > 0 and w.max() / w.min() > EQ_RELAX_RANGE
+        return max(self.eq, EQ_RELAXED_TOL) if relax else self.eq
 
 
 def _scale(lhs: float, rhs: float) -> float:

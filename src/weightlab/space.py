@@ -136,18 +136,20 @@ class BallFamily:
     def n(self) -> int:
         return self.space.n
 
-    def averages_at_pos(self, f: np.ndarray) -> np.ndarray:
+    def averages_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Average of f over each prefix, in fixed ascending order.
 
         Entry (c, i) is the measure-weighted average of f over the first
         i+1 points nearest to center c. Column 0 is set to f(center)
         exactly, so singleton balls average without round-off. Works in
-        one fresh buffer to keep large-n memory traffic down.
+        one fresh buffer to keep large-n memory traffic down. `rows` (a
+        slice or an index array of centers) limits the table to those
+        centers; each row holds the same bytes as in the full table.
         """
-        fs = (f * self.space.measure)[self.order]
+        fs = (f * self.space.measure)[self.order[rows]]
         np.cumsum(fs, axis=1, out=fs)
-        np.divide(fs, self.prefix_measure, out=fs)
-        fs[:, 0] = f
+        np.divide(fs, self.prefix_measure[rows], out=fs)
+        fs[:, 0] = f[rows]
         return fs
 
     def running_min_at_pos(self, f: np.ndarray) -> np.ndarray:

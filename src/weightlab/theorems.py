@@ -245,13 +245,14 @@ def check_multiplier(space, phi, w, tol: Tolerances = Tolerances(),
     """
     phi = _as_weight(space, phi)
     w = _as_weight(space, w)
-    prod = phi * w
-    buo_prod = buo_norm(space, np.log(prod)).value
+    log_phi, log_w = np.log(phi), np.log(w)
+    # log phi + log w, not log(phi w): the product may round to a subnormal
+    buo_prod = buo_norm(space, log_phi + log_w).value
     return inequality_report(
         "multiplier",
         [("subadd", buo_prod,
-          float(buo_norm(space, np.log(phi)).value + buo_norm(space, np.log(w)).value)),
-         ("rhinf", rhinf_constant(space, prod).value, float(np.exp(buo_prod)))],
+          float(buo_norm(space, log_phi).value + buo_norm(space, log_w).value)),
+         ("rhinf", rhinf_constant(space, phi * w).value, float(np.exp(buo_prod)))],
         tol.ineq, inputs,
     )
 
@@ -363,45 +364,48 @@ def _run_suite(space, weights, params: SuiteParams, label: str) -> list[CheckRep
     reports: list[CheckReport] = []
     names = list(weights)
 
-    def run(check_id, fn):
+    def run(check_id, fn, inputs):
         try:
             result = fn()
             reports.extend(result if isinstance(result, list) else [result])
         except Exception as exc:  # a failed entry, never an aborted suite
-            reports.append(error_report(check_id, exc))
+            reports.append(error_report(check_id, exc, inputs))
 
     for name in names:
         w = np.asarray(weights[name], dtype=np.float64)
         tag = f"{label}{name}"
         inp = digest(space.dist, space.measure, w, params.p, params.s)
         tol = params.tol
-        run(f"{tag}.commutation", lambda: _prefix(tag, check_commutation(space, w, tol, inp)))
+        run(f"{tag}.commutation", lambda: _prefix(
+            tag, check_commutation(space, w, tol, inp)), inp)
         run(f"{tag}.oscillation", lambda: _prefix(
             tag, check_oscillation_characterization(
-                space, np.log(_as_weight(space, w)), tol, inp)))
-        run(f"{tag}.harnack", lambda: _prefix(tag, check_harnack(space, w, params.p, tol, inp)))
+                space, np.log(_as_weight(space, w)), tol, inp)), inp)
+        run(f"{tag}.harnack", lambda: _prefix(
+            tag, check_harnack(space, w, params.p, tol, inp)), inp)
         run(f"{tag}.a1_characterization", lambda: _prefix(
-            tag, [check_a1_characterization(space, w, tol, inp)]))
+            tag, [check_a1_characterization(space, w, tol, inp)]), inp)
         run(f"{tag}.rhinf_characterization", lambda: _prefix(
-            tag, [check_rhinf_characterization(space, w, tol, inp)]))
+            tag, [check_rhinf_characterization(space, w, tol, inp)]), inp)
         run(f"{tag}.converse_chain", lambda: _prefix(
-            tag, check_converse_chain(space, w, tol, inp)))
+            tag, check_converse_chain(space, w, tol, inp)), inp)
         run(f"{tag}.power_props", lambda: _prefix(
-            tag, check_power_props(space, w, params.s, params.p, tol, inp)))
-        run(f"{tag}.duality", lambda: _prefix(tag, check_duality(space, w, params.p, tol, inp)))
+            tag, check_power_props(space, w, params.s, params.p, tol, inp)), inp)
+        run(f"{tag}.duality", lambda: _prefix(
+            tag, check_duality(space, w, params.p, tol, inp)), inp)
         if params.include_soft:
             run(f"{tag}.unquantified", lambda: _prefix(
-                tag, report_unquantified(space, w, params.s, tol, inp)))
+                tag, report_unquantified(space, w, params.s, tol, inp)), inp)
         if params.include_factorization and name == names[0]:
             run(f"{tag}.factorization", lambda: _prefix(
-                tag, _factorization_reports(space, w, params, inp)))
+                tag, _factorization_reports(space, w, params, inp)), inp)
     if names:
         phi_name, w_name = (names[0], names[1 % len(names)])
         inp = digest(space.dist, space.measure, weights[phi_name], weights[w_name])
         run(f"{label}{phi_name}*{w_name}.multiplier", lambda: _prefix(
             f"{label}{phi_name}*{w_name}",
             [check_multiplier(space, weights[phi_name], weights[w_name],
-                              params.tol, inp)]))
+                              params.tol, inp)]), inp)
     return reports
 
 

@@ -85,6 +85,30 @@ def bmo_naive(space, f):
         space, lambda m: _avg(space, m, np.abs(f - _avg(space, m, f))))
 
 
+def bmo_rowwise(space, f):
+    """BMO as (value, BallRef), summing every center's row in full.
+
+    The per-center loop `weights.bmo_norm` ran before it screened centers,
+    kept verbatim: it is the bit-level reference for the screened norm.
+    """
+    f = np.asarray(f, dtype=float)
+    fam = space.ball_family
+    a = fam.averages_at_pos(f)
+    n = space.n
+    vals = np.empty((n, n))
+    tri = np.tril(np.ones((n, n)), k=0)
+    dev = np.empty((n, n))
+    for c in range(n):
+        order = fam.order[c]
+        np.subtract(f[order][None, :], a[c][:, None], out=dev)
+        np.abs(dev, out=dev)
+        dev *= space.measure[order][None, :]
+        dev *= tri
+        vals[c] = dev.sum(axis=1) / fam.prefix_measure[c]
+    vals[:, 0] = 0.0
+    return fam.sup_over_balls(vals)
+
+
 def blo_naive(space, f):
     f = np.asarray(f, dtype=float)
     return sup_over_balls_naive(space, lambda m: _avg(space, m, f) - f[m].min())

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,46 @@ class TestInfiniteSides:
     def test_infinite_slack_never_binds(self):
         report = inequality_report("x", [("loose", 1.0, np.inf), ("tight", 2.0, 2.0)], 1e-9)
         assert report.detail["binding"] == "tight" and report.verdict == "pass"
+
+
+# products and quotients of these weights leave the double range
+EXTREME_WEIGHTS = [
+    np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150]),
+    np.array([1e-160, 1.0, 2.0, 1.0, 1.0, 1e-10]),
+]
+
+
+class TestExtremeRange:
+    def test_multiplier_sums_the_logs(self):
+        # phi w holds 1e-320, a subnormal whose log keeps about 8 digits
+        space = generate("path", {"n": 6}, seed=0)
+        w = EXTREME_WEIGHTS[1]
+        report = check_multiplier(space, w, w)
+        assert report.verdict == "pass"
+        assert report.lhs == pytest.approx(368.4136148790473, rel=1e-12)
+        assert report.rhs == pytest.approx(report.lhs, rel=1e-12)
+
+    @pytest.mark.parametrize("w", EXTREME_WEIGHTS)
+    def test_error_entries_carry_the_inputs_digest(self, w):
+        space = generate("path", {"n": 6}, seed=0)
+        reports = run_suite(space, {"w": w})
+        errors = [r for r in reports if r.verdict == "error"]
+        passed = {r.inputs for r in reports
+                  if r.verdict == "pass" and not r.check_id.endswith("multiplier")}
+        assert errors and len(passed) == 1
+        assert {r.inputs for r in errors} == passed
+
+    @pytest.mark.parametrize("w", EXTREME_WEIGHTS)
+    def test_no_numpy_warning_is_raised(self, w):
+        space = generate("path", {"n": 6}, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = run_suite(space, {"w": w})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            strict = run_suite(space, {"w": w})
+        assert [(r.check_id, r.verdict) for r in strict] == \
+            [(r.check_id, r.verdict) for r in quiet]
 
 
 class TestReportUnquantified:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from weightlab import (
     transform,
 )
 from weightlab.families import sample_space, sample_weight
+from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_candidates
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -97,6 +100,86 @@ class TestBruteForceAgreement:
         ]
         for got, want in pairs:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _bmo_inputs(rng, space):
+    """Seven function families: noise, log-weight, tied, offset, constant, spiky
+    and linear (a coordinate, or the distance to point 0 where the space has
+    none), whose sup many centers' balls attain."""
+    n = space.n
+    z = rng.standard_normal(n)
+    return {
+        "normal": z,
+        "log-weight": np.log(rng.uniform(0.1, 5.0, n)),
+        "integers": rng.integers(-2, 3, n).astype(float),
+        "offset": 1e8 + 1e-6 * rng.standard_normal(n),
+        "constant": np.full(n, 3.7),
+        "spikes": np.where(rng.random(n) < 0.1, 1e6, 0.0) + z,
+        "linear": space.dist[0] if space.coords is None else space.coords[:, 0],
+    }
+
+
+def _assert_bmo_matches_rowwise(space, f, label):
+    got = bmo_norm(space, f)
+    value, ref = oracles.bmo_rowwise(space, f)
+    assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), label
+    assert got.witness == ref, label
+
+
+class TestBmoScreen:
+    """The screened BMO norm is bit-identical to summing every center's row."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_spaces(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        sizes = []
+        for _ in range(10):
+            space = sample_space(rng, 60)
+            sizes.append(space.n)
+            for name, f in _bmo_inputs(rng, space).items():
+                _assert_bmo_matches_rowwise(space, f, (space.n, name))
+        assert min(sizes) < BMO_SCREEN_MIN_N <= max(sizes)  # both sides of the crossover
+
+    def test_linf_grid(self):
+        space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
+        for name, f in _bmo_inputs(np.random.default_rng(3), space).items():
+            _assert_bmo_matches_rowwise(space, f, name)
+
+    def test_monotone_path(self):
+        # the whole path attains the sup from every center
+        space = generate("path", {"n": 300}, seed=3)
+        f = np.arange(space.n, dtype=float)
+        _assert_bmo_matches_rowwise(space, f, "arange")
+        assert np.count_nonzero(_bmo_candidates(space, f)) >= space.n
+
+    def test_screen_keeps_few_balls(self):
+        space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
+        f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
+        assert np.count_nonzero(_bmo_candidates(space, f)) <= 4
+        # a coordinate ties across many centers, yet a ball per center or so
+        kept = np.count_nonzero(_bmo_candidates(space, space.coords[:, 1]))
+        assert space.n <= kept <= 3 * space.n
+
+    def test_degenerate_inputs_keep_every_ball(self):
+        space = generate("grid", {"nx": 8, "ny": 8, "metric": "linf"}, seed=3)
+        every = space.ball_family.is_ball_end
+        for f in (np.full(space.n, 3.7), np.linspace(-2.0, 2.0, space.n) * SCREEN_RANGE):
+            assert np.array_equal(_bmo_candidates(space, f), every)
+        small = generate("path", {"n": BMO_SCREEN_MIN_N - 1}, seed=3)
+        kept = _bmo_candidates(small, np.arange(small.n, dtype=float))
+        assert np.array_equal(kept, small.ball_family.is_ball_end)
+
+    def test_peak_memory_below_three_tables(self):
+        space = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
+        space.ball_family  # the index is built before the measurement
+        f = np.log(np.random.default_rng(1).uniform(0.1, 5.0, space.n))
+        tracemalloc.start()
+        try:
+            bmo_norm(space, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * space.n ** 2
 
 
 class TestEquivalentForms:
