@@ -31,7 +31,6 @@ from .factorization import (
 )
 from .operators import (
     OperatorOutput,
-    ball_averages,
     maximal,
     maximal_naive,
     minimal,
@@ -80,7 +79,6 @@ from .weights import (
     buo_norm,
     rhinf_constant,
     rhs_constant,
-    transform,
 )
 
 __version__ = "0.1.0"

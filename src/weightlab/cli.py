@@ -29,6 +29,7 @@ from .errors import WeightlabError
 from .operators import maximal, maximal_naive
 from .report import Tolerances, aggregate_verdict, reports_to_csv, reports_to_jsonl
 from .space import (
+    GENERATOR_KINDS,
     annular_decay_constant,
     doubling_constant,
     enumerate_balls,
@@ -107,8 +108,11 @@ def cmd_analyze(args) -> int:
     add("blo(log w)", blo_norm(space, logw))
     add("buo(log w)", buo_norm(space, logw))
     add("doubling", doubling_constant(space))
-    rows.append({"quantity": "balls",
-                 "value": len(enumerate_balls(space, dedupe=args.dedupe_balls))})
+    # one ball per (center, rank) is one ball end of the index; only the
+    # deduplicated count needs the member sets
+    balls = (len(enumerate_balls(space)) if args.dedupe_balls
+             else int(space.ball_family.is_ball_end.sum()))
+    rows.append({"quantity": "balls", "value": balls})
     r_min = args.r_min
     if r_min is None:
         positive = space.dist[space.dist > 0]
@@ -275,8 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a space document")
-    g.add_argument("--kind", required=True,
-                   choices=["grid", "path", "tree", "random-points", "snowflake"])
+    g.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     g.add_argument("--n", type=int, default=16)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--metric", default=None)

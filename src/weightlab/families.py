@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidParams
 from .space import FiniteMetricMeasureSpace, generate
 
 SPACE_KINDS = ("grid", "path", "tree", "random-points", "snowflake")
@@ -51,7 +52,7 @@ def sample_weight(rng: np.random.Generator, space: FiniteMetricMeasureSpace,
         return np.exp(rng.uniform(-1.0, 1.0, size=n))
     if family == "uniform-log":
         return np.exp(rng.uniform(-1.5, 1.5, size=n))
-    raise ValueError(f"unknown weight family {family!r}")
+    raise InvalidParams(f"unknown weight family {family!r}")
 
 
 def sample_instance(rng: np.random.Generator, max_n: int):

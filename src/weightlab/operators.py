@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidFunction
-from .space import Ball, BallFamily, BallRef, FiniteMetricMeasureSpace
+from .space import Ball, BallRef, FiniteMetricMeasureSpace, _float_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,34 +105,8 @@ def _memoized(fn):
     return wrapper
 
 
-def ball_averages(space: FiniteMetricMeasureSpace, f) -> "BallAverageTable":
-    """Measure-weighted average of f over every realized ball."""
-    f = _as_function(space, f)
-    fam = space.ball_family
-    return BallAverageTable(fam, fam.averages_at_pos(f))
-
-
-class BallAverageTable:
-    """Per-(center, rank) averages backed by the family's prefix sums."""
-
-    def __init__(self, family: BallFamily, avg_at_pos: np.ndarray):
-        self.family = family
-        self.avg_at_pos = avg_at_pos
-
-    def value(self, center: int, rank: int) -> float:
-        end = self.family.end_positions(center)[rank - 1]
-        return float(self.avg_at_pos[center, end])
-
-    def items(self):
-        fam = self.family
-        for c in range(fam.n):
-            for rank, end in enumerate(fam.end_positions(c), start=1):
-                yield BallRef(c, rank, float(fam.radius_at_pos(c, end))), \
-                    float(self.avg_at_pos[c, end])
-
-
 def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
-    f = np.asarray(f, dtype=np.float64)
+    f = _float_array(f, InvalidFunction, "function")
     if f.shape != (space.n,):
         raise InvalidFunction(f"function must have shape ({space.n},), got {f.shape}")
     if not np.all(np.isfinite(f)):

@@ -71,10 +71,6 @@ class CheckReport:
     def hard(self) -> bool:
         return self.kind in ("inequality", "equality")
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass" or self.verdict == "soft-report"
-
     def to_dict(self) -> dict:
         def num(x):
             return x if math.isfinite(x) else None

@@ -20,6 +20,7 @@ distinct distance (rank 1 is distance 0, the singleton).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -224,6 +225,14 @@ def _validate_matrix(dist: np.ndarray, check_triangle: bool = True) -> None:
             raise TriangleViolation(i, j, k, worst[0])
 
 
+def _float_array(data, error: type[Exception], what: str) -> np.ndarray:
+    """data as a float64 array; a ragged or non-numeric input raises `error`."""
+    try:
+        return np.asarray(data, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} is not a numeric array: {exc}") from exc
+
+
 def _coords_to_dist(coords: np.ndarray, metric_kind: str) -> np.ndarray:
     diff = coords[:, None, :] - coords[None, :, :]
     if metric_kind == "euclidean":
@@ -272,13 +281,13 @@ def build_space(
         raise InvalidParams(f"unknown metric kind {metric_kind!r}")
     coords = None
     if metric_kind == "explicit-matrix":
-        dist = np.asarray(data, dtype=np.float64).copy()
+        dist = _float_array(data, AsymmetricDistance, "distance matrix").copy()
         derived = False
     elif metric_kind == "graph-shortest-path":
-        dist = _graph_shortest_path(np.asarray(data, dtype=np.float64))
+        dist = _graph_shortest_path(_float_array(data, AsymmetricDistance, "edge lengths"))
         derived = True
     else:
-        coords = np.asarray(data, dtype=np.float64).copy()
+        coords = _float_array(data, InvalidParams, "coordinates").copy()
         if coords.ndim == 1:
             coords = coords[:, None]
         dist = _coords_to_dist(coords, metric_kind)
@@ -289,7 +298,7 @@ def build_space(
         check_triangle = (not derived) or n <= 512
     _validate_matrix(dist, check_triangle=check_triangle)
 
-    mu = np.asarray(measure, dtype=np.float64).copy()
+    mu = _float_array(measure, NonpositiveMeasure, "measure").copy()
     if mu.shape != (n,):
         raise NonpositiveMeasure(f"measure must have shape ({n},), got {mu.shape}")
     if not np.all(np.isfinite(mu)) or np.any(mu <= 0.0):
@@ -412,7 +421,7 @@ def annular_decay_constant(
     """
     if not 0.0 <= alpha <= 1.0:
         raise InvalidParams("alpha must lie in [0, 1]")
-    if r_min <= 0.0:
+    if not r_min > 0.0:  # NaN fails too
         raise InvalidParams("r_min must be positive")
     if r_min > 2.0 * space.diameter and space.n > 1:
         raise EmptyRadiusRange(
@@ -470,6 +479,15 @@ def _measure_vector(rng: np.random.Generator, n: int, law) -> np.ndarray:
     raise InvalidParams(f"unknown measure law {law!r}")
 
 
+def _param(params: dict, key: str, default, kind=int):
+    """params[key], or the default, as an int or a float."""
+    value = params.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParams(f"{key} must be {kind.__name__}, got {value!r}") from exc
+
+
 def generate(kind: str, params: dict | None = None, seed: int = 0) -> FiniteMetricMeasureSpace:
     """Seeded space generator; a pure function of (kind, params, seed).
 
@@ -485,36 +503,28 @@ def generate(kind: str, params: dict | None = None, seed: int = 0) -> FiniteMetr
     rng = np.random.default_rng(seed)
     if kind == "grid":
         if "nx" in params or "ny" in params:
-            nx, ny = int(params.get("nx", 1)), int(params.get("ny", 1))
+            nx, ny = _param(params, "nx", 1), _param(params, "ny", 1)
         else:
-            n = int(params.get("n", 4))
-            nx = int(np.floor(np.sqrt(n))) or 1
-            ny = (n + nx - 1) // nx
-            while nx * ny > n and ny > 1 and nx * (ny - 1) >= n:
-                ny -= 1
-            nx, ny = max(nx, 1), max(ny, 1)
+            n = _param(params, "n", 4)
+            nx = math.isqrt(max(n, 1))
             # exact cover: fall back to a 1 x n line when n is awkward
-            if nx * ny != n:
-                nx, ny = n, 1
+            nx, ny = (nx, n // nx) if n % nx == 0 else (n, 1)
         if nx < 1 or ny < 1:
-            raise InvalidParams("grid needs nx, ny >= 1")
-        step = float(params.get("step", 1.0))
+            raise InvalidParams("grid needs n, nx, ny >= 1")
+        step = _param(params, "step", 1.0, float)
         coords = np.array([(i * step, j * step) for i in range(nx) for j in range(ny)])
         metric = params.get("metric", "linf")
-        space = build_space(coords, metric, _measure_vector(rng, nx * ny, params.get("measure")),
-                            check_triangle=nx * ny <= 512)
-        return space
+        return build_space(coords, metric, _measure_vector(rng, nx * ny, params.get("measure")))
     if kind == "path":
-        n = int(params.get("n", 3))
+        n = _param(params, "n", 3)
         if n < 1:
             raise InvalidParams("path needs n >= 1")
         edges = rng.uniform(0.5, 1.5, size=max(n - 1, 0))
         positions = np.concatenate([[0.0], np.cumsum(edges)])
         return build_space(positions[:, None], "l1",
-                           _measure_vector(rng, n, params.get("measure")),
-                           check_triangle=n <= 512)
+                           _measure_vector(rng, n, params.get("measure")))
     if kind == "tree":
-        n = int(params.get("n", 4))
+        n = _param(params, "n", 4)
         if n < 1:
             raise InvalidParams("tree needs n >= 1")
         adj = np.full((n, n), np.inf)
@@ -523,20 +533,18 @@ def generate(kind: str, params: dict | None = None, seed: int = 0) -> FiniteMetr
             length = float(rng.uniform(0.5, 1.5))
             adj[u, v] = adj[v, u] = length
         return build_space(adj, "graph-shortest-path",
-                           _measure_vector(rng, n, params.get("measure")),
-                           check_triangle=n <= 512)
+                           _measure_vector(rng, n, params.get("measure")))
     if kind == "random-points":
-        n = int(params.get("n", 8))
-        dim = int(params.get("dim", 2))
+        n = _param(params, "n", 8)
+        dim = _param(params, "dim", 2)
         if n < 1 or dim < 1:
             raise InvalidParams("random-points needs n, dim >= 1")
         coords = rng.uniform(0.0, 1.0, size=(n, dim))
         return build_space(coords, params.get("metric", "euclidean"),
-                           _measure_vector(rng, n, params.get("measure")),
-                           check_triangle=n <= 512)
+                           _measure_vector(rng, n, params.get("measure")))
     if kind == "snowflake":
         base = params.get("base")
-        eps = float(params.get("eps", 0.5))
+        eps = _param(params, "eps", 0.5, float)
         if not isinstance(base, FiniteMetricMeasureSpace):
             raise InvalidParams("snowflake needs a base space")
         if not 0.0 < eps <= 1.0:

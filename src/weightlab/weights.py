@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
 from .operators import _as_function, _memoized, maximal, minimal
-from .space import FiniteMetricMeasureSpace, FunctionalResult
+from .space import FiniteMetricMeasureSpace, FunctionalResult, _float_array
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
 CONDITIONING_RANGE = 1e12
@@ -54,7 +54,7 @@ SCREEN_CHUNK_CELLS = 1 << 15  # (center, position) cells per chunk, screened or 
 
 
 def _as_weight(space: FiniteMetricMeasureSpace, w, positive: bool = True) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
+    w = _float_array(w, NonpositiveWeight, "weight")
     if w.shape != (space.n,):
         raise NonpositiveWeight(f"weight must have shape ({space.n},), got {w.shape}")
     if not np.all(np.isfinite(w)):
@@ -302,31 +302,3 @@ def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
 def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
     return replace(blo_norm(space, -_as_function(space, f)), kind="BUO")
-
-
-def transform(w, kind: str, exponent: float | None = None, other=None) -> np.ndarray:
-    """Pointwise weight transform: power(s), inverse, product(phi), log, exp."""
-    w = np.asarray(w, dtype=np.float64)
-    if kind == "power":
-        if exponent is None:
-            raise InvalidParams("power transform needs an exponent")
-        _check_positive_entries(w, "power")
-        return np.power(w, exponent)
-    if kind == "inverse":
-        _check_positive_entries(w, "inverse")
-        return 1.0 / w
-    if kind == "product":
-        if other is None:
-            raise InvalidParams("product transform needs a second vector")
-        return w * np.asarray(other, dtype=np.float64)
-    if kind == "log":
-        _check_positive_entries(w, "log")
-        return np.log(w)
-    if kind == "exp":
-        return np.exp(w)
-    raise InvalidParams(f"unknown transform {kind!r}")
-
-
-def _check_positive_entries(w: np.ndarray, kind: str) -> None:
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise NonpositiveWeight(f"{kind} transform needs strictly positive entries")

@@ -93,6 +93,7 @@ def test_criterion_2_randomized_theorem_suite():
                 "power_props.log_scaling", "power_props.a1_from_power",
                 "power_props.ap_forward", "power_props.ap_converse",
                 "multiplier", "duality.ap", "duality.oscillation",
+                "unquantified.naive_extremal",
                 "factorization.reconstruction", "factorization.w1_bounds",
                 "factorization.w2_ap", "factorization.w2_rhinf"]
     rng = np.random.default_rng(42)

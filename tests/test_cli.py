@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weightlab import build_space, save
+from weightlab import build_space, cli, save
 from weightlab.cli import main
 
 E = np.e
@@ -101,6 +101,27 @@ class TestAnalyze:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["analyze", "--input", str(bad)]) == 2
+
+    def test_ball_count_reads_the_index(self, two_point_doc, tmp_path, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("enumerate_balls runs only under --dedupe-balls")
+
+        monkeypatch.setattr(cli, "enumerate_balls", unreachable)
+        prefix = str(tmp_path / "out")
+        assert main(["analyze", "--input", two_point_doc, "--out-prefix", prefix]) == 0
+        rows = json.loads(open(prefix + ".json").read())
+        assert {r["quantity"]: r["value"] for r in rows}["balls"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "grid", "--n", "-1", "--seed", "0"],
+    ["analyze", "--r-min", "nan"],
+])
+def test_bad_value_is_an_input_error(argv, two_point_doc, tmp_path, capsys):
+    argv = argv + (["--out", str(tmp_path / "x.json")] if argv[0] == "gen"
+                   else ["--input", two_point_doc])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerify:

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from weightlab import (
-    ball_averages,
     maximal,
     maximal_naive,
     minimal,
@@ -17,25 +16,6 @@ from weightlab import (
 from weightlab.families import sample_space
 
 E = np.e
-
-
-class TestBallAverages:
-    def test_constant(self, three_path):
-        table = ball_averages(three_path, np.full(3, 4.2))
-        for _, avg in table.items():
-            assert avg == pytest.approx(4.2, rel=1e-13)
-
-    def test_two_point_worked(self, two_point):
-        table = ball_averages(two_point, np.array([1.0, E]))
-        assert table.value(0, 2) == pytest.approx(1.85914, abs=1e-5)
-
-    def test_three_path_spike(self, three_path):
-        table = ball_averages(three_path, np.array([0.0, 3.0, 0.0]))
-        assert table.value(0, 3) == pytest.approx(1.0, rel=1e-13)
-
-    def test_rejects_non_finite(self, two_point):
-        with pytest.raises(ValueError):
-            ball_averages(two_point, np.array([1.0, np.nan]))
 
 
 class TestWorkedExamples:

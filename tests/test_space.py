@@ -74,6 +74,20 @@ class TestBuildSpace:
             space.total_mass, rel=1e-15)
 
 
+class TestAveragesAtPos:
+    def test_constant(self, three_path):
+        avg = three_path.ball_family.averages_at_pos(np.full(3, 4.2))
+        assert avg == pytest.approx(np.full((3, 3), 4.2), rel=1e-13)
+
+    def test_two_point_worked(self, two_point):
+        avg = two_point.ball_family.averages_at_pos(np.array([1.0, np.e]))
+        assert avg[0, 1] == pytest.approx(1.85914, abs=1e-5)  # center 0, rank 2
+
+    def test_three_path_spike(self, three_path):
+        avg = three_path.ball_family.averages_at_pos(np.array([0.0, 3.0, 0.0]))
+        assert avg[0, 2] == pytest.approx(1.0, rel=1e-13)  # center 0, rank 3
+
+
 class TestEnumerateBalls:
     def test_two_point(self, two_point):
         got = {tuple(b.members) for b in enumerate_balls(two_point)}
@@ -89,6 +103,15 @@ class TestEnumerateBalls:
 
     def test_no_dedupe_counts_ranks(self, two_point):
         assert len(enumerate_balls(two_point, dedupe=False)) == 4
+
+    @pytest.mark.parametrize("kind, params", [
+        ("grid", {"nx": 6, "ny": 7, "metric": "linf"}),  # many tied distances
+        ("random-points", {"n": 30}),  # no ties
+    ])
+    def test_index_counts_every_rank(self, kind, params):
+        space = generate(kind, params, seed=2)
+        assert int(space.ball_family.is_ball_end.sum()) == \
+            len(enumerate_balls(space, dedupe=False))
 
     def test_matches_naive_enumeration(self):
         space = generate("random-points", {"n": 17, "dim": 2}, seed=3)
@@ -199,6 +222,15 @@ class TestGenerate:
         space = generate("grid", {"nx": 2, "ny": 2, "metric": "linf"}, seed=0)
         assert space.n == 4
         assert space.diameter == 1.0
+
+    @pytest.mark.parametrize("n, shape", [(1, (1, 1)), (2, (1, 2)), (7, (7, 1)),
+                                          (12, (3, 4)), (1000, (1000, 1)),
+                                          (1024, (32, 32))])
+    def test_grid_shape_from_n(self, n, shape):
+        # nx = floor(sqrt n) when it divides n, else one 1 x n line
+        space = generate("grid", {"n": n}, seed=0)
+        want = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+        assert np.array_equal(space.coords, np.array(want, dtype=float))
 
     def test_snowflake_two_point_unit_distance(self, two_point):
         flaked = generate("snowflake", {"base": two_point, "eps": 0.5}, seed=0)

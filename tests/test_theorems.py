@@ -30,6 +30,7 @@ from weightlab.factorization import SUITE_OPTIONS
 from weightlab.families import sample_instance, sample_space, sample_weight
 from weightlab.report import digest, inequality_report, reports_to_jsonl
 from weightlab.space import BallFamily
+from weightlab.theorems import _probe_points
 from weightlab.weights import blo_norm, buo_norm
 
 E = np.e
@@ -247,9 +248,28 @@ class TestReportUnquantified:
         assert soft.detail["bmo_f"] == pytest.approx(0.5)
         assert soft.detail["a1_Mw"] >= 1.0
         hard = [r for r in reports if r.hard]
-        assert len(hard) == 2
-        for r in hard:
-            assert r.verdict == "pass" and r.margin == 0.0  # bit-exact identities
+        assert [(r.check_id, r.verdict) for r in hard] == \
+            [("unquantified.naive_extremal", "pass")]
+        assert hard[0].margin <= 1e-15  # two-term dot products against the sweep
+
+    @pytest.mark.parametrize("point", [0, 2])
+    def test_sweep_defect_fails_the_naive_check(self, monkeypatch, point):
+        space = generate("random-points", {"n": 12, "measure": "random"}, seed=4)
+        w = sample_weight(np.random.default_rng(4), space, "uniform-log")
+        x = int(_probe_points(space.n)[point])
+        raw = operators._natural_extremal.__wrapped__
+
+        def defective(space, f):
+            out = raw(space, f)
+            bump = np.zeros(space.n)
+            bump[x] = 1e-6
+            return replace(out, values=out.values + bump)
+
+        assert_all_pass(report_unquantified(space, w, 2.0))
+        monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(defective))
+        hard = [r for r in report_unquantified(space, w, 2.0) if r.hard]
+        assert [r.verdict for r in hard] == ["fail"]
+        assert hard[0].margin == pytest.approx(1e-6, rel=1e-6)
 
     def test_grid_family_ratio_table(self):
         # growth inspection table over square grids, fixed weight law

@@ -19,7 +19,6 @@ from weightlab import (
     generate,
     rhinf_constant,
     rhs_constant,
-    transform,
 )
 from weightlab.families import sample_space, sample_weight
 from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_candidates
@@ -321,32 +320,6 @@ class TestAlgebraicIdentities:
                 lhs = norm(space, f + g).value
                 rhs = norm(space, f).value + norm(space, g).value
                 assert lhs <= rhs + 1e-12 * max(rhs, 1.0)
-
-
-class TestTransforms:
-    def test_power_one_is_identity(self):
-        w = np.array([0.5, 2.0, 7.0])
-        assert np.array_equal(transform(w, "power", exponent=1.0), w)
-
-    def test_inverse(self):
-        got = transform(np.array([1.0, E]), "inverse")
-        assert got == pytest.approx([1.0, 1.0 / E], rel=1e-15)
-
-    def test_log_exp_round_trip(self):
-        rng = np.random.default_rng(2)
-        w = np.exp(rng.uniform(-2, 2, size=20))
-        back = transform(transform(w, "log"), "exp")
-        assert back == pytest.approx(w, rel=1e-14)
-
-    def test_product(self):
-        got = transform(np.array([1.0, 2.0]), "product", other=np.array([3.0, 0.5]))
-        assert np.array_equal(got, [3.0, 1.0])
-
-    def test_nonpositive_rejected(self):
-        bad = np.array([1.0, -1.0])
-        for kind in ("power", "inverse", "log"):
-            with pytest.raises(NonpositiveWeight):
-                transform(bad, kind, exponent=2.0)
 
 
 class TestEdgeCases:
