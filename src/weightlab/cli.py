@@ -48,7 +48,7 @@ from .weights import (
     rhs_constant,
 )
 
-ANNULAR_MAX_N = 512  # the annular scan is cubic; skip it on bigger inputs
+ANNULAR_MAX_N = 512  # analyze skips the annular scan on bigger inputs
 
 
 def _tolerances(args) -> Tolerances:

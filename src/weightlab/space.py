@@ -199,8 +199,6 @@ class BallFamily:
 
 def _validate_matrix(dist: np.ndarray, check_triangle: bool = True) -> None:
     n = dist.shape[0]
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-        raise AsymmetricDistance("distance matrix must be square")
     if not np.all(np.isfinite(dist)):
         raise AsymmetricDistance("distance matrix has non-finite entries")
     if np.any(np.diag(dist) != 0.0):
@@ -231,6 +229,14 @@ def _float_array(data, error: type[Exception], what: str) -> np.ndarray:
         return np.asarray(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise error(f"{what} is not a numeric array: {exc}") from exc
+
+
+def _square_matrix(data, what: str) -> np.ndarray:
+    """data as a float64 n x n array; anything else raises AsymmetricDistance."""
+    dist = _float_array(data, AsymmetricDistance, what)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+        raise AsymmetricDistance(f"{what} must be a square matrix")
+    return dist
 
 
 def _coords_to_dist(coords: np.ndarray, metric_kind: str) -> np.ndarray:
@@ -281,15 +287,17 @@ def build_space(
         raise InvalidParams(f"unknown metric kind {metric_kind!r}")
     coords = None
     if metric_kind == "explicit-matrix":
-        dist = _float_array(data, AsymmetricDistance, "distance matrix").copy()
+        dist = _square_matrix(data, "distance matrix").copy()
         derived = False
     elif metric_kind == "graph-shortest-path":
-        dist = _graph_shortest_path(_float_array(data, AsymmetricDistance, "edge lengths"))
+        dist = _graph_shortest_path(_square_matrix(data, "edge lengths"))
         derived = True
     else:
         coords = _float_array(data, InvalidParams, "coordinates").copy()
         if coords.ndim == 1:
             coords = coords[:, None]
+        if coords.ndim != 2:
+            raise InvalidParams("coordinates must be an n x d array")
         dist = _coords_to_dist(coords, metric_kind)
         derived = True
 
@@ -415,6 +423,25 @@ def annular_decay_constant(
     delta restricted to (0, 1). This sampling makes the reported constant
     monotone nonincreasing in r_min and nondecreasing in alpha.
 
+    Per center the samples form a table: row i is an interval with
+    r* = max(e[i], r_min), column j = 1..m a distinct distance e[j], and the
+    cell is (cum[i] - cum[j-1]) / ((1 - e[j]/r*)**alpha * cum[i]), with cum
+    the ball masses; the cells with e[j] >= r* (delta <= 0) are not
+    samples. `_annular_scan` screens before it evaluates. The columns are
+    cut into blocks of ceil(sqrt(m)), and each (row, block) pair gets one
+    bound: the cell formula, with the same float operations, taking the
+    numerator at the block's first column and the denominator at its last
+    column with e[j] < r*. Along a row both fall as j grows, and IEEE
+    rounding is monotone (a <= b implies fl(a op c) <= fl(b op c) for the
+    operations and signs used here), so the bound is >= every computed
+    cell of its block. numpy's pow is not guaranteed monotone; at alpha
+    other than 0 and 1 the bound's power is first lowered by 8 ulps,
+    several times its error. Only the blocks whose bound beats the running
+    maximum and reaches the center's own lower bound (the exact maximum of
+    its top-bound block) are evaluated, cell by cell with exactly the
+    operations of the full table, and the first maximum in (row, column)
+    order is taken. Value and witness are the full table's, bit for bit.
+
     No finite space satisfies the decay inequality uniformly in r: as r
     approaches a realized distance from above the ratio blows up, which is
     why an explicit r_min cutoff is required.
@@ -426,15 +453,19 @@ def annular_decay_constant(
     if r_min > 2.0 * space.diameter and space.n > 1:
         raise EmptyRadiusRange(
             f"r_min={r_min} exceeds twice the diameter {space.diameter}")
+    best, wit, _ = _annular_scan(space, alpha, r_min)
+    return AnnularDecayQuery(alpha, r_min, best, *wit)
 
+
+def _annular_scan(space: FiniteMetricMeasureSpace, alpha: float, r_min: float):
+    """(value, (center, r, delta), number of cells evaluated exactly)."""
     best = 0.0
     wit = (None, None, None)
+    evaluated = 0
     fam = space.ball_family
-    # one set of (interval, j) buffers per call, viewed at each center's size:
-    # fresh per-center temporaries made the speed depend on the allocator
-    n = space.n
-    bufs = (np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=bool))
-    for c in range(n):
+    # pow(x, 0) and pow(x, 1) are exact; any other power may be off by an ulp
+    pow_slack = 1.0 if alpha in (0.0, 1.0) else 1.0 - 2.0 ** -49
+    for c in range(space.n):
         ends = fam.is_ball_end[c]
         e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
         m = len(e) - 1
@@ -445,23 +476,62 @@ def annular_decay_constant(
         # rows are the intervals reaching r_min, columns the j = 1..m
         i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)
         r_star = np.maximum(e[i], r_min)
-        deltas, ratios, bad = (b[:len(i) * m].reshape(len(i), m) for b in bufs)
-        np.divide(e[None, 1:], r_star[:, None], out=deltas)
-        np.subtract(1.0, deltas, out=deltas)
-        # columns j > i have e[j] >= r_star, hence delta <= 0: this one test
-        # masks them along with the deltas outside (0, 1)
-        np.less_equal(deltas, 0.0, out=bad)
-        np.subtract(cum[i, None], cum[None, :-1], out=ratios)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deltas **= alpha
-            deltas *= cum[i, None]
-            np.divide(ratios, deltas, out=ratios)
-        np.copyto(ratios, -np.inf, where=bad)
-        k, j = divmod(int(ratios.argmax()), m)  # first maximum, as a row scan finds it
-        if ratios[k, j] > best:
-            best = float(ratios[k, j])
-            wit = (c, float(r_star[k]), float(1.0 - e[j + 1] / r_star[k]))
-    return AnnularDecayQuery(alpha, r_min, best, wit[0], wit[1], wit[2])
+        size = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) columns per block
+        first = np.arange(1, m + 1, size)
+        # row k samples the columns 1..valid[k], those with e[j] < r*, which
+        # are exactly those whose computed delta is > 0
+        valid = np.searchsorted(e[1:], r_star)
+        last = np.minimum(first + (size - 1), valid[:, None])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            den = e[last] / r_star[:, None]
+            den = 1.0 - den
+            den **= alpha
+            den *= pow_slack
+            den *= cum[i, None]
+            bound = (cum[i, None] - cum[first - 1]) / den
+        np.copyto(bound, -np.inf, where=first > valid[:, None])
+        # a 0/0 bound reads NaN and is dropped: its numerators, and so its
+        # cells, are all 0, which cannot raise the maximum
+        keep = bound > best
+        if not keep.any():
+            continue
+        top = np.unravel_index(bound.argmax(), bound.shape)
+        low = _annular_cells(e, cum, i, r_star, alpha, size, *top)[0].max()
+        keep &= bound >= low
+        k, b = np.nonzero(keep)  # row-major, so the cells below are in (k, j) order
+        ratios, cols = _annular_cells(e, cum, i, r_star, alpha, size, k, b)
+        evaluated += size * (1 + len(k))
+        f = int(ratios.argmax())  # first maximum, as a row scan finds it
+        if ratios.flat[f] > best:
+            k, j = k[f // size], cols.flat[f]
+            best = float(ratios.flat[f])
+            wit = (c, float(r_star[k]), float(1.0 - e[j] / r_star[k]))
+    return best, wit, evaluated
+
+
+def _annular_cells(e, cum, i, r_star, alpha, size, k, b):
+    """Exact cells of the (row k, column block b) pairs, one block per row.
+
+    Each cell goes through the same elementwise operations as a full
+    (interval, j) table; columns past m and deltas <= 0 read -inf.
+    """
+    k, b = np.atleast_1d(k), np.atleast_1d(b)
+    m = len(e) - 1
+    cols = 1 + b[:, None] * size + np.arange(size)
+    past = cols > m
+    np.minimum(cols, m, out=cols)
+    rows = i[k, None]
+    deltas = e[cols] / r_star[k, None]
+    np.subtract(1.0, deltas, out=deltas)
+    bad = deltas <= 0.0
+    bad |= past
+    ratios = cum[rows] - cum[cols - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deltas **= alpha
+        deltas *= cum[rows]
+        np.divide(ratios, deltas, out=ratios)
+    np.copyto(ratios, -np.inf, where=bad)
+    return ratios, cols
 
 
 # ---------------------------------------------------------------------------

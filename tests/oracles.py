@@ -155,6 +155,50 @@ def annular_naive(space, alpha, r_min):
     return best
 
 
+def annular_rowwise(space, alpha, r_min):
+    """Annular decay as (value, center, radius, delta), every cell of every center.
+
+    The per-center loop `space.annular_decay_constant` ran before it
+    screened (interval, delta) blocks, kept verbatim: it is the bit-level
+    reference for the screened scan.
+    """
+    best = 0.0
+    wit = (None, None, None)
+    fam = space.ball_family
+    # one set of (interval, j) buffers per call, viewed at each center's size:
+    # fresh per-center temporaries made the speed depend on the allocator
+    n = space.n
+    bufs = (np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=bool))
+    for c in range(n):
+        ends = fam.is_ball_end[c]
+        e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
+        m = len(e) - 1
+        if m == 0:
+            continue
+        cum = fam.prefix_measure[c, ends]  # mass of {d <= e[i]}
+        # interval i covers r in (e[i], e[i+1]] for i < m, and (e[m], inf);
+        # rows are the intervals reaching r_min, columns the j = 1..m
+        i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)
+        r_star = np.maximum(e[i], r_min)
+        deltas, ratios, bad = (b[:len(i) * m].reshape(len(i), m) for b in bufs)
+        np.divide(e[None, 1:], r_star[:, None], out=deltas)
+        np.subtract(1.0, deltas, out=deltas)
+        # columns j > i have e[j] >= r_star, hence delta <= 0: this one test
+        # masks them along with the deltas outside (0, 1)
+        np.less_equal(deltas, 0.0, out=bad)
+        np.subtract(cum[i, None], cum[None, :-1], out=ratios)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deltas **= alpha
+            deltas *= cum[i, None]
+            np.divide(ratios, deltas, out=ratios)
+        np.copyto(ratios, -np.inf, where=bad)
+        k, j = divmod(int(ratios.argmax()), m)  # first maximum, as a row scan finds it
+        if ratios[k, j] > best:
+            best = float(ratios[k, j])
+            wit = (c, float(r_star[k]), float(1.0 - e[j + 1] / r_star[k]))
+    return best, wit[0], wit[1], wit[2]
+
+
 def annular_ratio(space, alpha, x, r, delta):
     """mu(B(x,r) minus B(x,(1-delta)r)) / (delta**alpha mu(B(x,r))) at one triple.
 

@@ -31,9 +31,13 @@ WORDS = ["a", "b"]
     (lambda sp: a1_constant(sp, WORDS), NonpositiveWeight),
     (lambda sp: build_space([[0.0, 1.0], [1.0]], "explicit-matrix", [1.0, 1.0]),
      AsymmetricDistance),
+    (lambda sp: build_space(5.0, "explicit-matrix", [1.0]), AsymmetricDistance),
+    (lambda sp: build_space(5.0, "graph-shortest-path", [1.0]), AsymmetricDistance),
+    (lambda sp: build_space(5.0, "euclidean", [1.0]), InvalidParams),
     (lambda sp: sample_weight(np.random.default_rng(0), sp, "bogus"), InvalidParams),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
-        "maximal", "blo", "a1", "ragged-matrix", "weight-family"])
+        "maximal", "blo", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
+        "scalar-coords", "weight-family"])
 def test_bad_input_raises_its_weightlab_error(two_point, call, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and prints no numpy warning on the way

@@ -1,4 +1,7 @@
+import functools
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from weightlab import (
     load,
     save,
 )
+from weightlab.families import sample_space
+from weightlab.space import GENERATOR_KINDS, _annular_scan
 
 
 class TestBuildSpace:
@@ -215,6 +220,91 @@ class TestAnnularDecay:
     def test_alpha_range_validated(self, two_point):
         with pytest.raises(InvalidParams):
             annular_decay_constant(two_point, 1.5, 1.0)
+
+
+ANNULAR_ALPHAS = (0.0, 0.3, 0.5, 0.999, 1.0)
+
+
+def _assert_annular_matches_rowwise(space, alpha, r_min):
+    res = annular_decay_constant(space, alpha, r_min)
+    got = (res.value, res.witness_center, res.witness_radius, res.witness_delta)
+    assert got == oracles.annular_rowwise(space, alpha, r_min), (space.n, alpha, r_min)
+
+
+def _min_distance(space):
+    return float(space.dist[space.dist > 0].min())
+
+
+@functools.lru_cache(maxsize=None)
+def _analyze_points(seed):
+    """The points input of the `analyze` benchmark, at the CLI's r_min."""
+    space = generate("random-points", {"n": 500, "dim": 2, "measure": "random"}, seed)
+    space.ball_family  # the index is built before any measurement
+    return space, 2.0 * _min_distance(space)
+
+
+def _table_cells(space, r_min):
+    """Cells of the full (interval, j) tables of every center."""
+    fam = space.ball_family
+    total = 0
+    for c in range(space.n):
+        e = space.dist[c, fam.order[c, fam.is_ball_end[c]]]
+        m = len(e) - 1
+        total += (m + 1 - int(np.searchsorted(np.append(e[1:], np.inf), r_min))) * m
+    return total
+
+
+class TestAnnularScreen:
+    """The screened annular scan is bit-identical to evaluating every cell."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_sampled_spaces(self, kind):
+        rng = np.random.default_rng(700 + GENERATOR_KINDS.index(kind))
+        for _ in range(6):
+            space = sample_space(rng, 60, kind)
+            for alpha in ANNULAR_ALPHAS:
+                for scale in (0.5, 1.0, 2.0, 5.0):
+                    r_min = scale * _min_distance(space)
+                    if r_min <= 2.0 * space.diameter:
+                        _assert_annular_matches_rowwise(space, alpha, r_min)
+
+    def test_tie_heavy_linf_grid(self):
+        space = generate("grid", {"nx": 12, "ny": 10, "metric": "linf"}, seed=3)
+        for alpha in ANNULAR_ALPHAS:
+            for r_min in (0.5, 1.0, 1.5, 2.0, 3.0, 7.0):
+                _assert_annular_matches_rowwise(space, alpha, r_min)
+
+    def test_uniform_step_path(self):
+        space = build_space(np.arange(80.0), "l1", np.full(80, 1.0 / 80))
+        for alpha in ANNULAR_ALPHAS:
+            for r_min in (0.5, 1.0, 2.0, 2.5, 10.0, 40.0):
+                _assert_annular_matches_rowwise(space, alpha, r_min)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_analyze_points_input(self, seed):
+        space, r_min = _analyze_points(seed)
+        _assert_annular_matches_rowwise(space, 1.0, r_min)
+        _assert_annular_matches_rowwise(space, 0.5, r_min)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_screen_evaluates_few_cells(self, seed):
+        space, r_min = _analyze_points(seed)
+        evaluated = _annular_scan(space, 1.0, r_min)[2]
+        assert evaluated < 0.01 * _table_cells(space, r_min)
+        # most centers are dismissed by their bounds without a single cell:
+        # the cells stay below one block (at most ceil(sqrt(n-1)) columns)
+        # per center
+        assert evaluated < space.n * (math.isqrt(space.n - 2) + 1)
+
+    def test_peak_memory_below_one_table(self):
+        space, r_min = _analyze_points(1)
+        tracemalloc.start()
+        try:
+            annular_decay_constant(space, 1.0, r_min)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * space.n ** 2
 
 
 class TestGenerate:
