@@ -6,15 +6,16 @@ A_1 constants small, then transform w1 = v1**(1/s), w2 = v2**(1-p). The
 split is structural (v1 is defined as u * v2**(q-1), so any positive v2
 yields an exact factorization); the search only shrinks the certificates.
 
-Search. The objective max(A_1(v1), A_1(v2)) is minimized over x = log v2 by
-coordinate descent with a golden-section line search per coordinate, run
-from a zero start plus seeded random restarts. The objective is invariant
-under constant shifts of x (A_1 is scale free), and convex in x, but the
-max makes it nonsmooth, so pure coordinate sweeps can stall off the
-minimum; each sweep therefore ends with a few seeded random-direction
-line searches. Descent is monotone, so the returned objective never
-exceeds its value at v2 = 1. No global optimality is claimed; grid
-oracles pin the quality at small n.
+Search. max(A_1(v1), A_1(v2)) is minimized over x = log v2 by golden-section
+line searches that move x only if the objective falls, so it never exceeds
+its value at v2 = 1. The zero start first searches the power split
+x = t log u / (1-q), t in [0, 1], where v1 = u**(1-t), w1 = w**(1-t) and
+w2 = w**t. The objective is scale free (invariant under constant shifts of
+x) and convex in x, so one golden section finds the best split. Coordinate
+sweeps follow, from there and from seeded random restarts; the max is
+nonsmooth, so pure coordinate sweeps can stall off the minimum, and each
+sweep ends with a few seeded random-direction searches. No global
+optimality is claimed; grid oracles pin the quality at small n.
 """
 
 from __future__ import annotations
@@ -32,27 +33,31 @@ from .weights import _as_weight, a1_constant, ap_constant, blo_norm, rhinf_const
 RECONSTRUCTION_RTOL = 1e-12
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_ITERS = 28  # golden-section steps per line search
+RANDOM_DIRS = 4  # seeded random-direction searches appended per sweep
 SWEEP_TOL = 1e-6  # stop when a full sweep improves less than this, relatively
-BRACKET = 1.0  # half-width of the per-coordinate search interval
+BRACKET = 1.0  # half-width of the coordinate and random-direction searches
 INIT_SCALE = 0.75  # stddev of the random restart offsets
 
 
 @dataclass(frozen=True)
 class FactorOptions:
-    """Knobs of the A_1-certificate search; defaults are the precise preset."""
+    """Starts and sweeps per start of the A_1-certificate search.
+
+    Start 0 searches the power split before its sweeps, so max_sweeps=0
+    runs that line alone. The defaults are the precise preset.
+    """
 
     multistarts: int = 8
     max_sweeps: int = 40
-    golden_iters: int = 28
-    random_dirs: int = 4  # seeded random-direction searches appended per sweep
     seed: int = 0
 
 
 # cheap preset used inside randomized suites, where the certificate bounds
-# hold for any positive v2 and only runtime matters; one descent pass from
-# the zero start keeps the certificates at or below their v2 = 1 values
-SUITE_OPTIONS = FactorOptions(multistarts=1, max_sweeps=1, golden_iters=10,
-                              random_dirs=0)
+# hold for any positive v2 and only runtime matters: the power split alone,
+# GOLDEN_ITERS + 3 evaluations; the objective is convex, so one golden
+# section finds the best split w = w**(1-t) * w**t, never worse than v2 = 1
+SUITE_OPTIONS = FactorOptions(multistarts=1, max_sweeps=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +106,12 @@ def _a1_value(fam: BallFamily, values: np.ndarray) -> float:
     return float(a.max(where=fam.is_ball_end, initial=-np.inf))
 
 
-def _golden_min(g, lo: float, hi: float, iters: int):
+def _golden_min(g, lo: float, hi: float):
     """Golden-section scan of g on [lo, hi]; returns the best probed point."""
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     gc, gd = g(c), g(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if gc < gd:
             hi, d, gd = d, c, gc
             c = hi - _INVPHI * (hi - lo)
@@ -132,6 +137,7 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
     fam = space.ball_family
     log_u = np.log(u)
     n = space.n
+    probe = np.empty(n)
     evals = 0
 
     def objective(x: np.ndarray) -> float:
@@ -139,7 +145,17 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
         evals += 1
         v2 = np.exp(x)
         v1 = np.exp(log_u + (q - 1.0) * x)
-        return max(_a1_value(fam, v1), _a1_value(fam, v2))
+        a1_v1, a1_v2 = _a1_value(fam, v1), _a1_value(fam, v2)
+        # max(1.0, nan) is 1.0, so an overflowed (NaN) certificate must read +inf
+        return np.inf if math.isnan(a1_v1 + a1_v2) else max(a1_v1, a1_v2)
+
+    def descend(x: np.ndarray, cur: float, d: np.ndarray, lo: float, hi: float):
+        """Golden-section objective(x + t d) over t in [lo, hi]; move only if it falls."""
+        def along(t: float) -> float:  # x + t d, probed in a reused buffer
+            return objective(np.add(np.multiply(d, t, out=probe), x, out=probe))
+
+        t, val = _golden_min(along, lo, hi)
+        return (x + t * d, val) if val < cur else (x, cur)
 
     best_x, best_val, best_start, best_conv = None, np.inf, -1, False
     # a weight whose dynamic range overflows the certificates gives inf
@@ -148,49 +164,27 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
         for start in range(max(opts.multistarts, 1)):
             if start == 0:
                 x = np.zeros(n)
+                x, cur = descend(x, objective(x), log_u / (1.0 - q), 0.0, 1.0)
             else:
                 rng = np.random.default_rng(opts.seed + start)
                 x = rng.normal(0.0, INIT_SCALE, size=n)
-            cur = objective(x)
+                cur = objective(x)
             converged = False
             for sweep in range(opts.max_sweeps):
                 before = cur
                 for i in range(n):
-                    xi = x[i]
-
-                    def g(t: float) -> float:
-                        x[i] = t
-                        val = objective(x)
-                        x[i] = xi
-                        return val
-
-                    t, val = _golden_min(g, xi - BRACKET, xi + BRACKET,
-                                         opts.golden_iters)
-                    if val < cur:
-                        x[i] = t
-                        cur = val
-                # the max of the two certificates is nonsmooth, so a pure
-                # coordinate sweep can stall off the minimum; a few seeded
-                # random directions per sweep restore descent
-                if opts.random_dirs and n > 1:
+                    x, cur = descend(x, cur, np.eye(1, n, i)[0], -BRACKET, BRACKET)
+                if n > 1:  # seeded random directions restore descent at kinks
                     dir_rng = np.random.default_rng((opts.seed, start, sweep))
-                    for _ in range(opts.random_dirs):
+                    for _ in range(RANDOM_DIRS):
                         d = dir_rng.normal(size=n)
                         d /= float(np.linalg.norm(d))
-
-                        def h(t: float, d=d) -> float:
-                            return objective(x + t * d)
-
-                        t, val = _golden_min(h, -BRACKET, BRACKET,
-                                             opts.golden_iters)
-                        if val < cur:
-                            x = x + t * d
-                            cur = val
+                        x, cur = descend(x, cur, d, -BRACKET, BRACKET)
                 if (before - cur) / max(before, 1.0) < SWEEP_TOL:
                     converged = True
                     break
             if cur < best_val:
-                best_x, best_val, best_start, best_conv = x.copy(), cur, start, converged
+                best_x, best_val, best_start, best_conv = x, cur, start, converged
     if best_x is None:
         raise InvalidParams(f"factor search objective is non-finite ({cur!r}) at every start; "
                             "the weight's dynamic range overflows the A_1 certificates")
@@ -240,6 +234,11 @@ def refined_jones(space: FiniteMetricMeasureSpace, w, p: float, s: float,
         raise InvalidParams("refined_jones needs p, s > 1")
     w = _as_weight(space, w)
     u = np.power(w, s)
+    if u.min() < np.finfo(float).tiny:
+        # a subnormal keeps only a few digits, so w1 * w2 could not
+        # reconstruct w within RECONSTRUCTION_RTOL
+        raise InvalidParams("w**s underflows to a subnormal; the weight's dynamic "
+                            "range is too wide to factor")
     q = s * (p - 1.0) + 1.0
     search = jones_factor(space, u, q, options)
     return refined_transform(search.v1, search.v2, p, s, space, search)

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidParams
-from .space import FiniteMetricMeasureSpace, generate
+from .space import GENERATOR_KINDS, FiniteMetricMeasureSpace, generate
 
-SPACE_KINDS = ("grid", "path", "tree", "random-points", "snowflake")
+SPACE_KINDS = GENERATOR_KINDS
 WEIGHT_FAMILIES = ("power-law", "exp-bmo", "uniform-log")
 
 

@@ -17,11 +17,11 @@ from weightlab import (
     refined_transform,
     verify_factorization,
 )
-from weightlab.factorization import SUITE_OPTIONS, FactorPair
+from weightlab.factorization import GOLDEN_ITERS, SUITE_OPTIONS, FactorPair
 from weightlab.families import sample_space, sample_weight
 
 E = np.e
-FAST = FactorOptions(multistarts=2, max_sweeps=4, golden_iters=16)
+FAST = FactorOptions(multistarts=2, max_sweeps=4)
 
 
 class TestRefinedTransform:
@@ -77,6 +77,13 @@ class TestJonesFactor:
         # analytic optimum of this instance: balance |2 + 2t| against |t|
         assert res.objective == pytest.approx((1 + np.exp(2.0 / 3.0)) / 2, abs=1e-6)
 
+    def test_suite_preset_finds_the_best_power_split(self, two_point):
+        # on two points every split is a power split up to the constant
+        # gauge, so the one golden section reaches the analytic optimum
+        res = jones_factor(two_point, np.array([1.0, E ** 2]), 3.0, SUITE_OPTIONS)
+        assert res.objective == pytest.approx((1 + np.exp(2.0 / 3.0)) / 2, abs=1e-6)
+        assert res.evaluations <= GOLDEN_ITERS + 3
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_small_instances_match_refined_grid(self, n):
         rng = np.random.default_rng(n)
@@ -99,9 +106,10 @@ class TestJonesFactor:
             space = sample_space(rng, 12)
             u = sample_weight(rng, space)
             q = float(rng.uniform(1.5, 4.0))
-            res = jones_factor(space, u, q, FAST)
             at_ones = oracles.jones_objective_naive(space, u, q, np.zeros(space.n))
-            assert res.objective <= at_ones + 1e-12 * at_ones
+            for options in (FAST, SUITE_OPTIONS):
+                res = jones_factor(space, u, q, options)
+                assert res.objective <= at_ones + 1e-12 * at_ones
 
     def test_determinism(self, three_path):
         u = np.array([1.0, 3.0, 0.5])
@@ -132,15 +140,28 @@ class TestRefinedJones:
         assert all(np.isfinite(v) and v >= 1.0 - 1e-12
                    for v in pair.certificates.values())
 
-    def test_overflowing_weight_raises(self):
-        # every A_1 certificate overflows, so no start has a finite objective;
-        # the overflow is reported by the error alone, never by a RuntimeWarning
+    def test_overflowing_weight_factors(self):
+        # A_1(w**2) overflows at v2 = 1, but the power split w**(1/2) * w**(1/2)
+        # has finite certificates, and every bound holds there
         space = generate("path", {"n": 6}, seed=0)
         w = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(WeightlabError, match="non-finite"):
-                refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
+            pair = refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
+            reports = verify_factorization(space, w, pair)
+        assert [r.verdict for r in reports] == ["pass"] * 4
+
+    def test_overflowing_certificates_raise(self):
+        # at q = 1.2 no power split keeps both certificates finite, and the
+        # far end overflows v2 = exp(x) to [inf, ..., 0], whose NaN certificate
+        # must not pass for a finite objective; the overflow is reported by
+        # the error alone, never by a RuntimeWarning
+        space = generate("path", {"n": 6}, seed=0)
+        w = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(WeightlabError, match="non-finite.*at every start"):
+                refined_jones(space, w, 1.1, 2.0, SUITE_OPTIONS)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_reconstruction_and_bounds(self, seed):

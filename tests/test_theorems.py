@@ -233,6 +233,17 @@ class TestExtremeRange:
         assert [(r.check_id, r.verdict) for r in strict] == \
             [(r.check_id, r.verdict) for r in quiet]
 
+    def test_subnormal_power_is_an_error_not_a_fail(self):
+        # w**2 holds the subnormal 1e-320, whose few digits would fail the
+        # reconstruction as a floating-point artifact, not as a verdict
+        space = generate("path", {"n": 6}, seed=0)
+        reports = run_suite(space, {"w": EXTREME_WEIGHTS[1]})
+        assert not [r.check_id for r in reports if r.verdict == "fail"]
+        [entry] = [r for r in reports if r.check_id == "w.factorization"]
+        assert entry.verdict == "error" and "subnormal" in entry.detail["error"]
+        digest = next(r.inputs for r in reports if r.check_id == "w.a1_characterization")
+        assert entry.inputs == digest
+
 
 class TestReportUnquantified:
     def test_constant_weight_not_applicable(self, three_path):
