@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import factorization, families, theorems
-from .errors import WeightlabError
+from .errors import InvalidParams, WeightlabError
 from .operators import maximal, maximal_naive
 from .report import Tolerances, aggregate_verdict, reports_to_csv, reports_to_jsonl
 from .space import (
@@ -56,7 +56,10 @@ def _tolerances(args) -> Tolerances:
     if override is None:
         env = os.environ.get("WEIGHTLAB_TOLERANCE")
         if env:
-            override = float(env)
+            try:
+                override = float(env)
+            except ValueError:
+                raise InvalidParams(f"WEIGHTLAB_TOLERANCE is not a number: {env!r}") from None
     if override is not None:
         return Tolerances(ineq=override, eq=override)
     return Tolerances()
@@ -222,7 +225,12 @@ def cmd_factor(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()] if args.sizes else []
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise InvalidParams(f"--sizes must list integers, got {args.sizes!r}") from None
+    if args.repeats < 1 or any(n < 1 for n in sizes):
+        raise InvalidParams("--repeats and every --sizes entry must be >= 1")
     rows = [("n", "kernel", "seconds")]
     # equality gate: the suffix-sweep path must match the naive enumeration
     gate = generate("random-points", {"n": min(100, max(sizes, default=100)),

@@ -180,7 +180,8 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
                         d = dir_rng.normal(size=n)
                         d /= float(np.linalg.norm(d))
                         x, cur = descend(x, cur, d, -BRACKET, BRACKET)
-                if (before - cur) / max(before, 1.0) < SWEEP_TOL:
+                # an objective stuck at +inf has converged too: inf - inf is NaN
+                if cur == before or (before - cur) / max(before, 1.0) < SWEEP_TOL:
                     converged = True
                     break
             if cur < best_val:

@@ -13,7 +13,9 @@ WEIGHT_FAMILIES = ("power-law", "exp-bmo", "uniform-log")
 
 def sample_space(rng: np.random.Generator, max_n: int,
                  kind: str | None = None) -> FiniteMetricMeasureSpace:
-    """Draw a space of at most max_n points from the generator families."""
+    """Draw a space of at most max_n >= 2 points from the generator families."""
+    if max_n < 2:
+        raise InvalidParams(f"sample_space needs max_n >= 2, got {max_n}")
     kind = kind or str(rng.choice(SPACE_KINDS))
     seed = int(rng.integers(0, 2**31))
     measure = str(rng.choice(["uniform", "random"]))

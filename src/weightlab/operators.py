@@ -18,8 +18,7 @@ entry. Negation commutes exactly with the prefix sums, the division and
 the max (up to the sign of an average that cancels to exactly zero).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
-tie between balls attaining the same extremum resolves to the smallest
-rank, then the smallest center id.
+tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
 
 Memo scope: inside ``_memo_scope()`` a function decorated with
 ``_memoized`` returns its first result for each (space, input bytes,
@@ -116,10 +115,10 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
 
 @_memoized
 def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> OperatorOutput:
-    """Mnat f with witnesses."""
+    """Mnat f with witnesses: per point, the attaining ball of smallest ball_key."""
     fam = space.ball_family
     n = space.n
-    dt = fam.index_dtype
+    none = np.iinfo(fam.index_dtype).max
     avg = fam.averages_at_pos(f)
     np.copyto(avg, -np.inf, where=~fam.is_ball_end)
     # sweep each center's order from the far end: step k holds the best ball
@@ -127,30 +126,24 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> Operato
     # at position n-1-k
     rev = avg[:, ::-1]
     best = np.maximum.accumulate(rev, axis=1)
-    # the latest step attaining the running max is the smallest position
-    last = np.maximum.accumulate(
-        np.where(rev == best, np.arange(n, dtype=dt), dt(-1)), axis=1)
+    # keys fall along the sweep, so the latest step attaining the running
+    # max holds the smallest key of all the steps attaining it
+    key = np.where(rev == best, fam.ball_key[:, ::-1], none)
+    np.minimum.accumulate(key, axis=1, out=key)
     del avg, rev
     # scatter the sweep to point columns: (center, point) -> best ball
     far_first = fam.order[:, ::-1]
     cand = np.empty((n, n))
     np.put_along_axis(cand, far_first, best, axis=1)
     del best
-    cand_pos = np.empty((n, n), dtype=dt)
-    np.put_along_axis(cand_pos, far_first, dt(n - 1) - last, axis=1)
-    del last
+    cand_key = np.empty_like(key)
+    np.put_along_axis(cand_key, far_first, key, axis=1)
+    del key
     values = cand.max(axis=0)
-    attain = cand == values[None, :]
-    ranks = np.take_along_axis(fam.rank_at_pos, cand_pos, axis=1)
-    centers = np.arange(n, dtype=dt)[:, None]
-    key = np.where(attain, ranks * dt(n) + centers, np.iinfo(dt).max)
-    sel = key.min(axis=0)
-    wit_rank = sel // n
-    wit_center = sel % n
-    end_pos = cand_pos[wit_center, np.arange(n)]
-    wit_radius = fam.radius_at_pos(wit_center, end_pos)
-    return OperatorOutput(values, wit_center.astype(np.int64),
-                          wit_rank.astype(np.int64), wit_radius)
+    wit_key = np.where(cand == values, cand_key, none).min(axis=0)
+    del cand, cand_key
+    wit_rank, wit_center = np.divmod(wit_key.astype(np.int64), n)
+    return OperatorOutput(values, wit_center, wit_rank, fam.end_of_key(wit_key)[1])
 
 
 def natural_maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:

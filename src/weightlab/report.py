@@ -21,9 +21,12 @@ import hashlib
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import InvalidParams
 
 DEFAULT_INEQ_TOL = 1e-9
 DEFAULT_EQ_TOL = 1e-12
@@ -36,6 +39,12 @@ EQ_RELAXED_TOL = 1e-9
 class Tolerances:
     ineq: float = DEFAULT_INEQ_TOL
     eq: float = DEFAULT_EQ_TOL
+
+    def __post_init__(self):
+        # a NaN or negative tolerance would fail every hard check
+        for name, tol in (("ineq", self.ineq), ("eq", self.eq)):
+            if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol >= 0.0):
+                raise InvalidParams(f"tolerance {name} must be finite and >= 0, got {tol!r}")
 
     def eq_for(self, w) -> float:
         w = np.asarray(w, dtype=np.float64)

@@ -110,9 +110,11 @@ class BallFamily:
     id), which makes every downstream constant reproducible bit for bit.
 
     The index is the only source of ball structure and holds four n x n
-    arrays: order, prefix_measure, is_ball_end and rank_at_pos, 17 bytes per
+    arrays: order, prefix_measure, is_ball_end and ball_key, 17 bytes per
     cell with int32 indices. Radii are read from the space's distances
-    through order.
+    through order. ball_key[c, i] = rank * n + c at each ball end, and is
+    undefined elsewhere. It is the package's one tie rule: a witness is the
+    attaining ball of smallest key, i.e. smallest rank, then smallest center.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -129,9 +131,10 @@ class BallFamily:
         self.is_ball_end = np.empty((n, n), dtype=bool)
         np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=self.is_ball_end[:, :-1])
         self.is_ball_end[:, -1] = True
-        # rank (1-based) of the ball ending at each boundary position
-        self.rank_at_pos = np.cumsum(self.is_ball_end, axis=1,
-                                     dtype=self.index_dtype)
+        # rank (1-based) * n + center at each ball end, in place: no n x n temporary
+        self.ball_key = np.cumsum(self.is_ball_end, axis=1, dtype=self.index_dtype)
+        self.ball_key *= self.index_dtype(n)
+        self.ball_key += np.arange(n, dtype=self.index_dtype)[:, None]
 
     @property
     def n(self) -> int:
@@ -163,37 +166,40 @@ class BallFamily:
         np.maximum.accumulate(fs, axis=1, out=fs)
         return fs
 
-    def end_positions(self, center: int) -> np.ndarray:
-        return np.nonzero(self.is_ball_end[center])[0]
-
     def radius_at_pos(self, center: int, pos):
         """Distance from the center to the point at position(s) pos of its order."""
         return self.space.dist[center, self.order[center, pos]]
 
+    def end_of_key(self, key):
+        """End position(s) and radius of the ball(s) with key(s) `key`."""
+        rank, center = np.divmod(key, self.n)
+        ends = np.flatnonzero(self.is_ball_end)  # row-major, ranks ascend in a row
+        pos = ends[np.searchsorted(ends, center * self.n) + (rank - 1)] - center * self.n
+        return pos, self.radius_at_pos(center, pos)
+
     def ball_at(self, center: int, rank: int) -> Ball:
-        ends = self.end_positions(center)
-        if not 1 <= rank <= len(ends):
+        if not 1 <= rank <= self.ball_key[center, -1] // self.n:
             raise InvalidParams(f"rank {rank} out of range for center {center}")
-        return self.ball_at_pos(center, int(ends[rank - 1]))
+        return self.ball_at_pos(center, int(self.end_of_key(rank * self.n + center)[0]))
 
     def ball_at_pos(self, center: int, pos: int) -> Ball:
-        rank = int(self.rank_at_pos[center, pos])
+        rank = int(self.ball_key[center, pos]) // self.n
         members = np.sort(self.order[center, : pos + 1])
         return Ball(center, rank, float(self.radius_at_pos(center, pos)), members)
 
     def sup_over_balls(self, values_at_pos: np.ndarray):
         """Max of a per-prefix table over realized balls, with witness.
 
-        Returns (value, BallRef). Ties resolve to the smallest rank, then
-        the smallest center id, as in the operators. A NaN on a ball
-        propagates to the value, and the witness is a ball holding NaN.
+        Returns (value, BallRef). The witness is the attaining ball of
+        smallest ball_key, as in the operators. A NaN on a ball propagates
+        to the value, and the witness is a ball holding NaN.
         """
         value = values_at_pos.max(where=self.is_ball_end, initial=-np.inf)
         hits = values_at_pos == value if value == value else np.isnan(values_at_pos)
         hits &= self.is_ball_end
-        flat = np.flatnonzero(hits)  # row-major: within a row, rank ascends
-        c, p = divmod(int(flat[self.rank_at_pos.take(flat).argmin()]), self.n)
-        return float(value), BallRef(c, int(self.rank_at_pos[c, p]),
+        flat = np.flatnonzero(hits)
+        c, p = divmod(int(flat[self.ball_key.take(flat).argmin()]), self.n)
+        return float(value), BallRef(c, int(self.ball_key[c, p]) // self.n,
                                      float(self.radius_at_pos(c, p)))
 
 
@@ -324,7 +330,7 @@ def enumerate_balls(space: FiniteMetricMeasureSpace, dedupe: bool = True) -> lis
     out: list[Ball] = []
     seen: set[bytes] = set()
     for c in range(space.n):
-        for rank, end in enumerate(fam.end_positions(c), start=1):
+        for end in np.flatnonzero(fam.is_ball_end[c]):
             ball = fam.ball_at_pos(c, int(end))
             if dedupe:
                 k = ball.key()
@@ -387,7 +393,8 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
     if wit_center is not None:
         sd = space.dist[wit_center, fam.order[wit_center]]
         pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
-        witness = BallRef(wit_center, int(fam.rank_at_pos[wit_center, pos]), float(sd[pos]))
+        witness = BallRef(wit_center, int(fam.ball_key[wit_center, pos]) // space.n,
+                          float(sd[pos]))
     return FunctionalResult("doubling", best, witness, sample_radius=wit_radius)
 
 

@@ -45,6 +45,33 @@ def extremal_naive(space, f, mode="max", use_abs=False):
     return out
 
 
+def extremal_witness_rowwise(space, f):
+    """Mnat f with witnesses as (values, centers, ranks, radii), ball by ball.
+
+    Loops over every center and ball end on the package's own averages
+    table, so the values compare with ==. Each point takes the largest
+    average of a ball containing it and, among the balls attaining it, the
+    smallest (rank, center); ranks are counted here, not read from the index.
+    """
+    fam = space.ball_family
+    avg = fam.averages_at_pos(np.asarray(f, dtype=float))
+    n = space.n
+    values = np.full(n, -math.inf)
+    best = [(n + 1, n, math.nan)] * n  # (rank, center, radius)
+    for c in range(n):
+        rank = 0
+        for pos in np.flatnonzero(fam.is_ball_end[c]):
+            rank += 1
+            a = avg[c, pos]
+            radius = float(space.dist[c, fam.order[c, pos]])
+            for y in fam.order[c, :pos + 1]:
+                if a > values[y] or (a == values[y] and (rank, c) < best[y][:2]):
+                    values[y] = a
+                    best[y] = (rank, c, radius)
+    ranks, centers, radii = (np.array(col) for col in zip(*best))
+    return values, centers, ranks, radii
+
+
 def sup_over_balls_naive(space, per_ball):
     return max(per_ball(members) for members in balls_naive(space))
 

@@ -124,6 +124,29 @@ def test_bad_value_is_an_input_error(argv, two_point_doc, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["verify", "--tolerance", "nan"], None),
+    (["verify", "--tolerance", "-1"], None),
+    (["verify"], "abc"),
+], ids=["tolerance-nan", "tolerance-negative", "env-not-a-number"])
+def test_bad_tolerance_is_an_input_error(argv, env, two_point_doc, monkeypatch, capsys):
+    # a NaN or negative tolerance would report every hard check as FAIL
+    if env is not None:
+        monkeypatch.setenv("WEIGHTLAB_TOLERANCE", env)
+    assert main(argv + ["--input", two_point_doc]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--repeats", "0", "--sizes", "16"],
+    ["bench", "--sizes", "abc"],
+    ["verify", "--random", "--seed", "1", "--max-n", "1"],
+], ids=["bench-repeats-0", "bench-sizes-not-int", "verify-max-n-1"])
+def test_bad_option_is_an_input_error(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 class TestVerify:
     def test_random_batch_passes(self, tmp_path, capsys):
         rep = tmp_path / "rep.jsonl"

@@ -17,7 +17,8 @@ from weightlab import (
     refined_transform,
     verify_factorization,
 )
-from weightlab.factorization import GOLDEN_ITERS, SUITE_OPTIONS, FactorPair
+from weightlab import factorization
+from weightlab.factorization import GOLDEN_ITERS, RANDOM_DIRS, SUITE_OPTIONS, FactorPair
 from weightlab.families import sample_space, sample_weight
 
 E = np.e
@@ -124,6 +125,26 @@ class TestJonesFactor:
                            FactorOptions(multistarts=1, max_sweeps=0))
         assert not res.converged
         assert np.isfinite(res.objective)
+
+    def test_infinite_objective_stops_after_one_sweep_per_start(self, monkeypatch):
+        # u = w**2 overflows both certificates at every x the search probes;
+        # a start whose objective stays +inf has converged after one sweep
+        space = generate("path", {"n": 6}, seed=0)
+        u = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150]) ** 2
+        calls = 0
+        a1_value = factorization._a1_value
+
+        def counted(fam, values):
+            nonlocal calls
+            calls += 1
+            return a1_value(fam, values)
+
+        monkeypatch.setattr(factorization, "_a1_value", counted)
+        opts = FactorOptions()
+        with pytest.raises(InvalidParams, match="at every start"):
+            jones_factor(space, u, 1.2, opts)
+        per_start = (GOLDEN_ITERS + 3) * (space.n + RANDOM_DIRS + 2)
+        assert calls <= 2 * opts.multistarts * per_start
 
 
 class TestRefinedJones:

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from weightlab import (
+    generate,
     maximal,
     maximal_naive,
     minimal,
@@ -155,3 +156,29 @@ class TestWitnesses:
         assert out.witness_center[1] == 0
         ball = out.witness_ball(space, 1)
         assert list(ball.members) == [0, 1]
+
+
+class TestTieRule:
+    """The kernel's witnesses equal a ball-by-ball scan under one tie rule."""
+
+    @staticmethod
+    def assert_rowwise(space, f):
+        out = natural_maximal(space, f)
+        values, centers, ranks, radii = oracles.extremal_witness_rowwise(space, f)
+        assert np.array_equal(out.values, values)
+        assert np.array_equal(out.witness_center, centers)
+        assert np.array_equal(out.witness_rank, ranks)
+        assert np.array_equal(out.witness_radius, radii)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_spaces_integer_and_constant(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        space = sample_space(rng, 40)
+        self.assert_rowwise(space, rng.integers(-2, 3, size=space.n).astype(float))
+        self.assert_rowwise(space, np.full(space.n, 1.5))
+
+    def test_tie_heavy_linf_grid(self):
+        space = generate("grid", {"nx": 7, "ny": 9, "metric": "linf"}, seed=0)
+        rng = np.random.default_rng(3)
+        self.assert_rowwise(space, rng.integers(0, 2, size=space.n).astype(float))
+        self.assert_rowwise(space, np.zeros(space.n))

@@ -64,12 +64,24 @@ class TestBuildSpace:
             two_point.dist[0, 1] = 3.0
 
     def test_index_holds_at_most_17_bytes_per_cell(self):
-        # order and rank_at_pos (int32), prefix_measure, is_ball_end
+        # order and ball_key (int32), prefix_measure, is_ball_end
         space = generate("random-points", {"n": 100}, seed=0)
         fam = space.ball_family
         assert fam.index_dtype == np.int32
         held = sum(v.nbytes for v in vars(fam).values() if isinstance(v, np.ndarray))
         assert held <= 17 * space.n ** 2
+
+    @pytest.mark.parametrize("kind, params", [
+        ("grid", {"nx": 5, "ny": 6, "metric": "linf"}),
+        ("random-points", {"n": 30}),
+    ])
+    def test_ball_key_is_rank_times_n_plus_center(self, kind, params):
+        space = generate(kind, params, seed=2)
+        fam, n = space.ball_family, space.n
+        for c in range(n):
+            ends = np.flatnonzero(fam.is_ball_end[c])
+            ranks = np.arange(1, len(ends) + 1)
+            assert np.array_equal(fam.ball_key[c, ends], ranks * n + c)
 
     def test_prefix_measure_strictly_increasing_to_total(self):
         space = generate("random-points", {"n": 11, "measure": "random"}, seed=6)
