@@ -99,11 +99,10 @@ class FactorPair:
 
 
 def _a1_value(fam: BallFamily, values: np.ndarray) -> float:
-    """A_1 constant without witness bookkeeping; the optimizer's inner loop."""
-    a = fam.averages_at_pos(values)
-    mn = fam.running_min_at_pos(values)
-    np.divide(a, mn, out=a)
-    return float(a.max(where=fam.is_ball_end, initial=-np.inf))
+    """A_1 constant alone, without the cross-check; the optimizer's inner loop."""
+    value, _ = fam.sup_over_balls(
+        lambda rows: fam.averages_at_pos(values, rows) / fam.running_min_at_pos(values, rows))
+    return value
 
 
 def _golden_min(g, lo: float, hi: float):

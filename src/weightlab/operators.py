@@ -17,8 +17,20 @@ as -Mnat(-f), so mnat f and Mnat(-f) are one kernel run and one memo
 entry. Negation commutes exactly with the prefix sums, the division and
 the max (up to the sign of an average that cancels to exactly zero).
 
+Values first, by blocks of centers. The kernel builds the prefix averages
+of one ``BallFamily.row_blocks`` slice of centers at a time, sweeps them,
+and folds the block's per-point best into one length-n vector by
+np.maximum; no n x n table is held. It computes values only. The
+witnesses are resolved on the first read of ``witness_center``,
+``witness_rank``, ``witness_radius`` or ``witness()``, once per kernel run
+(and so once per memo entry): the same block sweep again, carrying keys,
+with the blocks merged by a running minimum of the key of each point's
+best ball. mnat f shares the resolution of Mnat(-f).
+
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
+Max and min are exact and associative, so values and witnesses do not
+depend on how the centers are cut into blocks.
 
 Memo scope: inside ``_memo_scope()`` a function decorated with
 ``_memoized`` returns its first result for each (space, input bytes,
@@ -44,18 +56,31 @@ from .space import Ball, BallRef, FiniteMetricMeasureSpace, _float_array
 
 @dataclass(frozen=True, eq=False)
 class OperatorOutput:
-    """Operator values plus, per point, the ball attaining the extremum."""
+    """Operator values plus, per point, the ball attaining the extremum.
+
+    The witness arrays are resolved on first read, by the keyed sweep of
+    `_witness_keys`, and kept; `dataclasses.replace` shares that resolution
+    with the copy. All arrays are read-only.
+    """
 
     values: np.ndarray
-    witness_center: np.ndarray
-    witness_rank: np.ndarray
-    witness_radius: np.ndarray
+    _witnesses: "_WitnessSweep"
 
     def __post_init__(self):
         # results are shared inside a memo scope: no caller may write to them
-        for arr in (self.values, self.witness_center, self.witness_rank,
-                    self.witness_radius):
-            arr.flags.writeable = False
+        self.values.flags.writeable = False
+
+    @property
+    def witness_center(self) -> np.ndarray:
+        return self._witnesses.arrays[0]
+
+    @property
+    def witness_rank(self) -> np.ndarray:
+        return self._witnesses.arrays[1]
+
+    @property
+    def witness_radius(self) -> np.ndarray:
+        return self._witnesses.arrays[2]
 
     def witness(self, point: int) -> BallRef:
         return BallRef(int(self.witness_center[point]),
@@ -65,6 +90,27 @@ class OperatorOutput:
     def witness_ball(self, space: FiniteMetricMeasureSpace, point: int) -> Ball:
         return space.ball_family.ball_at(int(self.witness_center[point]),
                                          int(self.witness_rank[point]))
+
+
+@dataclass(frozen=True, eq=False)
+class _WitnessSweep:
+    """What resolving the witnesses of one kernel run needs: its input and values."""
+
+    space: FiniteMetricMeasureSpace
+    f: np.ndarray
+    values: np.ndarray
+
+    @functools.cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(center, rank, radius) per point, computed once."""
+        fam = self.space.ball_family
+        key = _witness_keys(self.space, self.f, self.values).astype(np.int64)
+        rank, center = np.divmod(key, self.space.n)
+        radius = np.array([fam.end_of_key(k)[1] for k in key.tolist()])
+        out = (center, rank, radius)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 _memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
@@ -113,37 +159,57 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
     return f
 
 
+def _ball_ends_only(fam, f: np.ndarray, rows) -> np.ndarray:
+    """Prefix averages of f on the centers in rows, -inf where no ball ends."""
+    avg = fam.averages_at_pos(f, rows)
+    np.copyto(avg, -np.inf, where=~fam.is_ball_end[rows])
+    return avg
+
+
+def _to_points(fam, rows, at_pos: np.ndarray) -> np.ndarray:
+    """Move a (center, position) table of the centers in rows to (center, point)."""
+    out = np.empty_like(at_pos)
+    np.put_along_axis(out, fam.order[rows], at_pos, axis=1)
+    return out
+
+
 @_memoized
 def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> OperatorOutput:
-    """Mnat f with witnesses: per point, the attaining ball of smallest ball_key."""
+    """Mnat f: one max sweep per block of centers; witnesses wait for a read."""
     fam = space.ball_family
-    n = space.n
+    values = np.full(space.n, -np.inf)
+    for rows in fam.row_blocks():
+        # sweep each center's order from the far end: position i then holds
+        # the best ball ending at a position >= i, i.e. the best ball
+        # containing the point at position i
+        best = _ball_ends_only(fam, f, rows)
+        np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
+        np.maximum(values, _to_points(fam, rows, best).max(axis=0), out=values)
+    return OperatorOutput(values, _WitnessSweep(space, f.copy(), values))
+
+
+def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
+                  values: np.ndarray) -> np.ndarray:
+    """Per point, the smallest ball_key of a ball containing it with average values[point].
+
+    The kernel's sweep again, carrying keys: per center, the smallest key
+    among the balls that attain each point's best, then a running minimum
+    over the centers whose best equals the known value.
+    """
+    fam = space.ball_family
     none = np.iinfo(fam.index_dtype).max
-    avg = fam.averages_at_pos(f)
-    np.copyto(avg, -np.inf, where=~fam.is_ball_end)
-    # sweep each center's order from the far end: step k holds the best ball
-    # ending at a position >= n-1-k, i.e. the best ball containing the point
-    # at position n-1-k
-    rev = avg[:, ::-1]
-    best = np.maximum.accumulate(rev, axis=1)
-    # keys fall along the sweep, so the latest step attaining the running
-    # max holds the smallest key of all the steps attaining it
-    key = np.where(rev == best, fam.ball_key[:, ::-1], none)
-    np.minimum.accumulate(key, axis=1, out=key)
-    del avg, rev
-    # scatter the sweep to point columns: (center, point) -> best ball
-    far_first = fam.order[:, ::-1]
-    cand = np.empty((n, n))
-    np.put_along_axis(cand, far_first, best, axis=1)
-    del best
-    cand_key = np.empty_like(key)
-    np.put_along_axis(cand_key, far_first, key, axis=1)
-    del key
-    values = cand.max(axis=0)
-    wit_key = np.where(cand == values, cand_key, none).min(axis=0)
-    del cand, cand_key
-    wit_rank, wit_center = np.divmod(wit_key.astype(np.int64), n)
-    return OperatorOutput(values, wit_center, wit_rank, fam.end_of_key(wit_key)[1])
+    wit_key = np.full(space.n, none, dtype=fam.index_dtype)
+    for rows in fam.row_blocks():
+        rev = _ball_ends_only(fam, f, rows)[:, ::-1]
+        best = np.maximum.accumulate(rev, axis=1)
+        # keys fall along the sweep, so the latest step attaining the running
+        # max holds the smallest key of all the steps attaining it
+        key = np.where(rev == best, fam.ball_key[rows, ::-1], none)
+        np.minimum.accumulate(key, axis=1, out=key)
+        cand = _to_points(fam, rows, best[:, ::-1])
+        cand_key = _to_points(fam, rows, key[:, ::-1])
+        np.minimum(wit_key, np.where(cand == values, cand_key, none).min(axis=0), out=wit_key)
+    return wit_key
 
 
 def natural_maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:

@@ -154,7 +154,7 @@ def digest(*parts) -> str:
     h = hashlib.sha1()
     for part in parts:
         if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part).tobytes())
+            h.update(np.ascontiguousarray(part))  # no copy of a contiguous array
         else:
             h.update(repr(part).encode())
     return h.hexdigest()[:12]

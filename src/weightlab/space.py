@@ -37,6 +37,9 @@ from .errors import (
 )
 
 TRIANGLE_TOL_FACTOR = 1e-9  # tolerance = factor * max distance
+# (center, position) cells per block of centers or chunk of cells: every
+# reduction over the n x n ball tables works in pieces of this size
+CHUNK_CELLS = 1 << 15
 
 METRIC_KINDS = ("euclidean", "l1", "linf", "graph-shortest-path", "explicit-matrix")
 
@@ -115,6 +118,11 @@ class BallFamily:
     through order. ball_key[c, i] = rank * n + c at each ball end, and is
     undefined elsewhere. It is the package's one tie rule: a witness is the
     attaining ball of smallest key, i.e. smallest rank, then smallest center.
+
+    A per-ball table (averages, running extrema and what is computed from
+    them) is built one block of centers at a time, over the row slices of
+    `row_blocks`, and reduced before the next block is built: no row needs
+    another, and every row holds the same bytes as in a full table.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -140,6 +148,12 @@ class BallFamily:
     def n(self) -> int:
         return self.space.n
 
+    def row_blocks(self):
+        """Slices of consecutive centers that cover 0..n-1, CHUNK_CELLS cells per slice."""
+        step = max(1, CHUNK_CELLS // self.n)
+        for c0 in range(0, self.n, step):
+            yield slice(c0, min(c0 + step, self.n))
+
     def averages_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Average of f over each prefix, in fixed ascending order.
 
@@ -156,13 +170,13 @@ class BallFamily:
         fs[:, 0] = f[rows]
         return fs
 
-    def running_min_at_pos(self, f: np.ndarray) -> np.ndarray:
-        fs = f[self.order]
+    def running_min_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
+        fs = f[self.order[rows]]
         np.minimum.accumulate(fs, axis=1, out=fs)
         return fs
 
-    def running_max_at_pos(self, f: np.ndarray) -> np.ndarray:
-        fs = f[self.order]
+    def running_max_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
+        fs = f[self.order[rows]]
         np.maximum.accumulate(fs, axis=1, out=fs)
         return fs
 
@@ -170,37 +184,57 @@ class BallFamily:
         """Distance from the center to the point at position(s) pos of its order."""
         return self.space.dist[center, self.order[center, pos]]
 
-    def end_of_key(self, key):
-        """End position(s) and radius of the ball(s) with key(s) `key`."""
-        rank, center = np.divmod(key, self.n)
-        ends = np.flatnonzero(self.is_ball_end)  # row-major, ranks ascend in a row
-        pos = ends[np.searchsorted(ends, center * self.n) + (rank - 1)] - center * self.n
-        return pos, self.radius_at_pos(center, pos)
+    def end_of_key(self, key: int) -> tuple[int, float]:
+        """End position and radius of the ball with key `key`.
+
+        A row of ball_key is nondecreasing and first reaches a ball's key at
+        that ball's end, so one search in the center's row finds it.
+        """
+        center = key % self.n
+        pos = int(self.ball_key[center].searchsorted(key))
+        return pos, float(self.radius_at_pos(center, pos))
 
     def ball_at(self, center: int, rank: int) -> Ball:
         if not 1 <= rank <= self.ball_key[center, -1] // self.n:
             raise InvalidParams(f"rank {rank} out of range for center {center}")
-        return self.ball_at_pos(center, int(self.end_of_key(rank * self.n + center)[0]))
+        return self.ball_at_pos(center, self.end_of_key(rank * self.n + center)[0])
 
     def ball_at_pos(self, center: int, pos: int) -> Ball:
         rank = int(self.ball_key[center, pos]) // self.n
         members = np.sort(self.order[center, : pos + 1])
         return Ball(center, rank, float(self.radius_at_pos(center, pos)), members)
 
-    def sup_over_balls(self, values_at_pos: np.ndarray):
+    def sup_over_balls(self, table):
         """Max of a per-prefix table over realized balls, with witness.
 
-        Returns (value, BallRef). The witness is the attaining ball of
-        smallest ball_key, as in the operators. A NaN on a ball propagates
-        to the value, and the witness is a ball holding NaN.
+        `table(rows)` returns the table's rows for the centers of one
+        `row_blocks` slice. Returns (value, BallRef). The witness is the
+        attaining ball of smallest ball_key, as in the operators. A NaN on a
+        ball propagates to the value, and the witness is then the NaN ball
+        of smallest key. Blocks merge by a running (value, smallest key)
+        pair, with a NaN ranked above every number, so value and witness
+        are those of one reduction over the full table.
         """
-        value = values_at_pos.max(where=self.is_ball_end, initial=-np.inf)
-        hits = values_at_pos == value if value == value else np.isnan(values_at_pos)
-        hits &= self.is_ball_end
-        flat = np.flatnonzero(hits)
-        c, p = divmod(int(flat[self.ball_key.take(flat).argmin()]), self.n)
-        return float(value), BallRef(c, int(self.ball_key[c, p]) // self.n,
-                                     float(self.radius_at_pos(c, p)))
+        none = np.iinfo(self.index_dtype).max
+        value, key = -np.inf, none
+        for rows in self.row_blocks():
+            vals = table(rows)
+            ends = self.is_ball_end[rows]
+            top = float(vals.max(where=ends, initial=-np.inf))
+            if _above(value, top):
+                continue
+            hits = vals == top if top == top else np.isnan(vals)
+            hits &= ends
+            k = int(self.ball_key[rows].min(where=hits, initial=none))
+            key = k if _above(top, value) else min(key, k)
+            value = top
+        rank, center = divmod(key, self.n)
+        return value, BallRef(center, rank, self.end_of_key(key)[1])
+
+
+def _above(a: float, b: float) -> bool:
+    """a ranks above b in a sup that propagates NaN: NaN above every number."""
+    return a > b or (a != a and b == b)
 
 
 def _validate_matrix(dist: np.ndarray, check_triangle: bool = True) -> None:

@@ -104,8 +104,8 @@ def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
     w = _as_weight(space, w)
     winv = 1.0 / w
     fam = space.ball_family
-    ratio = fam.running_max_at_pos(w) / fam.running_min_at_pos(w)
-    lhs, ref = fam.sup_over_balls(ratio)
+    lhs, ref = fam.sup_over_balls(
+        lambda rows: fam.running_max_at_pos(w, rows) / fam.running_min_at_pos(w, rows))
     rhs1 = a1_constant(space, w).value * a1_constant(space, winv).value
     rhs2 = (rhinf_constant(space, w).value * ap_constant(space, w, p).value
             * rhinf_constant(space, winv).value * ap_constant(space, winv, p).value)

@@ -15,14 +15,21 @@ expression in averages, minima, and maxima of (transforms of) the weight:
 Essential suprema and infima reduce to ball maxima and minima because
 zero-mass points are rejected at ingestion. a1 and rhinf each have an
 equivalent pointwise form through the maximal and minimal functions; both
-are computed and must agree (the shared average table makes the two
-suprema exactly equal), with the alternate value stored on the result.
+are computed and must agree (both forms read the same averages, summed in
+the same order, so the two suprema are exactly equal), with the alternate
+value stored on the result.
 buo is defined as the blo norm of -f (the operators' sign symmetry).
 
 The other seven are memoized (buo through blo): in one ``run_suite`` call each
 (space, input, exponent) is computed once, its cross-check included, and
 later calls return the first result. Outside that call every call
 computes.
+
+Every functional hands its per-ball table to ``BallFamily.sup_over_balls``
+as a function of a block of centers, so the table is built one block at
+a time and never held whole; the sup merges the blocks' maxima and
+tie-rule witnesses. Only bmo keeps n x n tables, of its screen's
+estimates and its summed balls.
 
 bmo is the one functional that sums over each ball's members rather than
 reading a prefix table, O(n) per ball. It screens first: a closed form
@@ -41,7 +48,7 @@ import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
 from .operators import _as_function, _memoized, maximal, minimal
-from .space import FiniteMetricMeasureSpace, FunctionalResult, _float_array
+from .space import CHUNK_CELLS, FiniteMetricMeasureSpace, FunctionalResult, _float_array
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
 CONDITIONING_RANGE = 1e12
@@ -50,7 +57,6 @@ CROSS_FORM_RTOL = 1e-12
 BMO_SCREEN_MIN_N = 32
 # the screen's error bound assumes |f| and the measure within these powers of two
 SCREEN_RANGE = 2.0 ** 400
-SCREEN_CHUNK_CELLS = 1 << 15  # (center, position) cells per chunk, screened or summed
 
 
 def _as_weight(space: FiniteMetricMeasureSpace, w, positive: bool = True) -> np.ndarray:
@@ -83,10 +89,10 @@ def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> FunctionalResul
         raise InvalidParams("ap_constant needs p > 1")
     w = _as_weight(space, w)
     fam = space.ball_family
-    a = fam.averages_at_pos(w)
-    b = fam.averages_at_pos(np.power(w, -1.0 / (p - 1.0)))
+    dual = np.power(w, -1.0 / (p - 1.0))
     with np.errstate(over="ignore"):  # an overflowing product is the value inf
-        value, ref = fam.sup_over_balls(a * np.power(b, p - 1.0))
+        value, ref = fam.sup_over_balls(lambda rows: fam.averages_at_pos(w, rows)
+                                        * np.power(fam.averages_at_pos(dual, rows), p - 1.0))
     return FunctionalResult(f"A_p(p={p:g})", value, ref, warnings=_conditioning(w))
 
 
@@ -100,7 +106,8 @@ def a1_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     w = _as_weight(space, w)
     fam = space.ball_family
     with np.errstate(over="ignore"):  # an overflowing quotient is the value inf
-        value, ref = fam.sup_over_balls(fam.averages_at_pos(w) / fam.running_min_at_pos(w))
+        value, ref = fam.sup_over_balls(
+            lambda rows: fam.averages_at_pos(w, rows) / fam.running_min_at_pos(w, rows))
     mw = maximal(space, w).values
     with np.errstate(over="ignore"):
         ratios = mw / w
@@ -112,9 +119,9 @@ def ainf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """A_inf constant: sup over balls of (avg w) * exp(-avg log w)."""
     w = _as_weight(space, w)
     fam = space.ball_family
-    a = fam.averages_at_pos(w)
-    g = fam.averages_at_pos(np.log(w))
-    value, ref = fam.sup_over_balls(a * np.exp(-g))
+    logw = np.log(w)
+    value, ref = fam.sup_over_balls(
+        lambda rows: fam.averages_at_pos(w, rows) * np.exp(-fam.averages_at_pos(logw, rows)))
     return FunctionalResult("A_inf", value, ref, warnings=_conditioning(w))
 
 
@@ -131,12 +138,15 @@ def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> FunctionalResu
     if not np.any(w > 0.0):
         raise NonpositiveWeight("weight is identically zero")
     fam = space.ball_family
-    a = fam.averages_at_pos(w)
-    ps = fam.averages_at_pos(np.power(w, s))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.power(ps, 1.0 / s) / a
-    vals = np.where(a > 0.0, vals, -np.inf)
-    value, ref = fam.sup_over_balls(vals)
+    ws = np.power(w, s)
+
+    def table(rows):
+        a = fam.averages_at_pos(w, rows)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.power(fam.averages_at_pos(ws, rows), 1.0 / s) / a
+        return np.where(a > 0.0, vals, -np.inf)
+
+    value, ref = fam.sup_over_balls(table)
     return FunctionalResult(f"RH_s(s={s:g})", value, ref, warnings=_conditioning(w[w > 0]))
 
 
@@ -149,17 +159,14 @@ def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
     """
     w = _as_weight(space, w)
     fam = space.ball_family
-    value, ref = fam.sup_over_balls(fam.running_max_at_pos(w) / fam.averages_at_pos(w))
+    value, ref = fam.sup_over_balls(
+        lambda rows: fam.running_max_at_pos(w, rows) / fam.averages_at_pos(w, rows))
     return _cross_checked("RH_inf", w, value, ref, w / minimal(space, w).values)
 
 
 def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
                    ratios: np.ndarray) -> FunctionalResult:
-    """Result of a ball-form sup, checked against its pointwise ratios.
-
-    Callers take the sup before they run the operator, so the n x n ball
-    table is freed before the operator sweep allocates its own.
-    """
+    """Result of a ball-form sup, checked against its pointwise ratios."""
     point = int(ratios.argmax())
     alt = float(ratios[point])
     _require_cross_agreement(kind, value, alt)
@@ -191,7 +198,7 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     cells = np.flatnonzero(_bmo_candidates(space, f))  # row-major: c * n + j
     vals = np.full((n, n), -np.inf)
     tri = np.tri(n, dtype=bool)  # row j: members are positions <= j
-    chunk = max(1, SCREEN_CHUNK_CELLS // n)
+    chunk = max(1, CHUNK_CELLS // n)
     for k in range(0, cells.size, chunk):
         c, j = np.divmod(cells[k:k + chunk], n)
         centers, row = np.unique(c, return_inverse=True)
@@ -204,7 +211,7 @@ def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
         dev *= tri[j]
         vals[c, j] = dev.sum(axis=1) / fam.prefix_measure[c, j]
     vals[:, 0] = 0.0  # singletons oscillate exactly zero
-    value, ref = fam.sup_over_balls(vals)
+    value, ref = fam.sup_over_balls(lambda rows: vals[rows])
     return FunctionalResult("BMO", value, ref)
 
 
@@ -221,7 +228,7 @@ def _bmo_candidates(space: FiniteMetricMeasureSpace, f: np.ndarray) -> np.ndarra
     they come from sweeping its positions in blocks of ceil(sqrt n): a
     cumulative sum over the rank of x gives the earlier blocks' share,
     and a pairwise compare the block's own, O(n^1.5) per center in all.
-    Centers go in chunks of rows; the one n x n table holds the estimates.
+    Centers go in the index's row blocks; one n x n table holds the estimates.
 
     Bound. On every ball the screened value v and the loop's value t
     differ by at most err = 80 (n + 1) u max|f| + (n + 8) 2**-600, with
@@ -251,9 +258,7 @@ def _bmo_candidates(space: FiniteMetricMeasureSpace, f: np.ndarray) -> np.ndarra
     width = math.isqrt(n - 1) + 1
     in_block = np.tri(width, dtype=bool)  # row j: block members at positions <= j
     est = np.empty((n, n))
-    chunk = max(1, SCREEN_CHUNK_CELLS // n)
-    for c0 in range(0, n, chunk):
-        rows = slice(c0, min(c0 + chunk, n))
+    for rows in fam.row_blocks():
         order = fam.order[rows]
         line = np.arange(order.shape[0])[:, None]
         mass = fam.prefix_measure[rows]
@@ -295,7 +300,8 @@ def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
     """sup over balls of (avg f - min over ball of f)."""
     f = _as_function(space, f)
     fam = space.ball_family
-    value, ref = fam.sup_over_balls(fam.averages_at_pos(f) - fam.running_min_at_pos(f))
+    value, ref = fam.sup_over_balls(
+        lambda rows: fam.averages_at_pos(f, rows) - fam.running_min_at_pos(f, rows))
     return FunctionalResult("BLO", value, ref)
 
 

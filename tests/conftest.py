@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from weightlab import build_space
+from weightlab import build_space, generate
 
 settings.register_profile(
     "suite",
@@ -30,3 +30,12 @@ def three_path():
 @pytest.fixture
 def one_point():
     return build_space(np.zeros((1, 1)), "explicit-matrix", [1.0])
+
+
+@pytest.fixture(scope="session")
+def three_block_grid():
+    """300-point linf grid: the index streams its centers in three uneven blocks."""
+    space = generate("grid", {"nx": 15, "ny": 20, "metric": "linf"}, seed=2)
+    sizes = [rows.stop - rows.start for rows in space.ball_family.row_blocks()]
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+    return space

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from weightlab.space import BallRef
+
 
 def balls_naive(space):
     """All realized balls as member-index arrays, deduplicated."""
@@ -133,7 +135,24 @@ def bmo_rowwise(space, f):
         dev *= tri
         vals[c] = dev.sum(axis=1) / fam.prefix_measure[c]
     vals[:, 0] = 0.0
-    return fam.sup_over_balls(vals)
+    return sup_over_table(space, vals)
+
+
+def sup_over_table(space, table):
+    """(value, BallRef) of a full (center, position) table, in one reduction.
+
+    The max over ball ends, NaN propagating; the witness is the attaining
+    (or NaN) ball of smallest rank * n + center, the rank counted here from
+    the ball ends. Reference for the streamed `BallFamily.sup_over_balls`.
+    """
+    fam = space.ball_family
+    value = table.max(where=fam.is_ball_end, initial=-np.inf)
+    hits = table == value if value == value else np.isnan(table)
+    hits &= fam.is_ball_end
+    ranks = np.cumsum(fam.is_ball_end, axis=1)
+    c, p = min(zip(*np.nonzero(hits)), key=lambda cp: (ranks[cp], cp[0]))
+    radius = float(space.dist[c, fam.order[c, p]])
+    return float(value), BallRef(int(c), int(ranks[c, p]), radius)
 
 
 def blo_naive(space, f):

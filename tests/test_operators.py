@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from weightlab import operators
 from weightlab import (
     generate,
     maximal,
@@ -182,3 +185,99 @@ class TestTieRule:
         rng = np.random.default_rng(3)
         self.assert_rowwise(space, rng.integers(0, 2, size=space.n).astype(float))
         self.assert_rowwise(space, np.zeros(space.n))
+
+
+class TestRowBlocks:
+    """Values and witnesses merged over blocks of centers equal the rowwise scan."""
+
+    def test_operators_match_rowwise_across_blocks(self, three_block_grid):
+        space = three_block_grid
+        rng = np.random.default_rng(8)
+        f = rng.integers(0, 3, size=space.n).astype(float)
+        TestTieRule.assert_rowwise(space, f)
+        TestTieRule.assert_rowwise(space, -f)  # natural_minimal of f
+        TestTieRule.assert_rowwise(space, rng.normal(size=space.n))
+
+    def test_constant_ties_across_blocks_give_the_singletons(self, three_block_grid):
+        # every ball of every block attains the value: the smallest key is
+        # the point's own singleton, wherever its center's block lies
+        space = three_block_grid
+        TestTieRule.assert_rowwise(space, np.ones(space.n))
+        out = natural_maximal(space, np.ones(space.n))
+        assert np.array_equal(out.witness_center, np.arange(space.n))
+        assert np.array_equal(out.witness_rank, np.ones(space.n))
+
+
+class TestLazyWitnesses:
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        raw = operators._witness_keys
+        calls = []
+
+        def counted(space, f, values):
+            calls.append(f.tobytes())
+            return raw(space, f, values)
+
+        monkeypatch.setattr(operators, "_witness_keys", counted)
+        return calls
+
+    def test_values_only_read_never_sweeps(self, monkeypatch):
+        calls = self._count_sweeps(monkeypatch)
+        space = sample_space(np.random.default_rng(3), 30)
+        f = np.random.default_rng(4).normal(size=space.n)
+        for op in (natural_maximal, natural_minimal, maximal, minimal):
+            op(space, f).values
+        assert calls == []
+
+    def test_first_witness_read_sweeps_once_per_memo_entry(self, monkeypatch):
+        calls = self._count_sweeps(monkeypatch)
+        space = sample_space(np.random.default_rng(3), 30)
+        f = np.random.default_rng(4).normal(size=space.n)
+        with operators._memo_scope():
+            out = maximal(space, f)
+            assert calls == []
+            first = out.witness_center
+            out.witness_rank, out.witness_radius, out.witness(0)
+            again = maximal(space, f)
+            assert again.witness_center is first
+        assert calls == [np.abs(f).tobytes()]
+        maximal(space, f).witness_center  # outside the scope: a new entry
+        assert len(calls) == 2
+
+    def test_natural_minimal_shares_the_resolution_of_mnat_minus_f(self, monkeypatch):
+        calls = self._count_sweeps(monkeypatch)
+        space = sample_space(np.random.default_rng(5), 30)
+        f = np.random.default_rng(6).normal(size=space.n)
+        with operators._memo_scope():
+            low = natural_minimal(space, f)
+            up = natural_maximal(space, -f)
+            assert low.witness_center is up.witness_center
+            assert low.witness_radius is up.witness_radius
+        assert calls == [(-f).tobytes()]
+
+    def test_resolved_witnesses_are_read_only(self):
+        space = sample_space(np.random.default_rng(7), 20)
+        out = natural_minimal(space, np.random.default_rng(8).normal(size=space.n))
+        for arr in (out.values, out.witness_center, out.witness_rank, out.witness_radius):
+            with pytest.raises(ValueError):
+                arr[0] = arr[-1]
+
+    def test_replace_keeps_the_kernel_witnesses(self):
+        space = sample_space(np.random.default_rng(9), 20)
+        f = np.random.default_rng(10).normal(size=space.n)
+        out = natural_maximal(space, f)
+        bumped = replace(out, values=out.values + 1.0)
+        assert np.array_equal(bumped.values, out.values + 1.0)
+        # the witnesses are resolved against the kernel's own values
+        want = oracles.extremal_witness_rowwise(space, f)
+        assert np.array_equal(bumped.witness_center, want[1])
+        assert np.array_equal(bumped.witness_rank, want[2])
+
+    def test_witnesses_ignore_later_writes_to_the_input(self):
+        space = sample_space(np.random.default_rng(11), 20)
+        f = np.random.default_rng(12).normal(size=space.n)
+        out = natural_maximal(space, f)
+        want = oracles.extremal_witness_rowwise(space, f.copy())
+        f[:] = 0.0
+        assert np.array_equal(out.witness_center, want[1])
+        assert np.array_equal(out.witness_rank, want[2])

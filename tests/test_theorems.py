@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -408,9 +410,9 @@ class TestRunSuite:
         passes = []
         raw = BallFamily.averages_at_pos
 
-        def counted(fam, g):
+        def counted(fam, g, rows=slice(None)):
             passes.append(g.tobytes())
-            return raw(fam, g)
+            return raw(fam, g, rows)
 
         monkeypatch.setattr(BallFamily, "averages_at_pos", counted)
         with operators._memo_scope():
@@ -424,3 +426,39 @@ class TestRunSuite:
         for arr in (out.values, out.witness_center, out.witness_rank, out.witness_radius):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
+
+
+class TestStreamedMemory:
+    def test_two_weight_hard_suite_holds_no_full_table(self):
+        space = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
+        space.ball_family  # the index is built before the measurement
+        rng = np.random.default_rng(1)
+        weights = {name: rng.uniform(0.1, 5.0, space.n) for name in ("w", "phi")}
+        params = SuiteParams(include_soft=False, include_factorization=False)
+        tracemalloc.start()
+        try:
+            reports = run_suite(space, weights, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_all_pass(reports)
+        assert peak <= 0.25 * 8 * space.n ** 2
+
+
+class TestDigest:
+    @staticmethod
+    def copied(*parts):
+        """The digest as once computed, from a bytes copy of every array."""
+        h = hashlib.sha1()
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                h.update(np.ascontiguousarray(part).tobytes())
+            else:
+                h.update(repr(part).encode())
+        return h.hexdigest()[:12]
+
+    def test_equals_the_bytes_copy_on_any_layout(self):
+        m = np.arange(30.0).reshape(5, 6)
+        for part in (m, m.T, m[::2, 1::3], m[:, 2], np.float64(2.5), m > 7.0):
+            assert digest(part, 2.0, "x") == self.copied(part, 2.0, "x")
+        assert digest(m.T) != digest(m)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,10 @@ from weightlab import (
     rhinf_constant,
     rhs_constant,
 )
+from weightlab.factorization import _a1_value
 from weightlab.families import sample_space, sample_weight
+from weightlab.space import BallRef
+from weightlab.theorems import check_harnack
 from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_candidates
 
 E = np.e
@@ -78,6 +82,89 @@ class TestConstantWeight:
         assert blo_norm(three_path, f).value == pytest.approx(0.0, abs=1e-13)
         assert buo_norm(three_path, f).value == pytest.approx(0.0, abs=1e-13)
         assert bmo_norm(three_path, f).value == pytest.approx(0.0, abs=1e-13)
+
+
+def _assert_same_sup(got, want):
+    assert got[1] == want[1]
+    assert got[0] == want[0] or (math.isnan(got[0]) and math.isnan(want[0]))
+
+
+class TestRowBlocks:
+    """Every streamed functional equals one reduction over its full table."""
+
+    @staticmethod
+    def full_tables(space, w, p=2.0, s=2.0):
+        fam = space.ball_family
+        avg, f = fam.averages_at_pos, np.log(w)
+        a, lo, hi = avg(w), fam.running_min_at_pos(w), fam.running_max_at_pos(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rhs = np.power(avg(np.power(w, s)), 1.0 / s) / a
+        return {
+            "ap": (ap_constant(space, w, p),
+                   a * np.power(avg(np.power(w, -1.0 / (p - 1.0))), p - 1.0)),
+            "a1": (a1_constant(space, w), a / lo),
+            "ainf": (ainf_constant(space, w), a * np.exp(-avg(f))),
+            "rhs": (rhs_constant(space, w, s), np.where(a > 0.0, rhs, -np.inf)),
+            "rhinf": (rhinf_constant(space, w), hi / a),
+            "blo": (blo_norm(space, f), avg(f) - fam.running_min_at_pos(f)),
+            "buo": (buo_norm(space, f), avg(-f) - fam.running_min_at_pos(-f)),
+        }
+
+    @pytest.mark.parametrize("law", ["uniform", "integer", "constant"])
+    def test_functionals_equal_the_full_table(self, law, three_block_grid):
+        space = three_block_grid
+        rng = np.random.default_rng(21)
+        w = {"uniform": rng.uniform(0.1, 5.0, space.n),
+             "integer": np.exp(rng.integers(-2, 3, space.n).astype(float)),
+             "constant": np.ones(space.n)}[law]
+        for name, (res, table) in self.full_tables(space, w).items():
+            _assert_same_sup((res.value, res.witness), oracles.sup_over_table(space, table))
+            if law == "constant":  # ties in every block: the smallest key wins
+                assert res.witness == BallRef(0, 1, 0.0), name
+        got = bmo_norm(space, np.log(w))
+        _assert_same_sup((got.value, got.witness), oracles.bmo_rowwise(space, np.log(w)))
+        fam = space.ball_family
+        assert _a1_value(fam, w) == oracles.sup_over_table(space, self.full_tables(
+            space, w)["a1"][1])[0]
+        ratio = fam.running_max_at_pos(w) / fam.running_min_at_pos(w)
+        value, ref = oracles.sup_over_table(space, ratio)
+        harnack = check_harnack(space, w, 2.0)[0]
+        assert harnack.lhs == value
+        assert harnack.witness == {"center": ref.center, "rank": ref.rank,
+                                   "radius": ref.radius}
+
+    def test_tie_won_by_a_later_block(self, three_block_grid):
+        space = three_block_grid
+        fam = space.ball_family
+        table = np.zeros((space.n, space.n))
+        last = space.n - 1
+        table[0, -1] = table[last, 0] = 7.0  # rank > 1 at center 0, rank 1 at the last
+        got = fam.sup_over_balls(lambda rows: table[rows])
+        assert got == (7.0, BallRef(last, 1, 0.0))
+        _assert_same_sup(got, oracles.sup_over_table(space, table))
+
+    @pytest.mark.parametrize("nan_blocks", [(-1,), (1,), (1, -1)])
+    def test_nan_only_in_a_later_block(self, nan_blocks, three_block_grid):
+        space = three_block_grid
+        fam = space.ball_family
+        blocks = list(fam.row_blocks())
+        table = fam.averages_at_pos(np.arange(space.n, dtype=float))
+        table[0, 0] = 1e9  # the number sup sits on the smallest key of all
+        table[blocks[-1].stop - 1, -1] = 1e12  # and a larger number comes last
+        table[0, ~fam.is_ball_end[0]] = np.nan  # not a ball: ignored
+        for b in nan_blocks:
+            c = blocks[b].start + 4
+            table[c, np.flatnonzero(fam.is_ball_end[c])[2]] = np.nan
+        got = fam.sup_over_balls(lambda rows: table[rows])
+        assert math.isnan(got[0]) and got[1].rank == 3
+        assert got[1].center == blocks[nan_blocks[0]].start + 4
+        _assert_same_sup(got, oracles.sup_over_table(space, table))
+
+    def test_all_minus_inf_gives_the_smallest_key(self, three_block_grid):
+        space = three_block_grid
+        table = np.full((space.n, space.n), -np.inf)
+        got = space.ball_family.sup_over_balls(lambda rows: table[rows])
+        assert got == (-np.inf, BallRef(0, 1, 0.0))
 
 
 class TestBruteForceAgreement:
