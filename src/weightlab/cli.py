@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import factorization, families, theorems
-from .errors import InvalidParams, WeightlabError
+from .errors import InvalidParams, NonpositiveWeight, WeightlabError
 from .operators import maximal, maximal_naive
 from .report import Tolerances, aggregate_verdict, reports_to_csv, reports_to_jsonl
 from .space import (
@@ -38,6 +38,7 @@ from .space import (
     save,
 )
 from .weights import (
+    _as_weight,
     a1_constant,
     ainf_constant,
     ap_constant,
@@ -63,6 +64,14 @@ def _tolerances(args) -> Tolerances:
     if override is not None:
         return Tolerances(ineq=override, eq=override)
     return Tolerances()
+
+
+def _valid_weight(space, name: str, w) -> np.ndarray:
+    """w checked as a positive weight on space, before any use; errors name it."""
+    try:
+        return _as_weight(space, w)
+    except NonpositiveWeight as exc:
+        raise NonpositiveWeight(f"weight {name!r}: {exc}") from None
 
 
 def cmd_gen(args) -> int:
@@ -94,7 +103,7 @@ def cmd_analyze(args) -> int:
         print(f"analyze: weight {args.weight!r} not in document "
               f"(available: {sorted(weights)})", file=sys.stderr)
         return 2
-    w = weights[args.weight]
+    w = _valid_weight(space, args.weight, weights[args.weight])
     logw = np.log(w)
     rows = []
 
@@ -118,8 +127,12 @@ def cmd_analyze(args) -> int:
     rows.append({"quantity": "balls", "value": balls})
     r_min = args.r_min
     if r_min is None:
-        positive = space.dist[space.dist > 0]
-        r_min = 2.0 * float(positive.min()) if positive.size else 1.0
+        # twice the smallest distance between distinct points: each center's
+        # nearest other point is at position 1 of its order
+        r_min = 1.0
+        if space.n > 1:
+            nearest = space.dist[np.arange(space.n), space.ball_family.order[:, 1]]
+            r_min = 2.0 * float(nearest.min())
     if space.n <= ANNULAR_MAX_N:
         ann = annular_decay_constant(space, args.alpha, r_min)
         rows.append({"quantity": f"annular(alpha={args.alpha:g},r_min={r_min:g})",
@@ -152,6 +165,8 @@ def cmd_verify(args) -> int:
         if args.seed is None:
             print("verify: --random needs --seed", file=sys.stderr)
             return 2
+        if args.count < 1:
+            raise InvalidParams("--count must be >= 1")
         rng = np.random.default_rng(args.seed)
         for k in range(args.count):
             space, weights = families.sample_instance(rng, args.max_n)
@@ -171,6 +186,7 @@ def cmd_verify(args) -> int:
         if not weights:
             print("verify: document has no weights", file=sys.stderr)
             return 2
+        weights = {name: _valid_weight(space, name, w) for name, w in weights.items()}
         reports = theorems.run_suite(space, weights, params)
 
     if args.self_test and reports:
@@ -204,7 +220,7 @@ def cmd_factor(args) -> int:
     if args.weight not in weights:
         print(f"factor: weight {args.weight!r} not in document", file=sys.stderr)
         return 2
-    w = weights[args.weight]
+    w = _valid_weight(space, args.weight, weights[args.weight])
     options = factorization.FactorOptions(multistarts=args.multistarts,
                                           seed=args.seed or 0)
     pair = factorization.refined_jones(space, w, args.p, args.s, options)

@@ -52,6 +52,10 @@ class FactorOptions:
     max_sweeps: int = 40
     seed: int = 0
 
+    def __post_init__(self):
+        if not (self.multistarts >= 1 and self.max_sweeps >= 0):
+            raise InvalidParams("FactorOptions needs multistarts >= 1 and max_sweeps >= 0")
+
 
 # cheap preset used inside randomized suites, where the certificate bounds
 # hold for any positive v2 and only runtime matters: the power split alone,
@@ -160,7 +164,7 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
     # a weight whose dynamic range overflows the certificates gives inf
     # objectives; that is reported below, not warned about once per process
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(max(opts.multistarts, 1)):
+        for start in range(opts.multistarts):
             if start == 0:
                 x = np.zeros(n)
                 x, cur = descend(x, objective(x), log_u / (1.0 - q), 0.0, 1.0)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -263,7 +263,7 @@ def _validate_matrix(dist: np.ndarray, check_triangle: bool = True) -> None:
             raise TriangleViolation(i, j, k, worst[0])
 
 
-def _float_array(data, error: type[Exception], what: str) -> np.ndarray:
+def _float_array(data, error, what: str) -> np.ndarray:
     """data as a float64 array; a ragged or non-numeric input raises `error`."""
     try:
         return np.asarray(data, dtype=np.float64)
@@ -712,30 +712,38 @@ def load(path) -> tuple[FiniteMetricMeasureSpace, dict[str, np.ndarray]]:
 
 
 def space_from_document(doc: dict) -> tuple[FiniteMetricMeasureSpace, dict[str, np.ndarray]]:
+    if not isinstance(doc, dict):
+        raise ParseError("a space document must be a JSON object")
     for field in ("points", "metric", "distances", "measure"):
         if field not in doc:
             raise ParseError("missing required field", field=field)
+    points, weight_doc = doc["points"], doc.get("weights") or {}
+    if not isinstance(points, list):
+        raise ParseError("must be a list of point objects", field="points")
+    if not isinstance(weight_doc, dict):
+        raise ParseError("must map names to weight vectors", field="weights")
     metric = doc["metric"]
     if metric not in METRIC_KINDS:
         raise ParseError(f"unknown metric {metric!r}", field="metric")
-    try:
-        dist = np.asarray(doc["distances"], dtype=np.float64)
-        measure = np.asarray(doc["measure"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc), field="distances/measure") from exc
-    n = len(doc["points"])
+
+    def numeric(data, field: str, what: str | None = None) -> np.ndarray:
+        return _float_array(data, partial(ParseError, field=field), what or field)
+
+    dist = numeric(doc["distances"], "distances")
+    measure = numeric(doc["measure"], "measure")
+    n = len(points)
     if dist.shape != (n, n):
         raise ParseError(f"distances shape {dist.shape} != ({n}, {n})", field="distances")
     coords = None
-    if all(isinstance(p, dict) and "coords" in p for p in doc["points"]):
-        coords = np.asarray([p["coords"] for p in doc["points"]], dtype=np.float64)
+    if all(isinstance(p, dict) and "coords" in p for p in points):
+        coords = numeric([p["coords"] for p in points], "points", "coords")
     # stored distances are authoritative; re-validate but never re-derive
     space = build_space(dist, "explicit-matrix", measure,
                         check_triangle=n <= 512)
     space = FiniteMetricMeasureSpace(space.dist, space.measure, metric, coords)
     weights = {}
-    for name, vec in (doc.get("weights") or {}).items():
-        w = np.asarray(vec, dtype=np.float64)
+    for name, vec in weight_doc.items():
+        w = numeric(vec, "weights", f"weight {name!r}")
         if w.shape != (n,):
             raise ParseError(f"weight {name!r} has shape {w.shape}", field="weights")
         weights[name] = w

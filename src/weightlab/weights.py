@@ -20,23 +20,21 @@ the same order, so the two suprema are exactly equal), with the alternate
 value stored on the result.
 buo is defined as the blo norm of -f (the operators' sign symmetry).
 
-The other seven are memoized (buo through blo): in one ``run_suite`` call each
-(space, input, exponent) is computed once, its cross-check included, and
-later calls return the first result. Outside that call every call
-computes.
+The other seven are memoized (buo through blo): in one ``run_suite`` call
+each (space, input, exponent) is computed once, its cross-check included,
+and later calls return the first result; outside it every call computes.
 
 Every functional hands its per-ball table to ``BallFamily.sup_over_balls``
 as a function of a block of centers, so the table is built one block at
 a time and never held whole; the sup merges the blocks' maxima and
-tie-rule witnesses. Only bmo keeps n x n tables, of its screen's
-estimates and its summed balls.
+tie-rule witnesses.
 
 bmo is the one functional that sums over each ball's members rather than
-reading a prefix table, O(n) per ball. It screens first: a closed form
+reading a prefix table, O(n) per ball. In each block a closed form first
 estimates every ball's value, with a bound on the rounding of both
-computations, and only the balls that may reach the sup are summed
-exactly, one full-length masked row each. Values and witnesses equal
-those of summing every row of every center, bit for bit.
+computations; only the balls that may reach the sup are summed exactly,
+one full-length masked row each. Values and witnesses equal those of
+summing every row of every center, bit for bit.
 """
 
 from __future__ import annotations
@@ -182,88 +180,65 @@ def _require_cross_agreement(kind: str, value: float, alt: float) -> None:
 
 @_memoized
 def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
-    """sup over balls of avg |f - f_B|.
-
-    `_bmo_candidates` screens every ball in closed form and marks those
-    that may attain the sup; only their (center, position) cells are
-    summed, by the exact loop below, and every other cell is -inf. Each
-    marked cell is summed as one full-length masked row, as when every
-    row of every center was, and every ball that ties or beats the sup is
-    marked, so the value and the tie-rule witness are those of summing
-    every row.
-    """
-    f = _as_function(space, f)
-    fam = space.ball_family
-    n = space.n
-    cells = np.flatnonzero(_bmo_candidates(space, f))  # row-major: c * n + j
-    vals = np.full((n, n), -np.inf)
-    tri = np.tri(n, dtype=bool)  # row j: members are positions <= j
-    chunk = max(1, CHUNK_CELLS // n)
-    for k in range(0, cells.size, chunk):
-        c, j = np.divmod(cells[k:k + chunk], n)
-        centers, row = np.unique(c, return_inverse=True)
-        order = fam.order[centers]
-        a = fam.averages_at_pos(f, centers)[row, j]
-        dev = f[order][row]  # whole rows: a gather per entry is 3x slower
-        dev -= a[:, None]
-        np.abs(dev, out=dev)
-        dev *= space.measure[order][row]
-        dev *= tri[j]
-        vals[c, j] = dev.sum(axis=1) / fam.prefix_measure[c, j]
-    vals[:, 0] = 0.0  # singletons oscillate exactly zero
-    value, ref = fam.sup_over_balls(lambda rows: vals[rows])
+    """sup over balls of avg |f - f_B|, by `_bmo_scan`."""
+    value, ref, _ = _bmo_scan(space, _as_function(space, f))
     return FunctionalResult("BMO", value, ref)
 
 
-def _bmo_candidates(space: FiniteMetricMeasureSpace, f: np.ndarray) -> np.ndarray:
-    """(center, position) mask of the balls whose BMO value may reach the sup.
+def _bmo_scan(space: FiniteMetricMeasureSpace, f: np.ndarray):
+    """(value, BallRef, number of balls summed exactly) of the BMO norm.
 
-    Let x = f - (max f + min f) / 2. With M the mass of a ball, S the sum
-    of mu x over it, a = S / M and M_le, S_le the same two sums over the
-    members with x <= a,
+    Screen. Let x = f - (max f + min f) / 2. With M the mass of a ball, S
+    the sum of mu x over it, a = S / M and M_le, S_le the same two sums
+    over the members with x <= a,
 
         sum_B mu |x - a| = a (2 M_le - M) - (2 S_le - S),
 
-    so one value per ball costs two sums over a sub-level set. Per center
-    they come from sweeping its positions in blocks of ceil(sqrt n): a
-    cumulative sum over the rank of x gives the earlier blocks' share,
+    so one estimate per ball costs two sums over a sub-level set. Per
+    center they come from sweeping its positions in blocks of ceil(sqrt n):
+    a cumulative sum over the rank of x gives the earlier blocks' share,
     and a pairwise compare the block's own, O(n^1.5) per center in all.
-    Centers go in the index's row blocks; one n x n table holds the estimates.
 
-    Bound. On every ball the screened value v and the loop's value t
-    differ by at most err = 80 (n + 1) u max|f| + (n + 8) 2**-600, with
-    u = 2**-53. A first-order count of the rounding in both gives
-    (36 n + 49) u max|f|, of which the loop's f_B, summed in f and not in
-    x, is a large share; err doubles it for the higher-order terms. The
-    second term covers underflow, which SCREEN_RANGE keeps small: the
-    measure and |f| lie within it, so nothing overflows either. A ball
-    at the sup has t >= t' for every ball, hence v >= t - err >= t' - err
-    >= v' - 2 err: marking the balls at v >= max v - 2 err marks every
-    ball that ties or beats the sup. Small spaces and inputs out of range
-    mark every ball.
+    Bound. On every ball the estimate v and the exact value t differ by at
+    most err = 80 (n + 1) u max|f| + (n + 8) 2**-600, with u = 2**-53. A
+    first-order count of the rounding in both gives (36 n + 49) u max|f|,
+    of which the exact f_B, summed in f and not in x, is a large share;
+    err doubles it for the higher-order terms. The second term covers
+    underflow, which SCREEN_RANGE keeps small: the measure and |f| lie
+    within it, so nothing overflows either.
+
+    Scan. In each row block of `sup_over_balls` the balls with
+    v >= max(L - err, V - 2 err) are summed exactly, with L the earlier
+    blocks' largest exact value and V the block's largest estimate; every
+    other ball reads -inf. A ball that ties or beats the sup t* has
+    t >= t* >= L, and t* >= (t of the block's top-estimate ball) >= V - err,
+    so its v clears both terms: value and tie-rule witness are those of
+    summing every ball, each as one full-length masked row. A NaN keeps
+    every ball; small spaces and inputs out of range mark every ball.
     """
     n = space.n
     fam = space.ball_family
-    if n < BMO_SCREEN_MIN_N:
-        return fam.is_ball_end
     mu = space.measure
     top = float(np.abs(f).max())
-    if top > SCREEN_RANGE or mu.max() > SCREEN_RANGE or mu.min() < 1.0 / SCREEN_RANGE:
-        return fam.is_ball_end
-    x = f - (0.5 * f.max() + 0.5 * f.min())
-    by_rank = np.argsort(x, kind="stable")
-    x_sorted = x[by_rank]
-    rank1 = np.empty(n, dtype=np.intp)  # 1 + rank of x: column 0 of seen stays 0
-    rank1[by_rank] = np.arange(1, n + 1)
-    width = math.isqrt(n - 1) + 1
-    in_block = np.tri(width, dtype=bool)  # row j: block members at positions <= j
-    est = np.empty((n, n))
-    for rows in fam.row_blocks():
-        order = fam.order[rows]
+    screen = (n >= BMO_SCREEN_MIN_N and top <= SCREEN_RANGE
+              and 1.0 / SCREEN_RANGE <= mu.min() and mu.max() <= SCREEN_RANGE)
+    if screen:
+        x = f - (0.5 * f.max() + 0.5 * f.min())
+        by_rank = np.argsort(x, kind="stable")
+        x_sorted = x[by_rank]
+        rank1 = np.empty(n, dtype=np.intp)  # 1 + rank of x: column 0 of seen stays 0
+        rank1[by_rank] = np.arange(1, n + 1)
+        width = math.isqrt(n - 1) + 1
+        in_block = np.tri(width, dtype=bool)  # row j: block members at positions <= j
+        err = 80.0 * (n + 1) * 2.0 ** -53 * top + (n + 8) * 2.0 ** -600
+    chunk = max(1, CHUNK_CELLS // n)
+    best, evaluated = -np.inf, 0  # largest exact value so far, balls summed
+
+    def estimates(order, mass):
+        """The screen's estimate of every ball of one row block."""
         line = np.arange(order.shape[0])[:, None]
-        mass = fam.prefix_measure[rows]
-        xo = x[order]
-        terms = np.stack([mu[order], mu[order] * xo], axis=-1)  # mu and mu x
+        mo, xo = mu[order], x[order]
+        terms = np.stack([mo, mo * xo], axis=-1)  # mu and mu x
         total = np.cumsum(terms[..., 1], axis=1)
         avg = total / mass
         cut = np.searchsorted(x_sorted, avg, side="right")  # x <= avg iff rank1 <= cut
@@ -283,16 +258,41 @@ def _bmo_candidates(space: FiniteMetricMeasureSpace, f: np.ndarray) -> np.ndarra
             low[:, p] = np.matmul(le, terms[:, p], dtype=float)
             low_z[:, p] += below_z[line, cut[:, p]]
             seen_z[line, rank1[order[:, p]]] = terms_z[:, p]
-        v = est[rows]
-        np.multiply(avg, 2.0 * low[..., 0] - mass, out=v)
-        v -= 2.0 * low[..., 1] - total
-        v /= mass
-        v[:, 0] = 0.0
-    err = 80.0 * (n + 1) * 2.0 ** -53 * top + (n + 8) * 2.0 ** -600
-    keep = est < est.max(where=fam.is_ball_end, initial=-np.inf) - 2.0 * err
-    np.logical_not(keep, out=keep)  # a NaN keeps every ball
-    keep &= fam.is_ball_end
-    return keep
+        del seen, below, seen_z, below_z  # before the temporaries below
+        est = avg * (2.0 * low[..., 0] - mass)
+        est -= 2.0 * low[..., 1] - total
+        est /= mass
+        est[:, 0] = 0.0
+        return est
+
+    def table(rows):
+        nonlocal best, evaluated
+        order, mass = fam.order[rows], fam.prefix_measure[rows]
+        marked = fam.is_ball_end[rows].copy()
+        if screen:
+            est = estimates(order, mass)
+            thr = np.maximum(best - err, est.max(where=marked, initial=-np.inf) - 2.0 * err)
+            marked &= ~(est < thr)  # a NaN keeps every ball
+        r, j = np.nonzero(marked)
+        evaluated += r.size
+        hit, row = np.unique(r, return_inverse=True)  # averages of these rows only
+        a = fam.averages_at_pos(f, rows.start + hit)[row, j]
+        vals = np.full(marked.shape, -np.inf)
+        for k in range(0, r.size, chunk):
+            rk, jk = r[k:k + chunk], j[k:k + chunk]
+            ids = order[rk]
+            dev = f[ids]  # whole rows: a gather per entry is 3x slower
+            dev -= a[k:k + chunk, None]
+            np.abs(dev, out=dev)
+            dev *= mu[ids]
+            dev *= np.arange(n) <= jk[:, None]  # members: positions <= j
+            vals[rk, jk] = dev.sum(axis=1) / mass[rk, jk]
+        vals[:, 0] = 0.0  # singletons oscillate exactly zero
+        best = np.maximum(best, vals.max())
+        return vals
+
+    value, ref = fam.sup_over_balls(table)
+    return value, ref, evaluated
 
 
 @_memoized

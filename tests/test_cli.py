@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,10 +142,32 @@ def test_bad_tolerance_is_an_input_error(argv, env, two_point_doc, monkeypatch, 
     ["bench", "--repeats", "0", "--sizes", "16"],
     ["bench", "--sizes", "abc"],
     ["verify", "--random", "--seed", "1", "--max-n", "1"],
-], ids=["bench-repeats-0", "bench-sizes-not-int", "verify-max-n-1"])
-def test_bad_option_is_an_input_error(argv, capsys):
+    ["verify", "--random", "--seed", "1", "--count", "0"],
+    ["verify", "--random", "--seed", "1", "--count", "-3"],
+    ["factor", "--multistarts", "-2"],
+    ["factor", "--multistarts", "0"],
+], ids=["bench-repeats-0", "bench-sizes-not-int", "verify-max-n-1", "verify-count-0",
+        "verify-count-negative", "factor-multistarts-negative", "factor-multistarts-0"])
+def test_bad_option_is_an_input_error(argv, two_point_doc, capsys):
+    if argv[0] == "factor":
+        argv = argv + ["--input", two_point_doc]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("entries", [[0.0, 1.0], [-1.0, 2.0]], ids=["zero", "negative"])
+@pytest.mark.parametrize("command", ["analyze", "verify", "factor"])
+def test_nonpositive_document_weight_is_an_input_error(command, entries, tmp_path, capsys):
+    space = build_space(np.array([[0.0, 1.0], [1.0, 0.0]]), "explicit-matrix",
+                        [0.5, 0.5])
+    path = tmp_path / "bad.json"
+    save(space, {"w": np.array(entries)}, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would end as an internal error
+        assert main([command, "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: weight 'w'") and err.count("\n") == 1
 
 
 class TestVerify:

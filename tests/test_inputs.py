@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from weightlab import (
     InvalidFunction,
     InvalidParams,
     NonpositiveWeight,
+    ParseError,
     a1_constant,
     annular_decay_constant,
     blo_norm,
@@ -16,7 +18,9 @@ from weightlab import (
     Tolerances,
     maximal,
 )
+from weightlab.factorization import FactorOptions
 from weightlab.families import sample_space, sample_weight
+from weightlab.space import space_document, space_from_document
 
 WORDS = ["a", "b"]
 
@@ -41,12 +45,43 @@ WORDS = ["a", "b"]
     (lambda sp: Tolerances(eq=-1.0), InvalidParams),
     (lambda sp: Tolerances(ineq=float("inf")), InvalidParams),
     (lambda sp: Tolerances(eq="a"), InvalidParams),
+    (lambda sp: FactorOptions(multistarts=0), InvalidParams),
+    (lambda sp: FactorOptions(multistarts=-2), InvalidParams),
+    (lambda sp: FactorOptions(max_sweeps=-1), InvalidParams),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
         "maximal", "blo", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
         "scalar-coords", "weight-family", "sample-max-n", "tolerance-nan",
-        "tolerance-negative", "tolerance-inf", "tolerance-str"])
+        "tolerance-negative", "tolerance-inf", "tolerance-str",
+        "multistarts-0", "multistarts-negative", "max-sweeps-negative"])
 def test_bad_input_raises_its_weightlab_error(two_point, call, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and prints no numpy warning on the way
         with pytest.raises(error):
             call(two_point)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc.update(points=3), "points"),
+    (lambda doc: doc.update(points="ab"), "points"),
+    (lambda doc: doc.update(weights=[1.0, 2.0]), "weights"),
+    (lambda doc: doc.update(weights={"w": [1.0, [2.0]]}), "weights"),
+    (lambda doc: doc.update(weights={"w": ["a", "b"]}), "weights"),
+    (lambda doc: doc["points"][1].update(coords=[1.0, 2.0]), "points"),
+    (lambda doc: doc["points"][1].update(coords=["a"]), "points"),
+    (lambda doc: doc.update(distances=[[0.0, "a"], [1.0, 0.0]]), "distances"),
+    (lambda doc: doc.update(measure=[0.5, {}]), "measure"),
+], ids=["points-int", "points-str", "weights-list", "weight-ragged", "weight-str",
+        "coords-ragged", "coords-str", "distances-str", "measure-object"])
+def test_malformed_document_is_a_parse_error(edit, field):
+    doc = json.loads(json.dumps(space_document(build_space(
+        [[0.0], [1.0]], "euclidean", [0.5, 0.5]), {"w": [1.0, 2.0]})))
+    edit(doc)
+    with pytest.raises(ParseError) as exc:
+        space_from_document(doc)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("doc", [5, [1, 2]], ids=["number", "list"])
+def test_document_must_be_an_object(doc):
+    with pytest.raises(ParseError):
+        space_from_document(doc)

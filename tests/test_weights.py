@@ -25,7 +25,7 @@ from weightlab.factorization import _a1_value
 from weightlab.families import sample_space, sample_weight
 from weightlab.space import BallRef
 from weightlab.theorems import check_harnack
-from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_candidates
+from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_scan
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -236,26 +236,27 @@ class TestBmoScreen:
         space = generate("path", {"n": 300}, seed=3)
         f = np.arange(space.n, dtype=float)
         _assert_bmo_matches_rowwise(space, f, "arange")
-        assert np.count_nonzero(_bmo_candidates(space, f)) >= space.n
+        assert _bmo_scan(space, f)[2] >= space.n
 
     def test_screen_keeps_few_balls(self):
         space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
         f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
-        assert np.count_nonzero(_bmo_candidates(space, f)) <= 4
+        assert _bmo_scan(space, f)[2] <= 4
         # a coordinate ties across many centers, yet a ball per center or so
-        kept = np.count_nonzero(_bmo_candidates(space, space.coords[:, 1]))
+        kept = _bmo_scan(space, space.coords[:, 1])[2]
         assert space.n <= kept <= 3 * space.n
 
     def test_degenerate_inputs_keep_every_ball(self):
         space = generate("grid", {"nx": 8, "ny": 8, "metric": "linf"}, seed=3)
-        every = space.ball_family.is_ball_end
+        every = np.count_nonzero(space.ball_family.is_ball_end)
         for f in (np.full(space.n, 3.7), np.linspace(-2.0, 2.0, space.n) * SCREEN_RANGE):
-            assert np.array_equal(_bmo_candidates(space, f), every)
+            assert _bmo_scan(space, f)[2] == every
         small = generate("path", {"n": BMO_SCREEN_MIN_N - 1}, seed=3)
-        kept = _bmo_candidates(small, np.arange(small.n, dtype=float))
-        assert np.array_equal(kept, small.ball_family.is_ball_end)
+        kept = _bmo_scan(small, np.arange(small.n, dtype=float))[2]
+        assert kept == np.count_nonzero(small.ball_family.is_ball_end)
 
-    def test_peak_memory_below_three_tables(self):
+    def test_peak_memory_below_one_table(self):
+        # the screen and the exact sums stream by row blocks: no n x n table
         space = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
         space.ball_family  # the index is built before the measurement
         f = np.log(np.random.default_rng(1).uniform(0.1, 5.0, space.n))
@@ -265,7 +266,7 @@ class TestBmoScreen:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * space.n ** 2
+        assert peak <= 0.6 * 8 * space.n ** 2
 
 
 class TestEquivalentForms:
