@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentPair, InvalidParams, NonpositiveWeight
+from .operators import evaluate
 from .report import CheckReport, Tolerances, inequality_report
-from .space import BallFamily, FiniteMetricMeasureSpace
+from .space import BallFamily, FiniteMetricMeasureSpace, Sup
 from .weights import _as_weight, a1_constant, ap_constant, blo_norm, rhinf_constant, rhs_constant
 
 RECONSTRUCTION_RTOL = 1e-12
@@ -103,10 +104,9 @@ class FactorPair:
 
 
 def _a1_value(fam: BallFamily, values: np.ndarray) -> float:
-    """A_1 constant alone, without the cross-check; the optimizer's inner loop."""
-    value, _ = fam.sup_over_balls(
-        lambda rows: fam.averages_at_pos(values, rows) / fam.running_min_at_pos(values, rows))
-    return value
+    """A_1 constant alone, without the cross-check or a witness; the optimizer's inner loop."""
+    return fam.scan([Sup(fam, ((values, "avg"), (values, "min")),
+                         lambda rows, avg, low: avg / low, witness=False)])[0]
 
 
 def _golden_min(g, lo: float, hi: float):
@@ -217,14 +217,11 @@ def refined_transform(v1, v2, p: float, s: float,
     q = s * (p - 1.0) + 1.0
     certificates = {}
     if space is not None:
-        certificates = {
-            "a1_v1": a1_constant(space, v1).value,
-            "a1_v2": a1_constant(space, v2).value,
-            "a1_w1": a1_constant(space, w1).value,
-            "rhs_w1": rhs_constant(space, w1, s).value,
-            "ap_w2": ap_constant(space, w2, p).value,
-            "rhinf_w2": rhinf_constant(space, w2).value,
-        }
+        calls = {"a1_v1": (a1_constant, v1), "a1_v2": (a1_constant, v2),
+                 "a1_w1": (a1_constant, w1), "rhs_w1": (rhs_constant, w1, s),
+                 "ap_w2": (ap_constant, w2, p), "rhinf_w2": (rhinf_constant, w2)}
+        certificates = {name: res.value for name, res in
+                        zip(calls, evaluate(space, list(calls.values())))}
     return FactorPair(v1, v2, w1, w2, p, s, q, certificates, search)
 
 

@@ -17,27 +17,32 @@ as -Mnat(-f), so mnat f and Mnat(-f) are one kernel run and one memo
 entry. Negation commutes exactly with the prefix sums, the division and
 the max (up to the sign of an average that cancels to exactly zero).
 
-Values first, by blocks of centers. The kernel builds the prefix averages
-of one ``BallFamily.row_blocks`` slice of centers at a time, sweeps them,
-and folds the block's per-point best into one length-n vector by
-np.maximum; no n x n table is held. It computes values only. The
-witnesses are resolved on the first read of ``witness_center``,
-``witness_rank``, ``witness_radius`` or ``witness()``, once per kernel run
-(and so once per memo entry): the same block sweep again, carrying keys,
-with the blocks merged by a running minimum of the key of each point's
-best ball. mnat f shares the resolution of Mnat(-f).
+Values first, by blocks of centers. The kernel is a `_MaxFold` reducer of
+``BallFamily.scan``: per ``row_blocks`` slice of centers it reads the
+prefix averages of f, sweeps them, and folds the block's per-point best
+into one length-n vector by np.maximum; no n x n table is held, and a
+batch that also asks for other reductions of f shares its average table.
+It computes values only. The witnesses are resolved on the first read of
+``witness_center``, ``witness_rank``, ``witness_radius`` or
+``witness()``, once per kernel run (and so once per memo entry): the same
+block sweep again, carrying keys, with the blocks merged by a running
+minimum of the key of each point's best ball. mnat f shares the
+resolution of Mnat(-f).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
 Max and min are exact and associative, so values and witnesses do not
 depend on how the centers are cut into blocks.
 
-Memo scope: inside ``_memo_scope()`` a function decorated with
-``_memoized`` returns its first result for each (space, input bytes,
-params) instead of recomputing it. ``theorems.run_suite`` opens one scope
-per call; outside a scope every call computes. The scope is a ContextVar,
-so a library caller running suites from several threads gives each thread
-its own.
+Memo scope and batches: a memoized functional is written as a function
+returning a `_Plan` (reducers, the calls it needs, a finish step) and
+decorated with ``_memoized``; calling it runs ``evaluate`` on a batch of
+one, and ``evaluate`` runs the plans of a whole batch of calls in one
+scan. Inside ``_memo_scope()`` each result is kept under (space, input
+bytes, params), and a later call or batch reads it instead of
+recomputing. ``theorems.run_suite`` opens one scope per call; outside a
+scope every call computes. The scope is a ContextVar, so a library caller
+running suites from several threads gives each thread its own.
 """
 
 from __future__ import annotations
@@ -46,7 +51,9 @@ import contextlib
 import contextvars
 import functools
 import hashlib
+import inspect
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -127,27 +134,86 @@ def _memo_scope():
         _memo.reset(token)
 
 
-def _memoized(fn):
-    """Decorate fn(space, f, *params): inside a memo scope, compute once per input.
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """One memoized call as parts of a `BallFamily.scan`.
 
-    The key holds the space itself (so its id cannot be reused while the
-    scope lives) and a digest of f's bytes, not the bytes. Exceptions are
-    not stored.
+    `reducers` join the scan; `needs` are calls (functional, f, *params)
+    computed alongside; `finish(*reducer results, *needed results)` makes
+    the call's result.
     """
-    @functools.wraps(fn)
-    def wrapper(space, f, *params, **kwargs):
-        memo = _memo.get()
-        if memo is None:
-            return fn(space, f, *params, **kwargs)
-        data = np.ascontiguousarray(f)
-        key = (fn, space, data.dtype.str, data.shape,
-               hashlib.blake2b(data, digest_size=16).digest(),
-               params, tuple(sorted(kwargs.items())))
-        if key not in memo:
-            memo[key] = fn(space, f, *params, **kwargs)
-        return memo[key]
 
-    return wrapper
+    reducers: tuple
+    finish: Callable
+    needs: tuple = ()
+
+
+def _memoized(plan):
+    """Make plan(space, f, *params) -> _Plan into the functional it plans.
+
+    A call is `evaluate` on a batch of one. Inside a memo scope the result
+    is kept under (plan, space, dtype, shape, digest of f's bytes, params);
+    the key holds the space itself, so its id cannot be reused while the
+    scope lives. Exceptions are not kept.
+    """
+    signature = inspect.signature(plan)
+
+    @functools.wraps(plan)
+    def functional(space, f, *params, **kwargs):
+        if kwargs:  # as positional params: one key per call, however it is spelled
+            params = signature.bind(space, f, *params, **kwargs).args[2:]
+        return evaluate(space, [(functional, f, *params)])[0]
+
+    functional.plan = plan  # copied onto any wrapper made with functools.wraps
+    return functional
+
+
+def evaluate(space: FiniteMetricMeasureSpace, calls) -> list:
+    """Results of calls (functional, f, *params) of memoized functionals, in one scan.
+
+    A call already in the open memo scope is read; the others are planned,
+    their reducers and those of the calls they need run in one
+    `BallFamily.scan`, and each result is kept in the scope under the key
+    its single call uses. A call whose plan or finish raises is not kept;
+    after the others are, the first such exception in call order is raised.
+    """
+    memo = _memo.get()
+    done = {} if memo is None else memo  # results by key: the scope's, or this batch's
+    failed, plans = {}, {}  # key -> exception; key -> (plan, keys of the calls it needs)
+
+    def add(call) -> tuple:
+        fn, f, *params = call
+        data = np.ascontiguousarray(f)
+        key = (fn.plan, space, data.dtype.str, data.shape,
+               hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
+        if key in done or key in failed or key in plans:
+            return key
+        try:
+            plan = fn.plan(space, f, *params)
+        except Exception as exc:  # kept for this call; raised below
+            failed[key] = exc
+            return key
+        needs = [add(c) for c in plan.needs]  # planned first, so finished first
+        plans[key] = (plan, needs)
+        return key
+
+    keys = [add(call) for call in calls]
+    if plans:
+        outs = iter(space.ball_family.scan(
+            [r for plan, _ in plans.values() for r in plan.reducers]))
+        for key, (plan, needs) in plans.items():
+            parts = [next(outs) for _ in plan.reducers]
+            try:
+                for k in needs:
+                    if k in failed:
+                        raise failed[k]
+                done[key] = plan.finish(*parts, *(done[k] for k in needs))
+            except Exception as exc:  # kept for this call; raised below
+                failed[key] = exc
+    for key in keys:
+        if key in failed:
+            raise failed[key]
+    return [done[key] for key in keys]
 
 
 def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
@@ -173,19 +239,34 @@ def _to_points(fam, rows, at_pos: np.ndarray) -> np.ndarray:
     return out
 
 
-@_memoized
-def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> OperatorOutput:
-    """Mnat f: one max sweep per block of centers; witnesses wait for a read."""
-    fam = space.ball_family
-    values = np.full(space.n, -np.inf)
-    for rows in fam.row_blocks():
+class _MaxFold:
+    """A `BallFamily.scan` reducer: Mnat f, one max sweep per block of centers.
+
+    Each block's per-point best folds into one length-n maximum.
+    """
+
+    def __init__(self, fam, f: np.ndarray):
+        self.fam, self.tables = fam, ((f, "avg"),)
+        self.values = np.full(fam.n, -np.inf)
+
+    def add(self, rows, avg: np.ndarray) -> None:
+        fam = self.fam
         # sweep each center's order from the far end: position i then holds
         # the best ball ending at a position >= i, i.e. the best ball
         # containing the point at position i
-        best = _ball_ends_only(fam, f, rows)
+        best = np.where(fam.is_ball_end[rows], avg, -np.inf)
         np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
-        np.maximum(values, _to_points(fam, rows, best).max(axis=0), out=values)
-    return OperatorOutput(values, _WitnessSweep(space, f.copy(), values))
+        np.maximum(self.values, _to_points(fam, rows, best).max(axis=0), out=self.values)
+
+    def result(self) -> np.ndarray:
+        return self.values
+
+
+@_memoized
+def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> _Plan:
+    """Mnat f: values from one `_MaxFold`; witnesses wait for a read."""
+    return _Plan((_MaxFold(space.ball_family, f),),
+                 lambda values: OperatorOutput(values, _WitnessSweep(space, f.copy(), values)))
 
 
 def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,

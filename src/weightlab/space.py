@@ -19,6 +19,7 @@ distinct distance (rank 1 is distance 0, the singleton).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -122,7 +123,9 @@ class BallFamily:
     A per-ball table (averages, running extrema and what is computed from
     them) is built one block of centers at a time, over the row slices of
     `row_blocks`, and reduced before the next block is built: no row needs
-    another, and every row holds the same bytes as in a full table.
+    another, and every row holds the same bytes as in a full table. `scan`
+    makes that pass once for many reductions, building each table block
+    once for all of them.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -204,32 +207,92 @@ class BallFamily:
         members = np.sort(self.order[center, : pos + 1])
         return Ball(center, rank, float(self.radius_at_pos(center, pos)), members)
 
+    def scan(self, reducers) -> list:
+        """One pass over `row_blocks` that feeds every reducer; their results, in order.
+
+        A reducer names the tables it reads in `tables`, as (vector, kind)
+        pairs with kind "avg", "min" or "max", takes one block of centers at
+        a time through `add(rows, *tables)` and gives its result through
+        `result()`. In each block every named table is built once, by its
+        first reader, through `averages_at_pos`, `running_min_at_pos` or
+        `running_max_at_pos`, and dropped after its last reader, so only the
+        tables still to be read are held. Reducers that name the same vector
+        share its table and must not write to it. A table is keyed by a
+        digest of its vector's bytes: -f has its own, since reading avg(-f)
+        as -avg(f) would flip the sign of an average that is exactly zero.
+        """
+        build = {"avg": self.averages_at_pos, "min": self.running_min_at_pos,
+                 "max": self.running_max_at_pos}
+        # a lone reducer shares with no other: the ids of its vectors, which
+        # all live through the scan, key its tables as well as their bytes
+        digests, last, reads = {}, {}, []
+        for i, r in enumerate(reducers):
+            keys = []
+            for vec, kind in r.tables:
+                if id(vec) not in digests:
+                    digests[id(vec)] = id(vec) if len(reducers) == 1 else hashlib.blake2b(
+                        np.ascontiguousarray(vec), digest_size=16).digest()
+                keys.append((kind, digests[id(vec)]))
+                last[keys[-1]] = i
+            reads.append(keys)
+        for rows in self.row_blocks():
+            held = {}
+            for i, (r, keys) in enumerate(zip(reducers, reads)):
+                for key, (vec, kind) in zip(keys, r.tables):
+                    if key not in held:
+                        held[key] = build[kind](vec, rows)
+                r.add(rows, *[held[key] for key in keys])
+                for key in keys:
+                    if last[key] == i:
+                        held.pop(key, None)
+        return [r.result() for r in reducers]
+
     def sup_over_balls(self, table):
-        """Max of a per-prefix table over realized balls, with witness.
+        """Max of a per-prefix table over realized balls, with witness: a one-`Sup` scan.
 
         `table(rows)` returns the table's rows for the centers of one
-        `row_blocks` slice. Returns (value, BallRef). The witness is the
-        attaining ball of smallest ball_key, as in the operators. A NaN on a
-        ball propagates to the value, and the witness is then the NaN ball
-        of smallest key. Blocks merge by a running (value, smallest key)
-        pair, with a NaN ranked above every number, so value and witness
-        are those of one reduction over the full table.
+        `row_blocks` slice. Returns (value, BallRef), as `Sup.result`.
         """
-        none = np.iinfo(self.index_dtype).max
-        value, key = -np.inf, none
-        for rows in self.row_blocks():
-            vals = table(rows)
-            ends = self.is_ball_end[rows]
-            top = float(vals.max(where=ends, initial=-np.inf))
-            if _above(value, top):
-                continue
+        return self.scan([Sup(self, (), table)])[0]
+
+
+class Sup:
+    """A `BallFamily.scan` reducer: the sup of a per-prefix table over realized balls.
+
+    `table(rows, *tables)` returns the table's rows for one block of
+    centers, from the built tables named in `tables`. `result()` is
+    (value, BallRef). The witness is the attaining ball of smallest
+    ball_key, as in the operators. A NaN on a ball propagates to the value,
+    and the witness is then the NaN ball of smallest key. Blocks merge by a
+    running (value, smallest key) pair, with a NaN ranked above every
+    number, so value and witness are those of one reduction over the full
+    table. With witness=False the result is the value alone, merged the
+    same way without the key minimum.
+    """
+
+    def __init__(self, fam: BallFamily, tables, table, witness: bool = True):
+        self.fam, self.tables, self.table, self.witness = fam, tables, table, witness
+        self.value, self.key = -np.inf, None
+
+    def add(self, rows, *tables) -> None:
+        fam = self.fam
+        vals = self.table(rows, *tables)
+        ends = fam.is_ball_end[rows]
+        top = float(vals.max(where=ends, initial=-np.inf))
+        if _above(self.value, top):
+            return
+        if self.witness:
             hits = vals == top if top == top else np.isnan(vals)
-            hits &= ends
-            k = int(self.ball_key[rows].min(where=hits, initial=none))
-            key = k if _above(top, value) else min(key, k)
-            value = top
-        rank, center = divmod(key, self.n)
-        return value, BallRef(center, rank, self.end_of_key(key)[1])
+            hits &= ends  # never empty: top is the value of a ball of the block
+            k = int(fam.ball_key[rows][hits].min())
+            self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
+        self.value = top
+
+    def result(self):
+        if not self.witness:
+            return self.value
+        rank, center = divmod(self.key, self.fam.n)
+        return self.value, BallRef(center, rank, self.fam.end_of_key(self.key)[1])
 
 
 def _above(a: float, b: float) -> bool:

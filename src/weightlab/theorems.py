@@ -19,8 +19,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import factorization
-from .operators import _memo_scope, maximal, minimal, natural_maximal, natural_minimal
+from . import factorization, operators
+from .operators import (
+    _memo_scope,
+    evaluate,
+    maximal,
+    minimal,
+    natural_maximal,
+    natural_minimal,
+)
 from .report import (
     CheckReport,
     Tolerances,
@@ -31,7 +38,7 @@ from .report import (
     inequality_report,
     soft_report,
 )
-from .space import FiniteMetricMeasureSpace
+from .space import CHUNK_CELLS, FiniteMetricMeasureSpace
 from .weights import (
     a1_constant,
     ainf_constant,
@@ -39,6 +46,7 @@ from .weights import (
     blo_norm,
     bmo_norm,
     buo_norm,
+    harnack_constant,
     rhinf_constant,
     rhs_constant,
     _as_weight,
@@ -103,9 +111,8 @@ def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
     """
     w = _as_weight(space, w)
     winv = 1.0 / w
-    fam = space.ball_family
-    lhs, ref = fam.sup_over_balls(
-        lambda rows: fam.running_max_at_pos(w, rows) / fam.running_min_at_pos(w, rows))
+    osc = harnack_constant(space, w)
+    lhs, ref = osc.value, osc.witness
     rhs1 = a1_constant(space, w).value * a1_constant(space, winv).value
     rhs2 = (rhinf_constant(space, w).value * ap_constant(space, w, p).value
             * rhinf_constant(space, winv).value * ap_constant(space, winv, p).value)
@@ -339,19 +346,28 @@ def _naive_extremal_report(space, f: np.ndarray, tol: float,
     """
     points = _probe_points(space.n)
     dist, mu, muf = space.dist, space.measure, space.measure * f
-    balls = np.concatenate([dist[c][None, :] <= np.unique(dist[c])[:, None]
-                            for c in points])
-    avgs = (balls @ muf) / (balls @ mu)
-    inside = balls[:, points]
+    # every ball of every probe center, as (center, radius) rows, built and
+    # averaged CHUNK_CELLS cells at a time; per probe point, the best
+    # average of a ball holding it
+    radii = [np.unique(dist[c]) for c in points]
+    centers = np.repeat(points, [r.size for r in radii])
+    radii = np.concatenate(radii)
+    best = {"max": np.full(points.size, -np.inf), "min": np.full(points.size, np.inf)}
+    step = max(1, CHUNK_CELLS // space.n)
+    for r0 in range(0, radii.size, step):
+        balls = dist[centers[r0:r0 + step]] <= radii[r0:r0 + step, None]
+        avgs = ((balls @ muf) / (balls @ mu))[:, None]
+        inside = balls[:, points]
+        np.maximum(best["max"], np.where(inside, avgs, -np.inf).max(axis=0), out=best["max"])
+        np.minimum(best["min"], np.where(inside, avgs, np.inf).min(axis=0), out=best["min"])
     sides, detail = [], {}
-    for name, out, pick, fence in (("max", natural_maximal(space, f), np.max, -np.inf),
-                                   ("min", natural_minimal(space, f), np.min, np.inf)):
+    for name, out, pick in (("max", natural_maximal(space, f), np.max),
+                            ("min", natural_minimal(space, f), np.min)):
         value = out.values[points]
         wit = dist[out.witness_center[points]] <= out.witness_radius[points][:, None]
         naive = np.where(wit[np.arange(points.size), points],
                          (wit @ muf) / (wit @ mu), np.nan)
-        best = pick(np.where(inside, avgs[:, None], fence), axis=0)
-        for side, lhs in (("witness", naive), ("balls", pick([best, value], axis=0))):
+        for side, lhs in (("witness", naive), ("balls", pick([best[name], value], axis=0))):
             gap = np.abs(lhs - value) / np.maximum(np.maximum(np.abs(lhs), np.abs(value)), 1.0)
             i = int(np.argmax(gap))  # the first NaN, if any
             sides.append((f"{name}.{side}", float(lhs[i]), float(value[i])))
@@ -380,8 +396,10 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
 
     The checks share one memo scope: each constant, norm and operator sweep
     of a given input is computed once per call and reused by every check
-    that asks for it again. Nothing outlives the call, so a second call
-    recomputes everything.
+    that asks for it again. Before a weight's checks, the calls they make
+    are evaluated in a few batches, one ``BallFamily.scan`` each, so every
+    table they read is built once. Nothing outlives the call, so a second
+    call recomputes everything.
     """
     with _memo_scope():
         return _run_suite(space, weights, params, label)
@@ -403,6 +421,10 @@ def _run_suite(space, weights, params: SuiteParams, label: str) -> list[CheckRep
         tag = f"{label}{name}"
         inp = digest(space.dist, space.measure, w, params.p, params.s)
         tol = params.tol
+        _prefetch(space, lambda: _weight_calls(space, w, params.p, params.s))
+        _prefetch(space, lambda: _maximal_calls(space, w))
+        if params.include_soft:
+            _prefetch(space, lambda: _soft_calls(space, w, params.s))
         run(f"{tag}.commutation", lambda: _prefix(
             tag, check_commutation(space, w, tol, inp)), inp)
         run(f"{tag}.oscillation", lambda: _prefix(
@@ -429,11 +451,79 @@ def _run_suite(space, weights, params: SuiteParams, label: str) -> list[CheckRep
     if names:
         phi_name, w_name = (names[0], names[1 % len(names)])
         inp = digest(space.dist, space.measure, weights[phi_name], weights[w_name])
+        _prefetch(space, lambda: _multiplier_calls(space, weights[phi_name], weights[w_name]))
         run(f"{label}{phi_name}*{w_name}.multiplier", lambda: _prefix(
             f"{label}{phi_name}*{w_name}",
             [check_multiplier(space, weights[phi_name], weights[w_name],
                               params.tol, inp)]), inp)
     return reports
+
+
+def _prefetch(space, stage) -> None:
+    """Evaluate the calls `stage()` lists as one batch, into the suite's memo scope.
+
+    The checks then read every result from the scope. A call that raises
+    stays out of it, so the check that makes the call raises and reports
+    it exactly as it would alone; a batch that cannot be formed or run
+    leaves the checks to compute everything themselves. A floating-point
+    event that would warn raises here instead, so every warning comes from
+    a check's own call, as without the batch.
+    """
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            evaluate(space, stage())
+    except Exception:  # reported by the check that makes the failing call
+        pass
+
+
+def _weight_calls(space, w, p: float, s: float) -> list:
+    """Every memoized call one weight's checks make on w and its transforms.
+
+    Listed so that the calls reading one vector's tables sit together,
+    which keeps few tables held in each block of the scan.
+    """
+    w = _as_weight(space, w)
+    logw, winv, ws = np.log(w), 1.0 / w, np.power(w, s)
+    wdual = np.power(w, 1.0 - p)
+    logws = np.log(ws)
+    kernel = operators._natural_extremal
+    return [
+        (kernel, -w),
+        (a1_constant, winv), (rhinf_constant, winv), (ap_constant, winv, p),
+        (ap_constant, wdual, p), (blo_norm, -np.log(wdual)),
+        (ap_constant, w, p), (ap_constant, w, p / (p - 1.0)), (a1_constant, w),
+        (harnack_constant, w), (rhinf_constant, w), (rhs_constant, w, s), (ainf_constant, w),
+        (kernel, logw), (blo_norm, logw), (kernel, -logw), (blo_norm, -logw),
+        (a1_constant, ws), (ap_constant, ws, s * (p - 1.0) + 1.0),
+        (blo_norm, logws), (blo_norm, -logws),
+    ]
+
+
+def _maximal_calls(space, w) -> list:
+    """The calls of `check_converse_chain` on Mw and Mnat(log w), read from the first batch."""
+    w = _as_weight(space, w)
+    mw = maximal(space, w).values
+    mnat_logw = natural_maximal(space, np.log(w)).values
+    kernel = operators._natural_extremal
+    return [(kernel, mw), (ainf_constant, mw), (kernel, np.log(mw)), (blo_norm, mnat_logw)]
+
+
+def _soft_calls(space, w, s: float) -> list:
+    """The calls of `report_unquantified` on vectors the first two batches computed."""
+    w = _as_weight(space, w)
+    f = np.log(w)
+    mw = maximal(space, w).values
+    mws_root = np.power(maximal(space, np.power(w, s)).values, 1.0 / s)
+    kernel = operators._natural_extremal
+    return [(bmo_norm, f), (kernel, np.abs(f)), (kernel, -np.abs(f)), (rhs_constant, mw, s),
+            (a1_constant, mw), (a1_constant, mws_root),
+            (blo_norm, -natural_minimal(space, f).values)]
+
+
+def _multiplier_calls(space, phi, w) -> list:
+    """The calls of `check_multiplier` on the product phi w."""
+    phi, w = _as_weight(space, phi), _as_weight(space, w)
+    return [(blo_norm, -(np.log(phi) + np.log(w))), (rhinf_constant, phi * w)]
 
 
 def _prefix(tag: str, reports: list[CheckReport]) -> list[CheckReport]:

@@ -8,6 +8,7 @@ expression in averages, minima, and maxima of (transforms of) the weight:
   ainf_constant    sup (avg w) * exp(-avg log w)
   rhs_constant     sup (avg w**s)**(1/s) / (avg w)
   rhinf_constant   sup (max over ball of w) / (avg w)
+  harnack_constant sup (max over ball of w) / (min over ball of w)
   bmo_norm         sup avg |f - f_B|
   blo_norm         sup (avg f - min over ball of f)
   buo_norm         sup (max over ball of f - avg f)
@@ -20,14 +21,15 @@ the same order, so the two suprema are exactly equal), with the alternate
 value stored on the result.
 buo is defined as the blo norm of -f (the operators' sign symmetry).
 
-The other seven are memoized (buo through blo): in one ``run_suite`` call
-each (space, input, exponent) is computed once, its cross-check included,
-and later calls return the first result; outside it every call computes.
-
-Every functional hands its per-ball table to ``BallFamily.sup_over_balls``
-as a function of a block of centers, so the table is built one block at
-a time and never held whole; the sup merges the blocks' maxima and
-tie-rule witnesses.
+The other eight are memoized (buo through blo), each written once as a
+plan: the `Sup` reducer over the (vector, avg|min|max) tables it reads,
+the operator calls it needs (a1 and rhinf read Mnat w and Mnat(-w) for
+their cross-checks), and a finish step. ``operators.evaluate`` runs the
+plans of a batch of calls in one ``BallFamily.scan``, so each block of a
+table is built once for every call that reads it and dropped after its
+last reader; a single call is a batch of one. In one ``run_suite`` call
+each (space, input, exponent) is computed once and later calls read the
+first result; outside it every call computes.
 
 bmo is the one functional that sums over each ball's members rather than
 reading a prefix table, O(n) per ball. In each block a closed form first
@@ -45,8 +47,9 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
-from .operators import _as_function, _memoized, maximal, minimal
-from .space import CHUNK_CELLS, FiniteMetricMeasureSpace, FunctionalResult, _float_array
+from . import operators
+from .operators import _Plan, _as_function, _memoized
+from .space import CHUNK_CELLS, FiniteMetricMeasureSpace, FunctionalResult, Sup, _float_array
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
 CONDITIONING_RANGE = 1e12
@@ -80,51 +83,72 @@ def _conditioning(w: np.ndarray) -> tuple[str, ...]:
     return ()
 
 
+def _sup_plan(space: FiniteMetricMeasureSpace, kind: str, tables, table,
+              warnings: tuple[str, ...] = ()) -> _Plan:
+    """The plan of a plain sup over balls: one `Sup`, its (value, ref) as the result."""
+    return _Plan((Sup(space.ball_family, tables, table),),
+                 lambda sup: FunctionalResult(kind, *sup, warnings=warnings))
+
+
 @_memoized
-def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> FunctionalResult:
+def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> _Plan:
     """Muckenhoupt constant for exponent p in (1, inf)."""
     if not p > 1.0:
         raise InvalidParams("ap_constant needs p > 1")
     w = _as_weight(space, w)
-    fam = space.ball_family
     dual = np.power(w, -1.0 / (p - 1.0))
-    with np.errstate(over="ignore"):  # an overflowing product is the value inf
-        value, ref = fam.sup_over_balls(lambda rows: fam.averages_at_pos(w, rows)
-                                        * np.power(fam.averages_at_pos(dual, rows), p - 1.0))
-    return FunctionalResult(f"A_p(p={p:g})", value, ref, warnings=_conditioning(w))
+
+    def table(rows, avg_w, avg_dual):
+        # products and quotients in place hold one block temporary fewer in
+        # a batch's scan; a * b is b * a bit for bit
+        with np.errstate(over="ignore"):  # an overflowing product is the value inf
+            vals = np.power(avg_dual, p - 1.0)
+            vals *= avg_w
+        return vals
+
+    return _sup_plan(space, f"A_p(p={p:g})", ((w, "avg"), (dual, "avg")), table,
+                     _conditioning(w))
 
 
 @_memoized
-def a1_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
+def a1_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
     """A_1 constant: sup over balls of (avg w) / (min over ball of w).
 
     Cross-checked against the pointwise form max_x Mw(x) / w(x); the two
     suprema range over the same quotient set so they agree exactly.
     """
     w = _as_weight(space, w)
-    fam = space.ball_family
-    with np.errstate(over="ignore"):  # an overflowing quotient is the value inf
-        value, ref = fam.sup_over_balls(
-            lambda rows: fam.averages_at_pos(w, rows) / fam.running_min_at_pos(w, rows))
-    mw = maximal(space, w).values
-    with np.errstate(over="ignore"):
-        ratios = mw / w
-    return _cross_checked("A_1", w, value, ref, ratios)
+
+    def table(rows, avg_w, low):
+        with np.errstate(over="ignore"):  # an overflowing quotient is the value inf
+            return avg_w / low
+
+    def finish(sup, mw):
+        with np.errstate(over="ignore"):
+            ratios = mw.values / w
+        return _cross_checked("A_1", w, *sup, ratios)
+
+    return _Plan((Sup(space.ball_family, ((w, "avg"), (w, "min")), table),), finish,
+                 needs=((operators._natural_extremal, np.abs(w)),))
 
 
 @_memoized
-def ainf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
+def ainf_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
     """A_inf constant: sup over balls of (avg w) * exp(-avg log w)."""
     w = _as_weight(space, w)
-    fam = space.ball_family
-    logw = np.log(w)
-    value, ref = fam.sup_over_balls(
-        lambda rows: fam.averages_at_pos(w, rows) * np.exp(-fam.averages_at_pos(logw, rows)))
-    return FunctionalResult("A_inf", value, ref, warnings=_conditioning(w))
+
+    def table(rows, avg_w, avg_log):
+        vals = np.negative(avg_log)
+        np.exp(vals, out=vals)
+        vals *= avg_w
+        return vals
+
+    return _sup_plan(space, "A_inf", ((w, "avg"), (np.log(w), "avg")), table,
+                     _conditioning(w))
 
 
 @_memoized
-def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> FunctionalResult:
+def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> _Plan:
     """Reverse Holder constant: sup over balls of (avg w**s)**(1/s) / (avg w).
 
     Nonnegative weights are allowed; balls averaging to zero are skipped,
@@ -135,31 +159,39 @@ def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> FunctionalResu
     w = _as_weight(space, w, positive=False)
     if not np.any(w > 0.0):
         raise NonpositiveWeight("weight is identically zero")
-    fam = space.ball_family
-    ws = np.power(w, s)
 
-    def table(rows):
-        a = fam.averages_at_pos(w, rows)
+    def table(rows, a, avg_ws):
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.power(fam.averages_at_pos(ws, rows), 1.0 / s) / a
-        return np.where(a > 0.0, vals, -np.inf)
+            vals = np.power(avg_ws, 1.0 / s)
+            vals /= a
+        np.copyto(vals, -np.inf, where=~(a > 0.0))
+        return vals
 
-    value, ref = fam.sup_over_balls(table)
-    return FunctionalResult(f"RH_s(s={s:g})", value, ref, warnings=_conditioning(w[w > 0]))
+    return _sup_plan(space, f"RH_s(s={s:g})", ((w, "avg"), (np.power(w, s), "avg")), table,
+                     _conditioning(w[w > 0]))
 
 
 @_memoized
-def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> FunctionalResult:
+def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
     """RH_inf constant: sup over balls of (max over ball of w) / (avg w).
 
     Cross-checked against the pointwise form max_x w(x) / mw(x); exact
     agreement for the same reason as a1_constant.
     """
     w = _as_weight(space, w)
-    fam = space.ball_family
-    value, ref = fam.sup_over_balls(
-        lambda rows: fam.running_max_at_pos(w, rows) / fam.averages_at_pos(w, rows))
-    return _cross_checked("RH_inf", w, value, ref, w / minimal(space, w).values)
+    # mw = mnat w = -Mnat(-w)
+    return _Plan((Sup(space.ball_family, ((w, "max"), (w, "avg")),
+                      lambda rows, top, avg_w: top / avg_w),),
+                 lambda sup, up: _cross_checked("RH_inf", w, *sup, w / -up.values),
+                 needs=((operators._natural_extremal, -np.abs(w)),))
+
+
+@_memoized
+def harnack_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
+    """sup over balls of (max over ball of w) / (min over ball of w)."""
+    w = _as_weight(space, w)
+    return _sup_plan(space, "Harnack", ((w, "max"), (w, "min")),
+                     lambda rows, top, low: top / low)
 
 
 def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
@@ -179,14 +211,14 @@ def _require_cross_agreement(kind: str, value: float, alt: float) -> None:
 
 
 @_memoized
-def bmo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
-    """sup over balls of avg |f - f_B|, by `_bmo_scan`."""
-    value, ref, _ = _bmo_scan(space, _as_function(space, f))
-    return FunctionalResult("BMO", value, ref)
+def bmo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
+    """sup over balls of avg |f - f_B|, over the table of `_bmo_table`."""
+    table, _ = _bmo_table(space, _as_function(space, f))
+    return _sup_plan(space, "BMO", (), table)
 
 
-def _bmo_scan(space: FiniteMetricMeasureSpace, f: np.ndarray):
-    """(value, BallRef, number of balls summed exactly) of the BMO norm.
+def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
+    """The BMO norm's `table(rows)` for a `Sup`, and a count of the balls it summed.
 
     Screen. Let x = f - (max f + min f) / 2. With M the mass of a ball, S
     the sum of mu x over it, a = S / M and M_le, S_le the same two sums
@@ -207,7 +239,7 @@ def _bmo_scan(space: FiniteMetricMeasureSpace, f: np.ndarray):
     underflow, which SCREEN_RANGE keeps small: the measure and |f| lie
     within it, so nothing overflows either.
 
-    Scan. In each row block of `sup_over_balls` the balls with
+    Scan. In each row block of the scan the balls with
     v >= max(L - err, V - 2 err) are summed exactly, with L the earlier
     blocks' largest exact value and V the block's largest estimate; every
     other ball reads -inf. A ball that ties or beats the sup t* has
@@ -291,18 +323,14 @@ def _bmo_scan(space: FiniteMetricMeasureSpace, f: np.ndarray):
         best = np.maximum(best, vals.max())
         return vals
 
-    value, ref = fam.sup_over_balls(table)
-    return value, ref, evaluated
+    return table, lambda: evaluated
 
 
 @_memoized
-def blo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
+def blo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
     """sup over balls of (avg f - min over ball of f)."""
     f = _as_function(space, f)
-    fam = space.ball_family
-    value, ref = fam.sup_over_balls(
-        lambda rows: fam.averages_at_pos(f, rows) - fam.running_min_at_pos(f, rows))
-    return FunctionalResult("BLO", value, ref)
+    return _sup_plan(space, "BLO", ((f, "avg"), (f, "min")), lambda rows, avg, low: avg - low)
 
 
 def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:

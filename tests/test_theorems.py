@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from weightlab import operators
+from weightlab import operators, theorems
+from weightlab import space as space_module
 from weightlab import (
     SuiteParams,
+    Tolerances,
     a1_constant,
     aggregate_verdict,
     check_a1_characterization,
@@ -30,9 +32,9 @@ from weightlab import (
 )
 from weightlab.factorization import SUITE_OPTIONS
 from weightlab.families import sample_instance, sample_space, sample_weight
-from weightlab.report import digest, inequality_report, reports_to_jsonl
+from weightlab.report import digest, error_report, inequality_report, reports_to_jsonl
 from weightlab.space import BallFamily
-from weightlab.theorems import _probe_points
+from weightlab.theorems import _naive_extremal_report, _probe_points
 from weightlab.weights import blo_norm, buo_norm
 
 E = np.e
@@ -273,10 +275,15 @@ class TestReportUnquantified:
         raw = operators._natural_extremal.__wrapped__
 
         def defective(space, f):
-            out = raw(space, f)
+            plan = raw(space, f)
             bump = np.zeros(space.n)
             bump[x] = 1e-6
-            return replace(out, values=out.values + bump)
+
+            def finish(values):
+                out = plan.finish(values)
+                return replace(out, values=out.values + bump)
+
+            return replace(plan, finish=finish)
 
         assert_all_pass(report_unquantified(space, w, 2.0))
         monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(defective))
@@ -355,32 +362,71 @@ class TestRunSuite:
         monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(counted))
         return calls
 
-    def test_memo_matches_direct_checks(self):
+    @staticmethod
+    def _direct_reports(space, weights, params):
+        """What run_suite reports, from each check called alone outside any memo scope."""
+        tol, p, s = params.tol, params.p, params.s
+        reports = []
+
+        def run(tag, name, check, inputs):
+            try:
+                reports.extend(replace(r, check_id=f"{tag}.{r.check_id}") for r in check())
+            except Exception as exc:
+                reports.append(error_report(f"{tag}.{name}", exc, inputs))
+
+        for name, w in weights.items():
+            inp = digest(space.dist, space.measure, w, p, s)
+            for check_name, check in (
+                    ("commutation", lambda: check_commutation(space, w, tol, inp)),
+                    ("oscillation", lambda: check_oscillation_characterization(
+                        space, np.log(w), tol, inp)),
+                    ("harnack", lambda: check_harnack(space, w, p, tol, inp)),
+                    ("a1_characterization",
+                     lambda: [check_a1_characterization(space, w, tol, inp)]),
+                    ("rhinf_characterization",
+                     lambda: [check_rhinf_characterization(space, w, tol, inp)]),
+                    ("converse_chain", lambda: check_converse_chain(space, w, tol, inp)),
+                    ("power_props", lambda: check_power_props(space, w, s, p, tol, inp)),
+                    ("duality", lambda: check_duality(space, w, p, tol, inp)),
+                    ("unquantified", lambda: report_unquantified(space, w, s, tol, inp))):
+                run(name, check_name, check, inp)
+            if name == next(iter(weights)):
+                run(name, "factorization", lambda: verify_factorization(
+                    space, w, refined_jones(space, w, p, s, SUITE_OPTIONS), tol, inputs=inp),
+                    inp)
+        phi, w = weights.values()
+        tag = "*".join(weights)
+        inp = digest(space.dist, space.measure, phi, w)
+        run(tag, "multiplier", lambda: [check_multiplier(space, phi, w, tol, inp)], inp)
+        return reports
+
+    def test_memo_matches_direct_checks(self, monkeypatch):
         space, weights = self._tied_instance()
         # p' = 3/2 != p, so A_p of w is asked for at two exponents
         params = SuiteParams(p=3.0, s=2.0)
-        got = reports_to_jsonl(run_suite(space, weights, params))
-        tol, p, s = params.tol, params.p, params.s
-        want = []
-        for name, w in weights.items():
-            inp = digest(space.dist, space.measure, w, p, s)
-            parts = [check_commutation(space, w, tol, inp),
-                     check_oscillation_characterization(space, np.log(w), tol, inp),
-                     check_harnack(space, w, p, tol, inp),
-                     [check_a1_characterization(space, w, tol, inp)],
-                     [check_rhinf_characterization(space, w, tol, inp)],
-                     check_converse_chain(space, w, tol, inp),
-                     check_power_props(space, w, s, p, tol, inp),
-                     check_duality(space, w, p, tol, inp),
-                     report_unquantified(space, w, s, tol, inp)]
-            if name == "w":
-                pair = refined_jones(space, w, p, s, SUITE_OPTIONS)
-                parts.append(verify_factorization(space, w, pair, tol, inputs=inp))
-            want += [replace(r, check_id=f"{name}.{r.check_id}") for part in parts for r in part]
-        inp = digest(space.dist, space.measure, weights["w"], weights["phi"])
-        want.append(replace(check_multiplier(space, weights["w"], weights["phi"], tol, inp),
-                            check_id="w*phi.multiplier"))
-        assert got == reports_to_jsonl(want)
+        assert reports_to_jsonl(run_suite(space, weights, params)) == \
+            reports_to_jsonl(self._direct_reports(space, weights, params))
+
+        # a weight from 1e-300 to 1e300: some checks raise, and the batches
+        # must leave their error entries as the checks alone make them
+        path = generate("path", {"n": 6}, seed=0)
+        extreme = {"w": np.array([1e-300, 1.0, 1.0, 1.0, 1.0, 1e300]), "v": np.ones(6)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = run_suite(path, extreme)
+            want = self._direct_reports(path, extreme, SuiteParams())
+        assert reports_to_jsonl(got) == reports_to_jsonl(want)
+        assert [(r.check_id, r.detail["error"]) for r in got if r.verdict == "error"] == [
+            ("w.power_props", "InvalidFunction: function has non-finite entries"),
+            ("w.unquantified", "InvalidFunction: function has non-finite entries"),
+            ("w.factorization", "InvalidParams: w**s underflows to a subnormal; "
+                                "the weight's dynamic range is too wide to factor")]
+
+        # scans that cut the centers into many row blocks
+        monkeypatch.setattr(space_module, "CHUNK_CELLS", 3 * space.n)
+        assert len(list(space.ball_family.row_blocks())) == 7
+        assert reports_to_jsonl(run_suite(space, weights, params)) == \
+            reports_to_jsonl(self._direct_reports(space, weights, params))
 
     def test_kernel_runs_once_per_input_and_side(self, monkeypatch):
         calls = self._count_kernel(monkeypatch)
@@ -443,6 +489,57 @@ class TestStreamedMemory:
             tracemalloc.stop()
         assert_all_pass(reports)
         assert peak <= 0.25 * 8 * space.n ** 2
+
+    def test_naive_extremal_check_holds_no_ball_matrix(self):
+        space = generate("random-points", {"n": 1000}, seed=1)
+        space.ball_family
+        f = np.log(np.random.default_rng(1).uniform(0.1, 5.0, space.n))
+        tracemalloc.start()
+        try:
+            report = _naive_extremal_report(space, f, Tolerances().eq, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "pass"
+        # 4.65 x 8n^2 with every (ball, point) membership held as float64
+        assert peak <= 0.5 * 8 * space.n ** 2
+
+
+class TestSuiteBatches:
+    @pytest.mark.parametrize("p, vectors", [(2.0, 33), (3.0, 38)])
+    def test_each_table_is_built_once_and_only_in_the_batches(self, monkeypatch, p, vectors):
+        # rebuilding the tables per functional took 67 n and 75 n rows of
+        # averages; p' != p at p = 3
+        space = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
+        rng = np.random.default_rng(1)
+        weights = {name: rng.uniform(0.1, 5.0, space.n) for name in ("w", "phi")}
+        builds, batches = [], []
+        for name in ("averages_at_pos", "running_min_at_pos", "running_max_at_pos"):
+            def counted(fam, f, rows=slice(None), raw=getattr(BallFamily, name), name=name):
+                out = raw(fam, f, rows)
+                builds.append((name, f.tobytes(), out.shape[0], bool(batches)))
+                return out
+
+            monkeypatch.setattr(BallFamily, name, counted)
+        prefetch = theorems._prefetch
+
+        def in_batch(space, stage):
+            batches.append(stage)
+            try:
+                prefetch(space, stage)
+            finally:
+                batches.pop()
+
+        monkeypatch.setattr(theorems, "_prefetch", in_batch)
+        params = SuiteParams(p=p, include_soft=False, include_factorization=False)
+        assert_all_pass(run_suite(space, weights, params))
+        # a call the batches miss would build its tables in its check
+        assert all(in_a_batch for *_, in_a_batch in builds)
+        rows = {}
+        for name, f, n_rows, _ in builds:
+            rows[name, f] = rows.get((name, f), 0) + n_rows
+        assert set(rows.values()) == {space.n}  # every table once, over all its blocks
+        assert sum(name == "averages_at_pos" for name, _ in rows) == vectors
 
 
 class TestDigest:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from weightlab import operators
 from weightlab import (
     InvalidFunction,
     NonpositiveWeight,
@@ -23,9 +24,9 @@ from weightlab import (
 )
 from weightlab.factorization import _a1_value
 from weightlab.families import sample_space, sample_weight
-from weightlab.space import BallRef
+from weightlab.space import BallRef, Sup
 from weightlab.theorems import check_harnack
-from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_scan
+from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_table
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -36,6 +37,12 @@ class TestWorkedExample:
 
     def test_ap(self, two_point):
         assert ap_constant(two_point, W2, 2.0).value == pytest.approx(1.27154, abs=1e-5)
+
+    def test_exponent_by_keyword(self, two_point):
+        # the README spells it p=2; inside a memo scope both spellings are one entry
+        with operators._memo_scope():
+            assert ap_constant(two_point, W2, p=2.0) is ap_constant(two_point, W2, 2.0)
+            assert rhs_constant(two_point, W2, s=2.0) is rhs_constant(two_point, W2, 2.0)
 
     def test_a1(self, two_point):
         assert a1_constant(two_point, W2).value == pytest.approx(1.85914, abs=1e-5)
@@ -159,12 +166,30 @@ class TestRowBlocks:
         assert math.isnan(got[0]) and got[1].rank == 3
         assert got[1].center == blocks[nan_blocks[0]].start + 4
         _assert_same_sup(got, oracles.sup_over_table(space, table))
+        # the value-only merge of the factor search keeps the NaN too
+        assert math.isnan(fam.scan([Sup(fam, (), lambda rows: table[rows], witness=False)])[0])
 
     def test_all_minus_inf_gives_the_smallest_key(self, three_block_grid):
         space = three_block_grid
         table = np.full((space.n, space.n), -np.inf)
         got = space.ball_family.sup_over_balls(lambda rows: table[rows])
         assert got == (-np.inf, BallRef(0, 1, 0.0))
+
+    def test_a1_value_is_the_a1_constant_bit_for_bit(self, three_block_grid):
+        # the search's value-only A_1: the same value, NaN included, with no witness
+        rng = np.random.default_rng(23)
+        cases = [(three_block_grid, rng.uniform(0.1, 5.0, three_block_grid.n))]
+        for n in (2, 10, 40):
+            space = sample_space(rng, n)
+            cases.append((space, sample_weight(rng, space)))
+        with np.errstate(all="ignore"):
+            # measures near the float maximum: prefix masses overflow, inf / inf averages
+            huge = build_space(np.arange(5.0), "euclidean", np.full(5, 1e308))
+            cases.append((huge, np.array([1.0, 2.0, 3.0, 2.0, 1.0])))
+            for space, w in cases:
+                got, want = _a1_value(space.ball_family, w), a1_constant(space, w).value
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert math.isnan(got)
 
 
 class TestBruteForceAgreement:
@@ -205,6 +230,13 @@ def _bmo_inputs(rng, space):
     }
 
 
+def _balls_summed(space, f) -> int:
+    """How many balls the screened BMO scan of f sums exactly."""
+    table, summed = _bmo_table(space, f)
+    space.ball_family.sup_over_balls(table)
+    return summed()
+
+
 def _assert_bmo_matches_rowwise(space, f, label):
     got = bmo_norm(space, f)
     value, ref = oracles.bmo_rowwise(space, f)
@@ -236,23 +268,23 @@ class TestBmoScreen:
         space = generate("path", {"n": 300}, seed=3)
         f = np.arange(space.n, dtype=float)
         _assert_bmo_matches_rowwise(space, f, "arange")
-        assert _bmo_scan(space, f)[2] >= space.n
+        assert _balls_summed(space, f) >= space.n
 
     def test_screen_keeps_few_balls(self):
         space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
         f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
-        assert _bmo_scan(space, f)[2] <= 4
+        assert _balls_summed(space, f) <= 4
         # a coordinate ties across many centers, yet a ball per center or so
-        kept = _bmo_scan(space, space.coords[:, 1])[2]
+        kept = _balls_summed(space, space.coords[:, 1])
         assert space.n <= kept <= 3 * space.n
 
     def test_degenerate_inputs_keep_every_ball(self):
         space = generate("grid", {"nx": 8, "ny": 8, "metric": "linf"}, seed=3)
         every = np.count_nonzero(space.ball_family.is_ball_end)
         for f in (np.full(space.n, 3.7), np.linspace(-2.0, 2.0, space.n) * SCREEN_RANGE):
-            assert _bmo_scan(space, f)[2] == every
+            assert _balls_summed(space, f) == every
         small = generate("path", {"n": BMO_SCREEN_MIN_N - 1}, seed=3)
-        kept = _bmo_scan(small, np.arange(small.n, dtype=float))[2]
+        kept = _balls_summed(small, np.arange(small.n, dtype=float))
         assert kept == np.count_nonzero(small.ball_family.is_ball_end)
 
     def test_peak_memory_below_one_table(self):
