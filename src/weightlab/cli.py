@@ -364,10 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "p", 2.0) <= 1.0 or getattr(args, "s", 2.0) <= 1.0:
-        print("p and s must be > 1", file=sys.stderr)
-        return 2
-    try:
+    try:  # a p or s that is not finite and > 1 raises InvalidParams where it is used
         return args.fn(args)
     except WeightlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentPair, InvalidParams, NonpositiveWeight
-from .operators import evaluate
+from .operators import _batched, evaluate
 from .report import CheckReport, Tolerances, inequality_report
 from .space import BallFamily, FiniteMetricMeasureSpace, Sup
 from .weights import _as_weight, a1_constant, ap_constant, blo_norm, rhinf_constant, rhs_constant
@@ -206,8 +206,8 @@ def refined_transform(v1, v2, p: float, s: float,
     When a space is given, the certificate constants of all four vectors
     are computed and attached.
     """
-    if not (p > 1.0 and s > 1.0):
-        raise InvalidParams("refined_transform needs p, s > 1")
+    if not (1.0 < p < math.inf and 1.0 < s < math.inf):
+        raise InvalidParams("refined_transform needs finite p, s > 1")
     v1 = np.asarray(v1, dtype=np.float64)
     v2 = np.asarray(v2, dtype=np.float64)
     if np.any(v1 <= 0.0) or np.any(v2 <= 0.0):
@@ -231,8 +231,8 @@ def refined_jones(space: FiniteMetricMeasureSpace, w, p: float, s: float,
 
     Pipeline: u = w**s, q = s(p-1)+1, jones_factor, refined_transform.
     """
-    if not (p > 1.0 and s > 1.0):
-        raise InvalidParams("refined_jones needs p, s > 1")
+    if not (1.0 < p < math.inf and 1.0 < s < math.inf):
+        raise InvalidParams("refined_jones needs finite p, s > 1")
     w = _as_weight(space, w)
     u = np.power(w, s)
     if u.min() < np.finfo(float).tiny:
@@ -245,6 +245,7 @@ def refined_jones(space: FiniteMetricMeasureSpace, w, p: float, s: float,
     return refined_transform(search.v1, search.v2, p, s, space, search)
 
 
+@_batched
 def verify_factorization(space: FiniteMetricMeasureSpace, w, pair: FactorPair,
                          tol: Tolerances = Tolerances(), inputs: str = "",
                          ) -> list[CheckReport]:
@@ -273,26 +274,26 @@ def verify_factorization(space: FiniteMetricMeasureSpace, w, pair: FactorPair,
         [("max_rel_dev", rel_dev, 0.0)], RECONSTRUCTION_RTOL, inputs,
         witness={"point": int(np.abs(pair.w1 * pair.w2 / w - 1.0).argmax())},
     )
-    a1_v1 = a1_constant(space, pair.v1).value
-    a1_v2 = a1_constant(space, pair.v2).value
+    a1_v1, a1_v2, a1_w1, rhs_w1, ap_w2, blo_v2, rhinf_w2 = (r.value for r in (
+        yield [(a1_constant, pair.v1), (a1_constant, pair.v2), (a1_constant, pair.w1),
+               (rhs_constant, pair.w1, s), (ap_constant, pair.w2, p),
+               (blo_norm, np.log(pair.v2)), (rhinf_constant, pair.w2)]))
     root = float(a1_v1 ** (1.0 / s))
     w1_bounds = inequality_report(
         "factorization.w1_bounds",
-        [("a1", a1_constant(space, pair.w1).value, root),
-         ("rhs", rhs_constant(space, pair.w1, s).value, root)],
+        [("a1", a1_w1, root), ("rhs", rhs_w1, root)],
         tol.ineq, inputs, detail={"a1_v1": a1_v1},
     )
     pow_bound = float(a1_v2 ** (p - 1.0))
     w2_ap = inequality_report(
         "factorization.w2_ap",
-        [("ap", ap_constant(space, pair.w2, p).value, pow_bound)],
+        [("ap", ap_w2, pow_bound)],
         tol.ineq, inputs, detail={"a1_v2": a1_v2},
     )
-    exp_blo = float(np.exp((p - 1.0) * blo_norm(space, np.log(pair.v2)).value))
+    exp_blo = float(np.exp((p - 1.0) * blo_v2))
     w2_rhinf = inequality_report(
         "factorization.w2_rhinf",
-        [("rhinf", rhinf_constant(space, pair.w2).value, exp_blo),
-         ("blo_chain", exp_blo, pow_bound)],
+        [("rhinf", rhinf_w2, exp_blo), ("blo_chain", exp_blo, pow_bound)],
         tol.ineq, inputs, detail={"a1_v2": a1_v2},
     )
     return [recon, w1_bounds, w2_ap, w2_rhinf]

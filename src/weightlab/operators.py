@@ -13,9 +13,9 @@ candidate averages form a suffix of the prefix-average array. One suffix
 maximum sweep per center gives all points their best ball from that
 center; the total cost is O(n^2) on top of the O(n^2 log n) sort held by
 the BallFamily. Only the max side is swept: natural_minimal is defined
-as -Mnat(-f), so mnat f and Mnat(-f) are one kernel run and one memo
-entry. Negation commutes exactly with the prefix sums, the division and
-the max (up to the sign of an average that cancels to exactly zero).
+as -Mnat(-f), so mnat f and Mnat(-f) are one kernel run. Negation
+commutes exactly with the prefix sums, the division and the max (up to
+the sign of an average that cancels to exactly zero).
 
 Values first, by blocks of centers. The kernel is a `_MaxFold` reducer of
 ``BallFamily.scan``: per ``row_blocks`` slice of centers it reads the
@@ -34,15 +34,16 @@ tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
 Max and min are exact and associative, so values and witnesses do not
 depend on how the centers are cut into blocks.
 
-Memo scope and batches: a memoized functional is written as a function
-returning a `_Plan` (reducers, the calls it needs, a finish step) and
-decorated with ``_memoized``; calling it runs ``evaluate`` on a batch of
-one, and ``evaluate`` runs the plans of a whole batch of calls in one
-scan. Inside ``_memo_scope()`` each result is kept under (space, input
-bytes, params), and a later call or batch reads it instead of
-recomputing. ``theorems.run_suite`` opens one scope per call; outside a
-scope every call computes. The scope is a ContextVar, so a library caller
-running suites from several threads gives each thread its own.
+Memo scope and batches: a memoized functional is a function returning a
+`_Plan` (reducers, the calls it needs, a finish step), decorated with
+``_memoized``; ``evaluate`` runs the plans of a batch of calls in one
+scan, and a single call is a batch of one. A check is a generator that
+yields the calls it needs next, decorated with ``_batched``: alone it
+runs one batch per yield, and ``_drive`` runs several in lockstep rounds
+of one batch each. Inside ``_memo_scope()`` each result is kept under
+(space, input bytes, params) and read by later calls. ``theorems.run_suite``
+opens one scope per call; outside a scope every call computes. The scope
+is a ContextVar, so each thread running suites has its own.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class _Plan:
 def _memoized(plan):
     """Make plan(space, f, *params) -> _Plan into the functional it plans.
 
-    A call is `evaluate` on a batch of one. Inside a memo scope the result
+    A call is a batch of one. Inside a memo scope the result
     is kept under (plan, space, dtype, shape, digest of f's bytes, params);
     the key holds the space itself, so its id cannot be reused while the
     scope lives. Exceptions are not kept.
@@ -168,39 +169,29 @@ def _memoized(plan):
     return functional
 
 
-def evaluate(space: FiniteMetricMeasureSpace, calls) -> list:
-    """Results of calls (functional, f, *params) of memoized functionals, in one scan.
+def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
+    """Per call (functional, f, *params), its result or the exception it raised.
 
     A call already in the open memo scope is read; the others are planned,
-    their reducers and those of the calls they need run in one
-    `BallFamily.scan`, and each result is kept in the scope under the key
-    its single call uses. A call whose plan or finish raises is not kept;
-    after the others are, the first such exception in call order is raised.
+    and their reducers and those of the calls they need run in one
+    `BallFamily.scan`. Each result is kept in the scope under its call's
+    key; an exception (of a plan or finish, or of a needed call) is not.
+    An exception that escapes the scan, such as a numpy warning raised as
+    an error, lands on its own call: the calls run again one at a time.
     """
     memo = _memo.get()
     done = {} if memo is None else memo  # results by key: the scope's, or this batch's
     failed, plans = {}, {}  # key -> exception; key -> (plan, keys of the calls it needs)
-
-    def add(call) -> tuple:
-        fn, f, *params = call
-        data = np.ascontiguousarray(f)
-        key = (fn.plan, space, data.dtype.str, data.shape,
-               hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
-        if key in done or key in failed or key in plans:
-            return key
-        try:
-            plan = fn.plan(space, f, *params)
-        except Exception as exc:  # kept for this call; raised below
-            failed[key] = exc
-            return key
-        needs = [add(c) for c in plan.needs]  # planned first, so finished first
-        plans[key] = (plan, needs)
-        return key
-
-    keys = [add(call) for call in calls]
+    keys = [_add(space, call, done, failed, plans) for call in calls]
     if plans:
-        outs = iter(space.ball_family.scan(
-            [r for plan, _ in plans.values() for r in plan.reducers]))
+        try:
+            outs = iter(space.ball_family.scan(
+                [r for plan, _ in plans.values() for r in plan.reducers]))
+        except Exception as exc:
+            if len(calls) > 1:
+                return [out for call in calls for out in _outcomes(space, [call])]
+            failed.update(dict.fromkeys(plans, exc))
+            plans = {}
         for key, (plan, needs) in plans.items():
             parts = [next(outs) for _ in plan.reducers]
             try:
@@ -208,12 +199,78 @@ def evaluate(space: FiniteMetricMeasureSpace, calls) -> list:
                     if k in failed:
                         raise failed[k]
                 done[key] = plan.finish(*parts, *(done[k] for k in needs))
-            except Exception as exc:  # kept for this call; raised below
+            except Exception as exc:  # kept for this call
                 failed[key] = exc
-    for key in keys:
-        if key in failed:
-            raise failed[key]
-    return [done[key] for key in keys]
+    return [failed[key] if key in failed else done[key] for key in keys]
+
+
+def _add(space, call, done: dict, failed: dict, plans: dict):
+    """The memo key of a call; plans it, and the calls it needs, unless known."""
+    fn, f, *params = call
+    try:
+        data = np.ascontiguousarray(f)
+        key = (fn.plan, space, data.dtype.str, data.shape,
+               hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
+    except ValueError:  # a ragged f has no bytes to key it by: its plan rejects it
+        key = object()
+    if key in done or key in failed or key in plans:
+        return key
+    try:
+        plan = fn.plan(space, f, *params)
+    except Exception as exc:  # kept for this call
+        failed[key] = exc
+        return key
+    needs = [_add(space, c, done, failed, plans) for c in plan.needs]  # so finished first
+    plans[key] = (plan, needs)
+    return key
+
+
+def _batched(steps):
+    """Make a generator function into the plain function that runs it, one batch per yield.
+
+    `steps(space, ...)` yields lists of calls (functional, f, *params) and
+    gets their results at the yield, or the exception of the first failing
+    one thrown there. `steps` stays an attribute of the function, for `_drive`.
+    """
+
+    @functools.wraps(steps)
+    def run(space, *args, **kwargs):
+        (out,) = _drive(space, [steps(space, *args, **kwargs)])
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    run.steps = steps
+    return run
+
+
+@_batched
+def evaluate(space: FiniteMetricMeasureSpace, calls: list):
+    """Results of calls (functional, f, *params) in one scan, or the first failure raised."""
+    return (yield calls)
+
+
+def _drive(space: FiniteMetricMeasureSpace, gens: list) -> list:
+    """Run generators of `_batched` steps in lockstep; per generator, what it returns or raises.
+
+    Each round runs the calls of every pending yield as one batch, one scan.
+    """
+    out, moves = [None] * len(gens), [(i, gen.send, None) for i, gen in enumerate(gens)]
+    while moves:
+        pending = []  # (index, the calls its generator yielded)
+        for i, move, value in moves:
+            try:
+                pending.append((i, move(value)))
+            except StopIteration as stop:
+                out[i] = stop.value
+            except Exception as exc:  # the generator's own error, as when it runs alone
+                out[i] = exc
+        results, moves = iter(_outcomes(space, [c for _, calls in pending for c in calls])), []
+        for i, calls in pending:
+            got = [next(results) for _ in calls]
+            exc = next((r for r in got if isinstance(r, Exception)), None)
+            moves.append((i, gens[i].send, got) if exc is None else (i, gens[i].throw, exc))
+    return out
 
 
 def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
@@ -293,25 +350,29 @@ def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
     return wit_key
 
 
-def natural_maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
+@_memoized
+def natural_maximal(space: FiniteMetricMeasureSpace, f) -> _Plan:
     """Best signed average over balls containing each point; >= f pointwise."""
-    return _natural_extremal(space, _as_function(space, f))
+    return _Plan((), lambda up: up, needs=((_natural_extremal, _as_function(space, f)),))
 
 
-def natural_minimal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
+@_memoized
+def natural_minimal(space: FiniteMetricMeasureSpace, f) -> _Plan:
     """Worst signed average over balls containing each point: -Mnat(-f), same witnesses."""
-    up = _natural_extremal(space, -_as_function(space, f))
-    return replace(up, values=-up.values)
+    return _Plan((), lambda up: replace(up, values=-up.values),
+                 needs=((_natural_extremal, -_as_function(space, f)),))
 
 
-def maximal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
+@_memoized
+def maximal(space: FiniteMetricMeasureSpace, f) -> _Plan:
     """Hardy-Littlewood maximal function: natural_maximal of |f|."""
-    return _natural_extremal(space, np.abs(_as_function(space, f)))
+    return _Plan((), lambda up: up, needs=((_natural_extremal, np.abs(_as_function(space, f))),))
 
 
-def minimal(space: FiniteMetricMeasureSpace, f) -> OperatorOutput:
+@_memoized
+def minimal(space: FiniteMetricMeasureSpace, f) -> _Plan:
     """Minimal function: natural_minimal of |f|."""
-    return natural_minimal(space, np.abs(_as_function(space, f)))
+    return _Plan((), lambda low: low, needs=((natural_minimal, np.abs(_as_function(space, f))),))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -216,28 +217,44 @@ class BallFamily:
         `result()`. In each block every named table is built once, by its
         first reader, through `averages_at_pos`, `running_min_at_pos` or
         `running_max_at_pos`, and dropped after its last reader, so only the
-        tables still to be read are held. Reducers that name the same vector
-        share its table and must not write to it. A table is keyed by a
-        digest of its vector's bytes: -f has its own, since reading avg(-f)
-        as -avg(f) would flip the sign of an average that is exactly zero.
+        tables still to be read are held. The reducers take each block in an
+        order that holds few tables: greedily, next the one after which the
+        fewest more tables are held, the earliest on a tie. Reducers that
+        name the same vector share its table and must not write to it. A
+        table is keyed by a digest of its vector's bytes: -f has its own,
+        since reading avg(-f) as -avg(f) would flip the sign of an average
+        that is exactly zero.
         """
         build = {"avg": self.averages_at_pos, "min": self.running_min_at_pos,
                  "max": self.running_max_at_pos}
         # a lone reducer shares with no other: the ids of its vectors, which
         # all live through the scan, key its tables as well as their bytes
-        digests, last, reads = {}, {}, []
-        for i, r in enumerate(reducers):
+        digests, reads = {}, []
+        for r in reducers:
             keys = []
             for vec, kind in r.tables:
                 if id(vec) not in digests:
                     digests[id(vec)] = id(vec) if len(reducers) == 1 else hashlib.blake2b(
                         np.ascontiguousarray(vec), digest_size=16).digest()
                 keys.append((kind, digests[id(vec)]))
-                last[keys[-1]] = i
             reads.append(keys)
+        uniq = [set(keys) for keys in reads]
+        left = Counter(k for u in uniq for k in u)  # readers still to come
+        ahead, lonely = set(), {k for k, c in left.items() if c == 1}  # held; one reader left
+        order, rest = [], list(range(len(reducers)))
+        while rest:
+            i = min(rest, key=lambda i: len(uniq[i] - ahead) - len(uniq[i] & lonely))
+            rest.remove(i)
+            order.append(i)
+            for k in uniq[i]:
+                left[k] -= 1
+                (ahead.add if left[k] else ahead.discard)(k)
+                (lonely.add if left[k] == 1 else lonely.discard)(k)
+        last = {k: i for i in order for k in reads[i]}
         for rows in self.row_blocks():
             held = {}
-            for i, (r, keys) in enumerate(zip(reducers, reads)):
+            for i in order:
+                r, keys = reducers[i], reads[i]
                 for key, (vec, kind) in zip(keys, r.tables):
                     if key not in held:
                         held[key] = build[kind](vec, rows)

@@ -15,14 +15,18 @@ range makes exp/log round-off dominate.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import factorization, operators
+from . import factorization
+from .errors import InvalidParams
 from .operators import (
+    _batched,
+    _drive,
     _memo_scope,
-    evaluate,
     maximal,
     minimal,
     natural_maximal,
@@ -58,6 +62,7 @@ def _worst_point(arr: np.ndarray) -> dict:
     return {"point": i, "value": float(arr[i])}
 
 
+@_batched
 def check_commutation(space, w, tol: Tolerances = Tolerances(),
                       inputs: str = "") -> list[CheckReport]:
     """Gap of log against the natural extremal operators on a positive weight.
@@ -67,10 +72,12 @@ def check_commutation(space, w, tol: Tolerances = Tolerances(),
     """
     w = _as_weight(space, w)
     logw = np.log(w)
-    bound = float(np.log(ainf_constant(space, w).value))
+    ainf, *ops = yield [(ainf_constant, w), (natural_maximal, w), (natural_maximal, logw),
+                        (natural_minimal, w), (natural_minimal, logw)]
+    bound = float(np.log(ainf.value))
     out = []
-    for name, op in (("natural_max", natural_maximal), ("natural_min", natural_minimal)):
-        gap = np.log(op(space, w).values) - op(space, logw).values
+    for name, of_w, of_logw in (("natural_max", *ops[:2]), ("natural_min", *ops[2:])):
+        gap = np.log(of_w.values) - of_logw.values
         out.append(inequality_report(
             f"commutation.{name}",
             [("nonneg", 0.0, float(gap.min())), ("upper", float(gap.max()), bound)],
@@ -80,6 +87,7 @@ def check_commutation(space, w, tol: Tolerances = Tolerances(),
     return out
 
 
+@_batched
 def check_oscillation_characterization(space, f, tol: Tolerances = Tolerances(),
                                        inputs: str = "") -> list[CheckReport]:
     """Oscillation norms against the natural extremal deviation.
@@ -89,18 +97,18 @@ def check_oscillation_characterization(space, f, tol: Tolerances = Tolerances(),
     Lebesgue point.
     """
     f = np.asarray(f, dtype=np.float64)
-    dev_up = natural_maximal(space, f).values - f
-    dev_dn = f - natural_minimal(space, f).values
+    up, down, blo, buo = yield [(natural_maximal, f), (natural_minimal, f),
+                                (blo_norm, f), (buo_norm, f)]
+    dev_up, dev_dn = up.values - f, f - down.values
     return [
-        equality_report("oscillation.blo",
-                        [("blo", blo_norm(space, f).value, float(dev_up.max()))],
+        equality_report("oscillation.blo", [("blo", blo.value, float(dev_up.max()))],
                         tol.eq, inputs, witness=_worst_point(dev_up)),
-        equality_report("oscillation.buo",
-                        [("buo", buo_norm(space, f).value, float(dev_dn.max()))],
+        equality_report("oscillation.buo", [("buo", buo.value, float(dev_dn.max()))],
                         tol.eq, inputs, witness=_worst_point(dev_dn)),
     ]
 
 
+@_batched
 def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
                   inputs: str = "") -> list[CheckReport]:
     """Two Harnack bounds on the ball oscillation of a positive weight.
@@ -111,11 +119,12 @@ def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
     """
     w = _as_weight(space, w)
     winv = 1.0 / w
-    osc = harnack_constant(space, w)
+    osc, a1_w, a1_inv, rhinf_w, ap_w, rhinf_inv, ap_inv = yield [
+        (harnack_constant, w), (a1_constant, w), (a1_constant, winv), (rhinf_constant, w),
+        (ap_constant, w, p), (rhinf_constant, winv), (ap_constant, winv, p)]
     lhs, ref = osc.value, osc.witness
-    rhs1 = a1_constant(space, w).value * a1_constant(space, winv).value
-    rhs2 = (rhinf_constant(space, w).value * ap_constant(space, w, p).value
-            * rhinf_constant(space, winv).value * ap_constant(space, winv, p).value)
+    rhs1 = a1_w.value * a1_inv.value
+    rhs2 = rhinf_w.value * ap_w.value * rhinf_inv.value * ap_inv.value
     wit = {"center": ref.center, "rank": ref.rank, "radius": ref.radius}
     return [
         inequality_report("harnack.a1_pair", [("bound", lhs, rhs1)],
@@ -126,13 +135,13 @@ def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
     ]
 
 
+@_batched
 def check_a1_characterization(space, w, tol: Tolerances = Tolerances(),
                               inputs: str = "") -> CheckReport:
     """Sandwich exp(||log w||_BLO) <= A_1(w) <= A_inf(w) exp(||log w||_BLO)."""
     w = _as_weight(space, w)
-    blo = blo_norm(space, np.log(w)).value
-    mid = a1_constant(space, w).value
-    ainf = ainf_constant(space, w).value
+    blo, mid, ainf = (r.value for r in (
+        yield [(blo_norm, np.log(w)), (a1_constant, w), (ainf_constant, w)]))
     lo, hi = float(np.exp(blo)), float(ainf * np.exp(blo))
     return inequality_report(
         "a1_characterization",
@@ -142,13 +151,14 @@ def check_a1_characterization(space, w, tol: Tolerances = Tolerances(),
     )
 
 
+@_batched
 def check_rhinf_characterization(space, w, tol: Tolerances = Tolerances(),
                                  inputs: str = "") -> CheckReport:
     """Sandwich C <= exp(||log w||_BUO) <= C * A_inf(w), C the RH_inf constant."""
     w = _as_weight(space, w)
-    c = rhinf_constant(space, w).value
-    mid = float(np.exp(buo_norm(space, np.log(w)).value))
-    ainf = ainf_constant(space, w).value
+    c, buo, ainf = (r.value for r in (
+        yield [(rhinf_constant, w), (buo_norm, np.log(w)), (ainf_constant, w)]))
+    mid = float(np.exp(buo))
     return inequality_report(
         "rhinf_characterization",
         [("lower", c, mid), ("upper", mid, float(c * ainf))],
@@ -157,6 +167,7 @@ def check_rhinf_characterization(space, w, tol: Tolerances = Tolerances(),
     )
 
 
+@_batched
 def check_converse_chain(space, w, tol: Tolerances = Tolerances(),
                          inputs: str = "") -> list[CheckReport]:
     """The three-step chain bounding M(Mw) by a computable multiple of Mw.
@@ -166,14 +177,13 @@ def check_converse_chain(space, w, tol: Tolerances = Tolerances(),
     (c) M(Mw) <= A_inf(Mw) A_inf(w) exp(||Mnat log w||_BLO) Mw, pointwise.
     """
     w = _as_weight(space, w)
-    logw = np.log(w)
-    mw = maximal(space, w).values
+    mw, mnat_logw, ainf_w = yield [(maximal, w), (natural_maximal, np.log(w)), (ainf_constant, w)]
+    mw, mnat_logw, ainf_w = mw.values, mnat_logw.values, ainf_w.value
     log_mw = np.log(mw)
-    mnat_logw = natural_maximal(space, logw).values
-    ainf_w = ainf_constant(space, w).value
-    mmw = maximal(space, mw).values
-    mnat_logmw = natural_maximal(space, log_mw).values
-    ainf_mw = ainf_constant(space, mw).value
+    mmw, mnat_logmw, ainf_mw, blo_mnat = yield [(maximal, mw), (natural_maximal, log_mw),
+                                                (ainf_constant, mw), (blo_norm, mnat_logw)]
+    mmw, mnat_logmw, ainf_mw, blo_mnat = (mmw.values, mnat_logmw.values,
+                                          ainf_mw.value, blo_mnat.value)
 
     def sandwich(check_id, low_arr, mid_arr, const):
         gap_lo = low_arr - mid_arr
@@ -185,7 +195,6 @@ def check_converse_chain(space, w, tol: Tolerances = Tolerances(),
             tol.ineq, inputs, witness=_worst_point(gap_hi),
         )
 
-    blo_mnat = blo_norm(space, mnat_logw).value
     k = float(ainf_mw * ainf_w * np.exp(blo_mnat))
     ratio = mmw / mw
     return [
@@ -198,6 +207,7 @@ def check_converse_chain(space, w, tol: Tolerances = Tolerances(),
     ]
 
 
+@_batched
 def check_power_props(space, w, s: float, p: float,
                       tol: Tolerances = Tolerances(),
                       inputs: str = "") -> list[CheckReport]:
@@ -213,22 +223,20 @@ def check_power_props(space, w, s: float, p: float,
     ws = np.power(w, s)
     logw, logws = np.log(w), np.log(ws)
     eq_tol = tol.eq_for(ws)
+    blo_ws, blo_w, buo_ws, buo_w, a1_ws, a1_w, ainf_w, aq_ws, ap_w, rhs_w = (r.value for r in (
+        yield [(blo_norm, logws), (blo_norm, logw), (buo_norm, logws), (buo_norm, logw),
+               (a1_constant, ws), (a1_constant, w), (ainf_constant, w),
+               (ap_constant, ws, q), (ap_constant, w, p), (rhs_constant, w, s)]))
     a = equality_report(
         "power_props.log_scaling",
-        [("blo", blo_norm(space, logws).value, s * blo_norm(space, logw).value),
-         ("buo", buo_norm(space, logws).value, s * buo_norm(space, logw).value)],
+        [("blo", blo_ws, s * blo_w), ("buo", buo_ws, s * buo_w)],
         eq_tol, inputs, detail={"s": s},
     )
-    a1_ws = a1_constant(space, ws).value
     b = inequality_report(
         "power_props.a1_from_power",
-        [("bound", a1_constant(space, w).value,
-          float(ainf_constant(space, w).value * a1_ws ** (1.0 / s)))],
+        [("bound", a1_w, float(ainf_w * a1_ws ** (1.0 / s)))],
         tol.ineq, inputs, detail={"s": s, "a1_ws": a1_ws},
     )
-    aq_ws = ap_constant(space, ws, q).value
-    ap_w = ap_constant(space, w, p).value
-    rhs_w = rhs_constant(space, w, s).value
     c = inequality_report(
         "power_props.ap_forward",
         [("bound", aq_ws, float((ap_w * rhs_w) ** s))],
@@ -243,6 +251,7 @@ def check_power_props(space, w, s: float, p: float,
     return [a, b, c, d]
 
 
+@_batched
 def check_multiplier(space, phi, w, tol: Tolerances = Tolerances(),
                      inputs: str = "") -> CheckReport:
     """Products of weights on the upper-oscillation side.
@@ -254,16 +263,18 @@ def check_multiplier(space, phi, w, tol: Tolerances = Tolerances(),
     w = _as_weight(space, w)
     log_phi, log_w = np.log(phi), np.log(w)
     # log phi + log w, not log(phi w): the product may round to a subnormal
-    buo_prod = buo_norm(space, log_phi + log_w).value
+    buo_prod, buo_phi, buo_w, rhinf_prod = (r.value for r in (
+        yield [(buo_norm, log_phi + log_w), (buo_norm, log_phi), (buo_norm, log_w),
+               (rhinf_constant, phi * w)]))
     return inequality_report(
         "multiplier",
-        [("subadd", buo_prod,
-          float(buo_norm(space, log_phi).value + buo_norm(space, log_w).value)),
-         ("rhinf", rhinf_constant(space, phi * w).value, float(np.exp(buo_prod)))],
+        [("subadd", buo_prod, float(buo_phi + buo_w)),
+         ("rhinf", rhinf_prod, float(np.exp(buo_prod)))],
         tol.ineq, inputs,
     )
 
 
+@_batched
 def check_duality(space, w, p: float, tol: Tolerances = Tolerances(),
                   inputs: str = "") -> list[CheckReport]:
     """Conjugate-exponent identities for the power w**(1-p).
@@ -275,22 +286,24 @@ def check_duality(space, w, p: float, tol: Tolerances = Tolerances(),
     p_conj = p / (p - 1.0)
     wdual = np.power(w, 1.0 - p)
     eq_tol = tol.eq_for(wdual)
+    ap_dual, ap_conj, buo_dual, blo_w = (r.value for r in (
+        yield [(ap_constant, wdual, p), (ap_constant, w, p_conj),
+               (buo_norm, np.log(wdual)), (blo_norm, np.log(w))]))
     return [
         equality_report(
             "duality.ap",
-            [("identity", ap_constant(space, wdual, p).value,
-              float(ap_constant(space, w, p_conj).value ** (p - 1.0)))],
+            [("identity", ap_dual, float(ap_conj ** (p - 1.0)))],
             eq_tol, inputs, detail={"p": p, "p_conj": p_conj},
         ),
         equality_report(
             "duality.oscillation",
-            [("identity", buo_norm(space, np.log(wdual)).value,
-              float((p - 1.0) * blo_norm(space, np.log(w)).value))],
+            [("identity", buo_dual, float((p - 1.0) * blo_w))],
             eq_tol, inputs, detail={"p": p},
         ),
     ]
 
 
+@_batched
 def report_unquantified(space, w, s: float, tol: Tolerances = Tolerances(),
                         inputs: str = "") -> list[CheckReport]:
     """Constants the general theory leaves as unspecified functions of C_d.
@@ -303,28 +316,21 @@ def report_unquantified(space, w, s: float, tol: Tolerances = Tolerances(),
     """
     w = _as_weight(space, w)
     f = np.log(w)
-    mw = maximal(space, w).values
-    mws_root = np.power(maximal(space, np.power(w, s)).values, 1.0 / s)
-    f_bmo = bmo_norm(space, f).value
-    mf = maximal(space, f).values
-    quantities = {
-        "rhs_Mw": rhs_constant(space, mw, s).value,
-        "a1_Mw": a1_constant(space, mw).value,
-        "a1_root_Mws": a1_constant(space, mws_root).value,
-        "bmo_f": f_bmo,
-        "s": s,
-    }
-    blo_mnat_f = blo_norm(space, natural_maximal(space, f).values).value
-    blo_mf = blo_norm(space, mf).value
-    buo_mnat_min_f = buo_norm(space, natural_minimal(space, f).values).value
-    buo_minimal_f = buo_norm(space, minimal(space, f).values).value
-    for name, val in (("ratio_blo_Mnat_f", blo_mnat_f),
-                      ("ratio_blo_Mf", blo_mf),
-                      ("ratio_buo_mnat_f", buo_mnat_min_f),
-                      ("ratio_buo_mf", buo_minimal_f)):
+    mw, mws, bmo, *ops = yield [(maximal, w), (maximal, np.power(w, s)), (bmo_norm, f),
+                                (maximal, f), (natural_maximal, f), (natural_minimal, f),
+                                (minimal, f)]
+    mw, mws_root, f_bmo = mw.values, np.power(mws.values, 1.0 / s), bmo.value
+    mf, mnat_f, mnat_min_f, minimal_f = (op.values for op in ops)
+    rhs_mw, a1_mw, a1_root, *norms = (r.value for r in (
+        yield [(rhs_constant, mw, s), (a1_constant, mw), (a1_constant, mws_root),
+               (blo_norm, mnat_f), (blo_norm, mf), (buo_norm, mnat_min_f), (buo_norm, minimal_f)]))
+    quantities = {"rhs_Mw": rhs_mw, "a1_Mw": a1_mw, "a1_root_Mws": a1_root,
+                  "bmo_f": f_bmo, "s": s}
+    for name, val in zip(("ratio_blo_Mnat_f", "ratio_blo_Mf", "ratio_buo_mnat_f",
+                          "ratio_buo_mf"), norms):
         quantities[name] = val / f_bmo if f_bmo > 0.0 else None
-    return [soft_report("unquantified.constants", quantities, inputs),
-            _naive_extremal_report(space, f, tol.eq_for(w), inputs)]
+    naive = yield from _naive_extremal_report.steps(space, f, tol.eq_for(w), inputs)
+    return [soft_report("unquantified.constants", quantities, inputs), naive]
 
 
 def _probe_points(n: int) -> np.ndarray:
@@ -332,6 +338,7 @@ def _probe_points(n: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, min(n, 4)).astype(np.int64))
 
 
+@_batched
 def _naive_extremal_report(space, f: np.ndarray, tol: float,
                            inputs: str) -> CheckReport:
     """Mnat f and mnat f at a few probe points against balls summed one by one.
@@ -360,9 +367,9 @@ def _naive_extremal_report(space, f: np.ndarray, tol: float,
         inside = balls[:, points]
         np.maximum(best["max"], np.where(inside, avgs, -np.inf).max(axis=0), out=best["max"])
         np.minimum(best["min"], np.where(inside, avgs, np.inf).min(axis=0), out=best["min"])
+    up, down = yield [(natural_maximal, f), (natural_minimal, f)]
     sides, detail = [], {}
-    for name, out, pick in (("max", natural_maximal(space, f), np.max),
-                            ("min", natural_minimal(space, f), np.min)):
+    for name, out, pick in (("max", up, np.max), ("min", down, np.min)):
         value = out.values[points]
         wit = dist[out.witness_center[points]] <= out.witness_radius[points][:, None]
         naive = np.where(wit[np.arange(points.size), points],
@@ -384,6 +391,11 @@ class SuiteParams:
     include_factorization: bool = True  # of the first weight; one per instance suffices
     include_soft: bool = True
 
+    def __post_init__(self):
+        for name, x in (("p", self.p), ("s", self.s)):
+            if not (isinstance(x, numbers.Real) and 1.0 < x < math.inf):
+                raise InvalidParams(f"suite exponent {name} must be finite and > 1, got {x!r}")
+
 
 def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
               params: SuiteParams = SuiteParams(), label: str = "",
@@ -394,147 +406,62 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
     The aggregate verdict is pass exactly when every hard check passes.
     Report order is fixed by (weight name in given order, check id).
 
-    The checks share one memo scope: each constant, norm and operator sweep
-    of a given input is computed once per call and reused by every check
-    that asks for it again. Before a weight's checks, the calls they make
-    are evaluated in a few batches, one ``BallFamily.scan`` each, so every
-    table they read is built once. Nothing outlives the call, so a second
-    call recomputes everything.
+    The checks share one memo scope, so each constant, norm and operator
+    sweep of a given input is computed once per call. A weight's checks run
+    in lockstep rounds: the calls each yields next form one batch, one
+    ``BallFamily.scan``, which builds each table a round reads once. The
+    multiplier runs after the weights. Nothing outlives the call.
     """
-    with _memo_scope():
-        return _run_suite(space, weights, params, label)
-
-
-def _run_suite(space, weights, params: SuiteParams, label: str) -> list[CheckReport]:
-    reports: list[CheckReport] = []
     names = list(weights)
-
-    def run(check_id, fn, inputs):
-        try:
-            result = fn()
-            reports.extend(result if isinstance(result, list) else [result])
-        except Exception as exc:  # a failed entry, never an aborted suite
-            reports.append(error_report(check_id, exc, inputs))
-
+    p, s, tol = params.p, params.s, params.tol
+    suites = []  # (tag, inputs, {check name: generator of its steps}), run in this order
     for name in names:
         w = np.asarray(weights[name], dtype=np.float64)
-        tag = f"{label}{name}"
-        inp = digest(space.dist, space.measure, w, params.p, params.s)
-        tol = params.tol
-        _prefetch(space, lambda: _weight_calls(space, w, params.p, params.s))
-        _prefetch(space, lambda: _maximal_calls(space, w))
+        inp = digest(space.dist, space.measure, w, p, s)
+        checks = {
+            "commutation": check_commutation.steps(space, w, tol, inp),
+            "oscillation": _oscillation_of_log(space, w, tol, inp),
+            "harnack": check_harnack.steps(space, w, p, tol, inp),
+            "a1_characterization": check_a1_characterization.steps(space, w, tol, inp),
+            "rhinf_characterization": check_rhinf_characterization.steps(space, w, tol, inp),
+            "converse_chain": check_converse_chain.steps(space, w, tol, inp),
+            "power_props": check_power_props.steps(space, w, s, p, tol, inp),
+            "duality": check_duality.steps(space, w, p, tol, inp),
+        }
         if params.include_soft:
-            _prefetch(space, lambda: _soft_calls(space, w, params.s))
-        run(f"{tag}.commutation", lambda: _prefix(
-            tag, check_commutation(space, w, tol, inp)), inp)
-        run(f"{tag}.oscillation", lambda: _prefix(
-            tag, check_oscillation_characterization(
-                space, np.log(_as_weight(space, w)), tol, inp)), inp)
-        run(f"{tag}.harnack", lambda: _prefix(
-            tag, check_harnack(space, w, params.p, tol, inp)), inp)
-        run(f"{tag}.a1_characterization", lambda: _prefix(
-            tag, [check_a1_characterization(space, w, tol, inp)]), inp)
-        run(f"{tag}.rhinf_characterization", lambda: _prefix(
-            tag, [check_rhinf_characterization(space, w, tol, inp)]), inp)
-        run(f"{tag}.converse_chain", lambda: _prefix(
-            tag, check_converse_chain(space, w, tol, inp)), inp)
-        run(f"{tag}.power_props", lambda: _prefix(
-            tag, check_power_props(space, w, params.s, params.p, tol, inp)), inp)
-        run(f"{tag}.duality", lambda: _prefix(
-            tag, check_duality(space, w, params.p, tol, inp)), inp)
-        if params.include_soft:
-            run(f"{tag}.unquantified", lambda: _prefix(
-                tag, report_unquantified(space, w, params.s, tol, inp)), inp)
+            checks["unquantified"] = report_unquantified.steps(space, w, s, tol, inp)
         if params.include_factorization and name == names[0]:
-            run(f"{tag}.factorization", lambda: _prefix(
-                tag, _factorization_reports(space, w, params, inp)), inp)
+            checks["factorization"] = _factorization_reports(space, w, params, inp)
+        suites.append((f"{label}{name}", inp, checks))
     if names:
-        phi_name, w_name = (names[0], names[1 % len(names)])
-        inp = digest(space.dist, space.measure, weights[phi_name], weights[w_name])
-        _prefetch(space, lambda: _multiplier_calls(space, weights[phi_name], weights[w_name]))
-        run(f"{label}{phi_name}*{w_name}.multiplier", lambda: _prefix(
-            f"{label}{phi_name}*{w_name}",
-            [check_multiplier(space, weights[phi_name], weights[w_name],
-                              params.tol, inp)]), inp)
+        phi_name, w_name = names[0], names[1 % len(names)]
+        phi, w = weights[phi_name], weights[w_name]
+        inp = digest(space.dist, space.measure, phi, w)
+        suites.append((f"{label}{phi_name}*{w_name}", inp,
+                       {"multiplier": check_multiplier.steps(space, phi, w, tol, inp)}))
+    reports: list[CheckReport] = []
+    with _memo_scope():
+        for tag, inp, checks in suites:
+            for name, out in zip(checks, _drive(space, list(checks.values()))):
+                if isinstance(out, Exception):  # a failed entry, never an aborted suite
+                    reports.append(error_report(f"{tag}.{name}", out, inp))
+                else:
+                    reports += [replace(r, check_id=f"{tag}.{r.check_id}")
+                                for r in (out if isinstance(out, list) else [out])]
     return reports
 
 
-def _prefetch(space, stage) -> None:
-    """Evaluate the calls `stage()` lists as one batch, into the suite's memo scope.
-
-    The checks then read every result from the scope. A call that raises
-    stays out of it, so the check that makes the call raises and reports
-    it exactly as it would alone; a batch that cannot be formed or run
-    leaves the checks to compute everything themselves. A floating-point
-    event that would warn raises here instead, so every warning comes from
-    a check's own call, as without the batch.
-    """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            evaluate(space, stage())
-    except Exception:  # reported by the check that makes the failing call
-        pass
-
-
-def _weight_calls(space, w, p: float, s: float) -> list:
-    """Every memoized call one weight's checks make on w and its transforms.
-
-    Listed so that the calls reading one vector's tables sit together,
-    which keeps few tables held in each block of the scan.
-    """
-    w = _as_weight(space, w)
-    logw, winv, ws = np.log(w), 1.0 / w, np.power(w, s)
-    wdual = np.power(w, 1.0 - p)
-    logws = np.log(ws)
-    kernel = operators._natural_extremal
-    return [
-        (kernel, -w),
-        (a1_constant, winv), (rhinf_constant, winv), (ap_constant, winv, p),
-        (ap_constant, wdual, p), (blo_norm, -np.log(wdual)),
-        (ap_constant, w, p), (ap_constant, w, p / (p - 1.0)), (a1_constant, w),
-        (harnack_constant, w), (rhinf_constant, w), (rhs_constant, w, s), (ainf_constant, w),
-        (kernel, logw), (blo_norm, logw), (kernel, -logw), (blo_norm, -logw),
-        (a1_constant, ws), (ap_constant, ws, s * (p - 1.0) + 1.0),
-        (blo_norm, logws), (blo_norm, -logws),
-    ]
-
-
-def _maximal_calls(space, w) -> list:
-    """The calls of `check_converse_chain` on Mw and Mnat(log w), read from the first batch."""
-    w = _as_weight(space, w)
-    mw = maximal(space, w).values
-    mnat_logw = natural_maximal(space, np.log(w)).values
-    kernel = operators._natural_extremal
-    return [(kernel, mw), (ainf_constant, mw), (kernel, np.log(mw)), (blo_norm, mnat_logw)]
-
-
-def _soft_calls(space, w, s: float) -> list:
-    """The calls of `report_unquantified` on vectors the first two batches computed."""
-    w = _as_weight(space, w)
-    f = np.log(w)
-    mw = maximal(space, w).values
-    mws_root = np.power(maximal(space, np.power(w, s)).values, 1.0 / s)
-    kernel = operators._natural_extremal
-    return [(bmo_norm, f), (kernel, np.abs(f)), (kernel, -np.abs(f)), (rhs_constant, mw, s),
-            (a1_constant, mw), (a1_constant, mws_root),
-            (blo_norm, -natural_minimal(space, f).values)]
-
-
-def _multiplier_calls(space, phi, w) -> list:
-    """The calls of `check_multiplier` on the product phi w."""
-    phi, w = _as_weight(space, phi), _as_weight(space, w)
-    return [(blo_norm, -(np.log(phi) + np.log(w))), (rhinf_constant, phi * w)]
-
-
-def _prefix(tag: str, reports: list[CheckReport]) -> list[CheckReport]:
-    return [replace(r, check_id=f"{tag}.{r.check_id}") for r in reports]
+def _oscillation_of_log(space, w, tol: Tolerances, inputs: str):
+    """The steps of the oscillation check on log w."""
+    return (yield from check_oscillation_characterization.steps(
+        space, np.log(_as_weight(space, w)), tol, inputs))
 
 
 def _factorization_reports(space, w, params: SuiteParams, inputs: str):
     pair = factorization.refined_jones(space, w, params.p, params.s,
                                        factorization.SUITE_OPTIONS)
-    return factorization.verify_factorization(space, w, pair, params.tol,
-                                              inputs=inputs)
+    return (yield from factorization.verify_factorization.steps(
+        space, w, pair, params.tol, inputs=inputs))
 
 
 __all__ = [

@@ -21,15 +21,15 @@ the same order, so the two suprema are exactly equal), with the alternate
 value stored on the result.
 buo is defined as the blo norm of -f (the operators' sign symmetry).
 
-The other eight are memoized (buo through blo), each written once as a
-plan: the `Sup` reducer over the (vector, avg|min|max) tables it reads,
-the operator calls it needs (a1 and rhinf read Mnat w and Mnat(-w) for
-their cross-checks), and a finish step. ``operators.evaluate`` runs the
-plans of a batch of calls in one ``BallFamily.scan``, so each block of a
-table is built once for every call that reads it and dropped after its
-last reader; a single call is a batch of one. In one ``run_suite`` call
-each (space, input, exponent) is computed once and later calls read the
-first result; outside it every call computes.
+All nine are memoized, each written once as a plan: the `Sup` reducer
+over the (vector, avg|min|max) tables it reads, the calls it needs (a1
+and rhinf read Mw and mw for their cross-checks, buo the blo norm of -f)
+and a finish step. A batch of calls runs its plans in one
+``BallFamily.scan``, which builds each block of a table once for every
+call that reads it; a single call is a batch of one, and ``run_suite``
+batches the calls of its checks by rounds. Inside one ``run_suite`` call
+each (space, input, exponent) is computed once; outside it every call
+computes.
 
 bmo is the one functional that sums over each ball's members rather than
 reading a prefix table, O(n) per ball. In each block a closed form first
@@ -47,8 +47,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
-from . import operators
-from .operators import _Plan, _as_function, _memoized
+from .operators import _Plan, _as_function, _memoized, maximal, minimal
 from .space import CHUNK_CELLS, FiniteMetricMeasureSpace, FunctionalResult, Sup, _float_array
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
@@ -93,8 +92,8 @@ def _sup_plan(space: FiniteMetricMeasureSpace, kind: str, tables, table,
 @_memoized
 def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> _Plan:
     """Muckenhoupt constant for exponent p in (1, inf)."""
-    if not p > 1.0:
-        raise InvalidParams("ap_constant needs p > 1")
+    if not 1.0 < p < math.inf:
+        raise InvalidParams("ap_constant needs finite p > 1")
     w = _as_weight(space, w)
     dual = np.power(w, -1.0 / (p - 1.0))
 
@@ -129,7 +128,7 @@ def a1_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
         return _cross_checked("A_1", w, *sup, ratios)
 
     return _Plan((Sup(space.ball_family, ((w, "avg"), (w, "min")), table),), finish,
-                 needs=((operators._natural_extremal, np.abs(w)),))
+                 needs=((maximal, w),))
 
 
 @_memoized
@@ -154,8 +153,8 @@ def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> _Plan:
     Nonnegative weights are allowed; balls averaging to zero are skipped,
     and the all-zero weight is rejected.
     """
-    if not s > 1.0:
-        raise InvalidParams("rhs_constant needs s > 1")
+    if not 1.0 < s < math.inf:
+        raise InvalidParams("rhs_constant needs finite s > 1")
     w = _as_weight(space, w, positive=False)
     if not np.any(w > 0.0):
         raise NonpositiveWeight("weight is identically zero")
@@ -179,11 +178,10 @@ def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
     agreement for the same reason as a1_constant.
     """
     w = _as_weight(space, w)
-    # mw = mnat w = -Mnat(-w)
     return _Plan((Sup(space.ball_family, ((w, "max"), (w, "avg")),
                       lambda rows, top, avg_w: top / avg_w),),
-                 lambda sup, up: _cross_checked("RH_inf", w, *sup, w / -up.values),
-                 needs=((operators._natural_extremal, -np.abs(w)),))
+                 lambda sup, mw: _cross_checked("RH_inf", w, *sup, w / mw.values),
+                 needs=((minimal, w),))
 
 
 @_memoized
@@ -199,15 +197,11 @@ def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
     """Result of a ball-form sup, checked against its pointwise ratios."""
     point = int(ratios.argmax())
     alt = float(ratios[point])
-    _require_cross_agreement(kind, value, alt)
-    return FunctionalResult(kind, value, ref, point=point, alt_value=alt,
-                            warnings=_conditioning(w))
-
-
-def _require_cross_agreement(kind: str, value: float, alt: float) -> None:
     if abs(value - alt) > CROSS_FORM_RTOL * max(abs(value), abs(alt), 1.0):
         raise ArithmeticError(
             f"{kind} forms disagree: ball form {value!r} vs pointwise form {alt!r}")
+    return FunctionalResult(kind, value, ref, point=point, alt_value=alt,
+                            warnings=_conditioning(w))
 
 
 @_memoized
@@ -333,6 +327,8 @@ def blo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
     return _sup_plan(space, "BLO", ((f, "avg"), (f, "min")), lambda rows, avg, low: avg - low)
 
 
-def buo_norm(space: FiniteMetricMeasureSpace, f) -> FunctionalResult:
+@_memoized
+def buo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
     """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
-    return replace(blo_norm(space, -_as_function(space, f)), kind="BUO")
+    return _Plan((), lambda blo: replace(blo, kind="BUO"),
+                 needs=((blo_norm, -_as_function(space, f)),))

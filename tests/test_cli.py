@@ -146,10 +146,16 @@ def test_bad_tolerance_is_an_input_error(argv, env, two_point_doc, monkeypatch, 
     ["verify", "--random", "--seed", "1", "--count", "-3"],
     ["factor", "--multistarts", "-2"],
     ["factor", "--multistarts", "0"],
+    ["verify", "--random", "--seed", "1", "--count", "1", "--p", "nan"],
+    ["verify", "--random", "--seed", "1", "--count", "1", "--s", "nan"],
+    ["verify", "--random", "--seed", "1", "--count", "1", "--p", "inf"],
+    ["verify", "--random", "--seed", "1", "--count", "1", "--s", "inf"],
+    ["analyze", "--p", "inf"],
 ], ids=["bench-repeats-0", "bench-sizes-not-int", "verify-max-n-1", "verify-count-0",
-        "verify-count-negative", "factor-multistarts-negative", "factor-multistarts-0"])
+        "verify-count-negative", "factor-multistarts-negative", "factor-multistarts-0",
+        "verify-p-nan", "verify-s-nan", "verify-p-inf", "verify-s-inf", "analyze-p-inf"])
 def test_bad_option_is_an_input_error(argv, two_point_doc, capsys):
-    if argv[0] == "factor":
+    if argv[0] in ("factor", "analyze"):
         argv = argv + ["--input", two_point_doc]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -10,15 +10,19 @@ from weightlab import (
     InvalidParams,
     NonpositiveWeight,
     ParseError,
+    SuiteParams,
     a1_constant,
     annular_decay_constant,
+    ap_constant,
     blo_norm,
     build_space,
     generate,
     Tolerances,
     maximal,
+    refined_jones,
+    rhs_constant,
 )
-from weightlab.factorization import FactorOptions
+from weightlab.factorization import FactorOptions, refined_transform
 from weightlab.families import sample_space, sample_weight
 from weightlab.space import space_document, space_from_document
 
@@ -33,6 +37,7 @@ WORDS = ["a", "b"]
     (lambda sp: annular_decay_constant(sp, 1.0, float("nan")), InvalidParams),
     (lambda sp: maximal(sp, WORDS), InvalidFunction),
     (lambda sp: blo_norm(sp, WORDS), InvalidFunction),
+    (lambda sp: blo_norm(sp, [[1.0], [2.0, 3.0]]), InvalidFunction),
     (lambda sp: a1_constant(sp, WORDS), NonpositiveWeight),
     (lambda sp: build_space([[0.0, 1.0], [1.0]], "explicit-matrix", [1.0, 1.0]),
      AsymmetricDistance),
@@ -48,11 +53,19 @@ WORDS = ["a", "b"]
     (lambda sp: FactorOptions(multistarts=0), InvalidParams),
     (lambda sp: FactorOptions(multistarts=-2), InvalidParams),
     (lambda sp: FactorOptions(max_sweeps=-1), InvalidParams),
+    (lambda sp: ap_constant(sp, [1.0, 2.0], np.inf), InvalidParams),
+    (lambda sp: rhs_constant(sp, [1.0, 2.0], np.inf), InvalidParams),
+    (lambda sp: refined_jones(sp, [1.0, 2.0], np.inf, 2.0), InvalidParams),
+    (lambda sp: refined_transform([1.0, 2.0], [1.0, 2.0], 2.0, np.inf), InvalidParams),
+    (lambda sp: SuiteParams(p=np.nan), InvalidParams),
+    (lambda sp: SuiteParams(s=np.inf), InvalidParams),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
-        "maximal", "blo", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
+        "maximal", "blo", "blo-ragged", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
         "scalar-coords", "weight-family", "sample-max-n", "tolerance-nan",
         "tolerance-negative", "tolerance-inf", "tolerance-str",
-        "multistarts-0", "multistarts-negative", "max-sweeps-negative"])
+        "multistarts-0", "multistarts-negative", "max-sweeps-negative",
+        "ap-p-inf", "rhs-s-inf", "refined-jones-p-inf", "refined-transform-s-inf",
+        "suite-p-nan", "suite-s-inf"])
 def test_bad_input_raises_its_weightlab_error(two_point, call, error):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and prints no numpy warning on the way

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from weightlab import operators, theorems
+from weightlab import operators
 from weightlab import space as space_module
 from weightlab import (
     SuiteParams,
@@ -422,6 +422,22 @@ class TestRunSuite:
             ("w.factorization", "InvalidParams: w**s underflows to a subnormal; "
                                 "the weight's dynamic range is too wide to factor")]
 
+        # numpy warnings raised as errors, inside a round's shared scan too:
+        # each lands on the call that raised it, never on the whole round
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = run_suite(path, extreme)
+            want = self._direct_reports(path, extreme, SuiteParams())
+        assert reports_to_jsonl(got) == reports_to_jsonl(want)
+        assert len(got) == 33
+        assert [r.check_id for r in got if r.verdict == "error"] == [
+            "w.harnack", "w.a1_characterization", "w.converse_chain", "w.power_props",
+            "w.unquantified", "w.factorization"]
+        with np.errstate(all="raise"):
+            got = run_suite(path, extreme)
+            want = self._direct_reports(path, extreme, SuiteParams())
+        assert reports_to_jsonl(got) == reports_to_jsonl(want)
+
         # scans that cut the centers into many row blocks
         monkeypatch.setattr(space_module, "CHUNK_CELLS", 3 * space.n)
         assert len(list(space.ball_family.row_blocks())) == 7
@@ -506,6 +522,19 @@ class TestStreamedMemory:
 
 
 class TestSuiteBatches:
+    @staticmethod
+    def _count_builds(monkeypatch, rounds=()):
+        """Record (kind, input bytes, rows, inside a round) of every table block built."""
+        builds = []
+        for name in ("averages_at_pos", "running_min_at_pos", "running_max_at_pos"):
+            def counted(fam, f, rows=slice(None), raw=getattr(BallFamily, name), name=name):
+                out = raw(fam, f, rows)
+                builds.append((name, f.tobytes(), out.shape[0], bool(rounds)))
+                return out
+
+            monkeypatch.setattr(BallFamily, name, counted)
+        return builds
+
     @pytest.mark.parametrize("p, vectors", [(2.0, 33), (3.0, 38)])
     def test_each_table_is_built_once_and_only_in_the_batches(self, monkeypatch, p, vectors):
         # rebuilding the tables per functional took 67 n and 75 n rows of
@@ -513,33 +542,44 @@ class TestSuiteBatches:
         space = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
         rng = np.random.default_rng(1)
         weights = {name: rng.uniform(0.1, 5.0, space.n) for name in ("w", "phi")}
-        builds, batches = [], []
-        for name in ("averages_at_pos", "running_min_at_pos", "running_max_at_pos"):
-            def counted(fam, f, rows=slice(None), raw=getattr(BallFamily, name), name=name):
-                out = raw(fam, f, rows)
-                builds.append((name, f.tobytes(), out.shape[0], bool(batches)))
-                return out
+        rounds, plain = [], []
+        builds = self._count_builds(monkeypatch, rounds)
+        outcomes, evaluate = operators._outcomes, operators.evaluate
 
-            monkeypatch.setattr(BallFamily, name, counted)
-        prefetch = theorems._prefetch
-
-        def in_batch(space, stage):
-            batches.append(stage)
+        def in_round(space, calls):
+            rounds.append(calls)
             try:
-                prefetch(space, stage)
+                return outcomes(space, calls)
             finally:
-                batches.pop()
+                rounds.pop()
 
-        monkeypatch.setattr(theorems, "_prefetch", in_batch)
+        monkeypatch.setattr(operators, "_outcomes", in_round)
+        # the rounds of run_suite are the only other callers of _outcomes
+        monkeypatch.setattr(operators, "evaluate",
+                            lambda space, calls: plain.append(calls) or evaluate(space, calls))
         params = SuiteParams(p=p, include_soft=False, include_factorization=False)
         assert_all_pass(run_suite(space, weights, params))
-        # a call the batches miss would build its tables in its check
-        assert all(in_a_batch for *_, in_a_batch in builds)
+        # a call the checks made outside their yields would build its tables there
+        assert not plain
+        assert all(in_a_round for *_, in_a_round in builds)
         rows = {}
         for name, f, n_rows, _ in builds:
             rows[name, f] = rows.get((name, f), 0) + n_rows
         assert set(rows.values()) == {space.n}  # every table once, over all its blocks
         assert sum(name == "averages_at_pos" for name, _ in rows) == vectors
+
+    def test_a_check_alone_builds_each_table_once(self, monkeypatch):
+        # outside any memo scope, one batch per yield: harnack alone built
+        # avg w three times, and verifying a factor pair one table twice
+        space, weights = TestRunSuite._tied_instance()
+        w = weights["w"]
+        pair = refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
+        builds = self._count_builds(monkeypatch)
+        for check in (lambda: check_harnack(space, w, 2.0),
+                      lambda: verify_factorization(space, w, pair)):
+            builds.clear()
+            assert_all_pass(check())
+            assert builds and len(builds) == len(set(builds))
 
 
 class TestDigest:
