@@ -21,6 +21,7 @@ optimality is claimed; grid oracles pin the quality at small n.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,9 @@ import numpy as np
 from .errors import InconsistentPair, InvalidParams, NonpositiveWeight
 from .operators import _batched, evaluate
 from .report import CheckReport, Tolerances, inequality_report
-from .space import BallFamily, FiniteMetricMeasureSpace, Sup
-from .weights import _as_weight, a1_constant, ap_constant, blo_norm, rhinf_constant, rhs_constant
+from .space import BallFamily, FiniteMetricMeasureSpace, Sup, _float_array
+from .weights import (_as_weight, _exponents, a1_constant, ap_constant, blo_norm,
+                      rhinf_constant, rhs_constant)
 
 RECONSTRUCTION_RTOL = 1e-12
 
@@ -54,8 +56,10 @@ class FactorOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.multistarts >= 1 and self.max_sweeps >= 0):
-            raise InvalidParams("FactorOptions needs multistarts >= 1 and max_sweeps >= 0")
+        for name, low in (("multistarts", 1), ("max_sweeps", 0), ("seed", 0)):
+            x = getattr(self, name)
+            if not (isinstance(x, numbers.Integral) and x >= low):
+                raise InvalidParams(f"FactorOptions needs an integer {name} >= {low}, got {x!r}")
 
 
 # cheap preset used inside randomized suites, where the certificate bounds
@@ -133,8 +137,7 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
     v1 is defined from v2 as u * v2**(q-1), so the reconstruction identity
     is structural. Deterministic for a fixed option set.
     """
-    if not q > 1.0:
-        raise InvalidParams("jones_factor needs q > 1")
+    _exponents(q=q)
     u = _as_weight(space, u)
     opts = options or FactorOptions()
     fam = space.ball_family
@@ -206,12 +209,11 @@ def refined_transform(v1, v2, p: float, s: float,
     When a space is given, the certificate constants of all four vectors
     are computed and attached.
     """
-    if not (1.0 < p < math.inf and 1.0 < s < math.inf):
-        raise InvalidParams("refined_transform needs finite p, s > 1")
-    v1 = np.asarray(v1, dtype=np.float64)
-    v2 = np.asarray(v2, dtype=np.float64)
-    if np.any(v1 <= 0.0) or np.any(v2 <= 0.0):
-        raise NonpositiveWeight("factor inputs must be strictly positive")
+    _exponents(p=p, s=s)
+    v1, v2 = (_float_array(v, NonpositiveWeight, "factor input") for v in (v1, v2))
+    if v1.ndim != 1 or v1.shape != v2.shape or not np.all(
+            (v1 > 0.0) & (v2 > 0.0) & np.isfinite(v1) & np.isfinite(v2)):
+        raise NonpositiveWeight("factor inputs must be positive finite vectors of one length")
     w1 = np.power(v1, 1.0 / s)
     w2 = np.power(v2, 1.0 - p)
     q = s * (p - 1.0) + 1.0
@@ -231,8 +233,7 @@ def refined_jones(space: FiniteMetricMeasureSpace, w, p: float, s: float,
 
     Pipeline: u = w**s, q = s(p-1)+1, jones_factor, refined_transform.
     """
-    if not (1.0 < p < math.inf and 1.0 < s < math.inf):
-        raise InvalidParams("refined_jones needs finite p, s > 1")
+    _exponents(p=p, s=s)
     w = _as_weight(space, w)
     u = np.power(w, s)
     if u.min() < np.finfo(float).tiny:
@@ -261,6 +262,9 @@ def verify_factorization(space: FiniteMetricMeasureSpace, w, pair: FactorPair,
     """
     w = _as_weight(space, w)
     p, s = pair.p, pair.s
+    _exponents(p=p, s=s)
+    if np.shape(pair.v1) != w.shape or np.shape(pair.v2) != w.shape:
+        raise InconsistentPair(f"the pair's vectors do not have w's shape {w.shape}")
     if not np.array_equal(pair.w1, np.power(pair.v1, 1.0 / s)):
         raise InconsistentPair("w1 is not v1**(1/s)")
     if not np.array_equal(pair.w2, np.power(pair.v2, 1.0 - p)):

@@ -34,16 +34,18 @@ tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
 Max and min are exact and associative, so values and witnesses do not
 depend on how the centers are cut into blocks.
 
-Memo scope and batches: a memoized functional is a function returning a
-`_Plan` (reducers, the calls it needs, a finish step), decorated with
-``_memoized``; ``evaluate`` runs the plans of a batch of calls in one
-scan, and a single call is a batch of one. A check is a generator that
-yields the calls it needs next, decorated with ``_batched``: alone it
-runs one batch per yield, and ``_drive`` runs several in lockstep rounds
-of one batch each. Inside ``_memo_scope()`` each result is kept under
-(space, input bytes, params) and read by later calls. ``theorems.run_suite``
-opens one scope per call; outside a scope every call computes. The scope
-is a ContextVar, so each thread running suites has its own.
+Memo scope and batches: a memoized functional, decorated with
+``_memoized``, is a generator that yields one list of requests, each a
+``BallFamily.scan`` reducer or a call (functional, f, *params), and
+returns its result from the code after the yield. ``evaluate`` runs a
+batch of calls in one scan, and a single call is a batch of one. A check
+is a generator that yields the calls it needs next, decorated with
+``_batched``: alone it runs one batch per yield, and ``_drive`` runs
+several in lockstep rounds of one batch each. Inside ``_memo_scope()``
+each result is kept under (space, input bytes, params) and read by later
+calls. ``theorems.run_suite`` opens one scope per call; outside a scope
+every call computes. The scope is a ContextVar, so each thread running
+suites has its own.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ import functools
 import hashlib
 import inspect
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -135,93 +136,88 @@ def _memo_scope():
         _memo.reset(token)
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
-    """One memoized call as parts of a `BallFamily.scan`.
+def _memoized(steps):
+    """Make steps(space, f, *params), a one-yield generator, into the functional it defines.
 
-    `reducers` join the scan; `needs` are calls (functional, f, *params)
-    computed alongside; `finish(*reducer results, *needed results)` makes
-    the call's result.
+    `steps` yields one list of requests, each a `BallFamily.scan` reducer or
+    a call (functional, f, *params), and returns the call's result from the
+    code after the yield. A call is a batch of one. Inside a memo scope the
+    result is kept under (steps, space, dtype, shape, digest of f's bytes,
+    params); the key holds the space itself, so its id cannot be reused
+    while the scope lives. Exceptions are not kept.
     """
+    signature = inspect.signature(steps)
 
-    reducers: tuple
-    finish: Callable
-    needs: tuple = ()
-
-
-def _memoized(plan):
-    """Make plan(space, f, *params) -> _Plan into the functional it plans.
-
-    A call is a batch of one. Inside a memo scope the result
-    is kept under (plan, space, dtype, shape, digest of f's bytes, params);
-    the key holds the space itself, so its id cannot be reused while the
-    scope lives. Exceptions are not kept.
-    """
-    signature = inspect.signature(plan)
-
-    @functools.wraps(plan)
+    @functools.wraps(steps)
     def functional(space, f, *params, **kwargs):
         if kwargs:  # as positional params: one key per call, however it is spelled
             params = signature.bind(space, f, *params, **kwargs).args[2:]
         return evaluate(space, [(functional, f, *params)])[0]
 
-    functional.plan = plan  # copied onto any wrapper made with functools.wraps
+    functional.steps = steps  # copied onto any wrapper made with functools.wraps
     return functional
 
 
 def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
     """Per call (functional, f, *params), its result or the exception it raised.
 
-    A call already in the open memo scope is read; the others are planned,
-    and their reducers and those of the calls they need run in one
-    `BallFamily.scan`. Each result is kept in the scope under its call's
-    key; an exception (of a plan or finish, or of a needed call) is not.
-    An exception that escapes the scan, such as a numpy warning raised as
-    an error, lands on its own call: the calls run again one at a time.
+    A call already in the open memo scope is read; the others are started,
+    and their reducers and those of the calls they request run in one
+    `BallFamily.scan`. Each call then gets its results at its yield, or a
+    failed requested call's exception there, and returns its result, kept
+    in the scope under its key; an exception is not kept, and a second
+    yield fails the call. An exception that escapes the scan, such as a
+    numpy warning raised as an error, lands on its own call: the calls run
+    again one at a time.
     """
     memo = _memo.get()
     done = {} if memo is None else memo  # results by key: the scope's, or this batch's
-    failed, plans = {}, {}  # key -> exception; key -> (plan, keys of the calls it needs)
-    keys = [_add(space, call, done, failed, plans) for call in calls]
-    if plans:
+    failed = {}  # key -> exception
+    started = {}  # key -> (generator, per request (reducer, None) or (None, its call's key))
+    keys = [_add(space, call, done, failed, started) for call in calls]
+    if started:
         try:
             outs = iter(space.ball_family.scan(
-                [r for plan, _ in plans.values() for r in plan.reducers]))
+                [r for _, parts in started.values() for r, _ in parts if r is not None]))
         except Exception as exc:
             if len(calls) > 1:
                 return [out for call in calls for out in _outcomes(space, [call])]
-            failed.update(dict.fromkeys(plans, exc))
-            plans = {}
-        for key, (plan, needs) in plans.items():
-            parts = [next(outs) for _ in plan.reducers]
+            failed.update(dict.fromkeys(started, exc))
+            started = {}
+        for key, (gen, parts) in started.items():
+            got = [done.get(k) if r is None else next(outs) for r, k in parts]
+            exc = next((failed[k] for _, k in parts if k in failed), None)
             try:
-                for k in needs:
-                    if k in failed:
-                        raise failed[k]
-                done[key] = plan.finish(*parts, *(done[k] for k in needs))
-            except Exception as exc:  # kept for this call
-                failed[key] = exc
+                gen.send(got) if exc is None else gen.throw(exc)
+                gen.close()
+                raise RuntimeError(f"{gen.__name__} yielded twice; a functional yields once")
+            except StopIteration as stop:
+                done[key] = stop.value
+            except Exception as err:  # kept for this call
+                failed[key] = err
     return [failed[key] if key in failed else done[key] for key in keys]
 
 
-def _add(space, call, done: dict, failed: dict, plans: dict):
-    """The memo key of a call; plans it, and the calls it needs, unless known."""
+def _add(space, call, done: dict, failed: dict, started: dict):
+    """The memo key of a call; starts it, and the calls it requests, unless known."""
     fn, f, *params = call
     try:
         data = np.ascontiguousarray(f)
-        key = (fn.plan, space, data.dtype.str, data.shape,
+        key = (fn.steps, space, data.dtype.str, data.shape,
                hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
-    except ValueError:  # a ragged f has no bytes to key it by: its plan rejects it
+    except ValueError:  # a ragged f has no bytes to key it by: its steps reject it
         key = object()
-    if key in done or key in failed or key in plans:
+    if key in done or key in failed or key in started:
         return key
+    gen = fn.steps(space, f, *params)
     try:
-        plan = fn.plan(space, f, *params)
+        requests = gen.send(None)
     except Exception as exc:  # kept for this call
         failed[key] = exc
         return key
-    needs = [_add(space, c, done, failed, plans) for c in plan.needs]  # so finished first
-    plans[key] = (plan, needs)
+    # added after the calls it requests, so finished after them
+    started[key] = (gen, [(None, _add(space, r, done, failed, started)) if isinstance(r, tuple)
+                          else (r, None) for r in requests])
     return key
 
 
@@ -244,10 +240,13 @@ def _batched(steps):
     return run
 
 
-@_batched
-def evaluate(space: FiniteMetricMeasureSpace, calls: list):
+def evaluate(space: FiniteMetricMeasureSpace, calls: list) -> list:
     """Results of calls (functional, f, *params) in one scan, or the first failure raised."""
-    return (yield calls)
+    outs = _outcomes(space, calls)
+    for out in outs:
+        if isinstance(out, Exception):
+            raise out
+    return outs
 
 
 def _drive(space: FiniteMetricMeasureSpace, gens: list) -> list:
@@ -320,10 +319,10 @@ class _MaxFold:
 
 
 @_memoized
-def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray) -> _Plan:
+def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray):
     """Mnat f: values from one `_MaxFold`; witnesses wait for a read."""
-    return _Plan((_MaxFold(space.ball_family, f),),
-                 lambda values: OperatorOutput(values, _WitnessSweep(space, f.copy(), values)))
+    (values,) = yield [_MaxFold(space.ball_family, f)]
+    return OperatorOutput(values, _WitnessSweep(space, f.copy(), values))
 
 
 def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
@@ -351,28 +350,28 @@ def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
 
 
 @_memoized
-def natural_maximal(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def natural_maximal(space: FiniteMetricMeasureSpace, f):
     """Best signed average over balls containing each point; >= f pointwise."""
-    return _Plan((), lambda up: up, needs=((_natural_extremal, _as_function(space, f)),))
+    return (yield [(_natural_extremal, _as_function(space, f))])[0]
 
 
 @_memoized
-def natural_minimal(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def natural_minimal(space: FiniteMetricMeasureSpace, f):
     """Worst signed average over balls containing each point: -Mnat(-f), same witnesses."""
-    return _Plan((), lambda up: replace(up, values=-up.values),
-                 needs=((_natural_extremal, -_as_function(space, f)),))
+    (up,) = yield [(_natural_extremal, -_as_function(space, f))]
+    return replace(up, values=-up.values)
 
 
 @_memoized
-def maximal(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def maximal(space: FiniteMetricMeasureSpace, f):
     """Hardy-Littlewood maximal function: natural_maximal of |f|."""
-    return _Plan((), lambda up: up, needs=((_natural_extremal, np.abs(_as_function(space, f))),))
+    return (yield [(_natural_extremal, np.abs(_as_function(space, f)))])[0]
 
 
 @_memoized
-def minimal(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def minimal(space: FiniteMetricMeasureSpace, f):
     """Minimal function: natural_minimal of |f|."""
-    return _Plan((), lambda low: low, needs=((natural_minimal, np.abs(_as_function(space, f))),))
+    return (yield [(natural_minimal, np.abs(_as_function(space, f)))])[0]
 
 
 # ---------------------------------------------------------------------------

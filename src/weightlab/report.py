@@ -105,36 +105,30 @@ def inequality_report(check_id: str, sides, tol: float, inputs: str = "",
                       witness: dict | None = None, detail: dict | None = None,
                       ) -> CheckReport:
     """One report asserting every `(name, lhs, rhs)` side with lhs <= rhs."""
-    scaled = [_slack(lhs, rhs) for _, lhs, rhs in sides]
-    worst = int(np.argmin(scaled))
-    name, lhs, rhs = sides[worst]
-    info = dict(detail or {})
-    for nm, lo, hi in sides:
-        info[f"{nm}.lhs"] = lo
-        info[f"{nm}.rhs"] = hi
-    info["binding"] = name
-    verdict = "pass" if all(s >= -tol for s in scaled) else "fail"
-    return CheckReport(check_id, inputs, float(lhs), float(rhs),
-                       float(rhs - lhs), verdict, witness or {}, info,
-                       "inequality", tol)
+    return _report("inequality", [-_slack(lhs, rhs) for _, lhs, rhs in sides],
+                   check_id, sides, tol, inputs, witness, detail)
 
 
 def equality_report(check_id: str, sides, tol: float, inputs: str = "",
                     witness: dict | None = None, detail: dict | None = None,
                     ) -> CheckReport:
     """One report asserting every `(name, lhs, rhs)` side with lhs == rhs."""
-    scaled = [abs(rhs - lhs) / _scale(lhs, rhs) for _, lhs, rhs in sides]
-    worst = int(np.argmax(scaled))
-    name, lhs, rhs = sides[worst]
+    return _report("equality", [abs(rhs - lhs) / _scale(lhs, rhs) for _, lhs, rhs in sides],
+                   check_id, sides, tol, inputs, witness, detail)
+
+
+def _report(kind: str, gaps, check_id, sides, tol, inputs, witness, detail) -> CheckReport:
+    """Binding at the first largest (or NaN) gap; passes when every gap is <= tol."""
+    name, lhs, rhs = sides[int(np.argmax(gaps))]
     info = dict(detail or {})
     for nm, lo, hi in sides:
         info[f"{nm}.lhs"] = lo
         info[f"{nm}.rhs"] = hi
     info["binding"] = name
-    verdict = "pass" if all(s <= tol for s in scaled) else "fail"
-    return CheckReport(check_id, inputs, float(lhs), float(rhs),
-                       float(abs(lhs - rhs)), verdict, witness or {}, info,
-                       "equality", tol)
+    verdict = "pass" if all(g <= tol for g in gaps) else "fail"
+    margin = float(rhs - lhs if kind == "inequality" else abs(lhs - rhs))
+    return CheckReport(check_id, inputs, float(lhs), float(rhs), margin, verdict,
+                       witness or {}, info, kind, tol)
 
 
 def soft_report(check_id: str, quantities: dict, inputs: str = "",

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -398,20 +399,23 @@ def build_space(
     and 'graph-shortest-path' (edge lengths, np.inf for missing edges), or
     an n x d coordinate array for 'euclidean' / 'l1' / 'linf'.
 
-    The triangle inequality is checked up to 1e-9 * (max distance). For
-    metrics derived from coordinates or shortest paths it holds by
-    construction, so the O(n^3) check defaults off above 512 points; pass
-    check_triangle=True to force it.
+    The triangle inequality is checked up to 1e-9 * (max distance), in
+    O(n^3), on explicit matrices by default (documents and snowflakes ask
+    for it up to 512 points). Coordinate and shortest-path metrics satisfy
+    it before rounding, and each computed distance is within a relative
+    c 2^-53 of the exact one (c = d + 2 for d coordinates, c = n for
+    Floyd-Warshall sums of at most n - 1 edges), so their slack stays
+    below 2 (2c + 1) 2^-53 of the max distance, under the tolerance while
+    c < 2^21. Euclidean squares that go subnormal lose that accuracy, so a
+    Euclidean space of diameter below 1e-140 is checked too.
     """
     if metric_kind not in METRIC_KINDS:
         raise InvalidParams(f"unknown metric kind {metric_kind!r}")
     coords = None
     if metric_kind == "explicit-matrix":
         dist = _square_matrix(data, "distance matrix").copy()
-        derived = False
     elif metric_kind == "graph-shortest-path":
         dist = _graph_shortest_path(_square_matrix(data, "edge lengths"))
-        derived = True
     else:
         coords = _float_array(data, InvalidParams, "coordinates").copy()
         if coords.ndim == 1:
@@ -419,11 +423,11 @@ def build_space(
         if coords.ndim != 2:
             raise InvalidParams("coordinates must be an n x d array")
         dist = _coords_to_dist(coords, metric_kind)
-        derived = True
 
     n = dist.shape[0]
     if check_triangle is None:
-        check_triangle = (not derived) or n <= 512
+        check_triangle = metric_kind == "explicit-matrix" or (
+            metric_kind == "euclidean" and dist.max(initial=0.0) < 1e-140)
     _validate_matrix(dist, check_triangle=check_triangle)
 
     mu = _float_array(measure, NonpositiveMeasure, "measure").copy()
@@ -567,10 +571,10 @@ def annular_decay_constant(
     approaches a realized distance from above the ratio blows up, which is
     why an explicit r_min cutoff is required.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidParams("alpha must lie in [0, 1]")
-    if not r_min > 0.0:  # NaN fails too
-        raise InvalidParams("r_min must be positive")
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= 1.0):
+        raise InvalidParams(f"alpha must be a real in [0, 1], got {alpha!r}")
+    if not (isinstance(r_min, numbers.Real) and r_min > 0.0):  # NaN fails too
+        raise InvalidParams(f"r_min must be a positive real, got {r_min!r}")
     if r_min > 2.0 * space.diameter and space.n > 1:
         raise EmptyRadiusRange(
             f"r_min={r_min} exceeds twice the diameter {space.diameter}")

@@ -15,14 +15,11 @@ range makes exp/log round-off dominate.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import factorization
-from .errors import InvalidParams
 from .operators import (
     _batched,
     _drive,
@@ -54,6 +51,7 @@ from .weights import (
     rhinf_constant,
     rhs_constant,
     _as_weight,
+    _exponents,
 )
 
 
@@ -218,6 +216,7 @@ def check_power_props(space, w, s: float, p: float,
     (c) A_q(w**s) <= (A_p(w) RH_s(w))**s with q = s(p-1)+1;
     (d) A_p(w) <= A_q(w**s)**(1/s) and RH_s(w) <= A_q(w**s)**(1/s).
     """
+    _exponents(s=s, p=p)
     w = _as_weight(space, w)
     q = s * (p - 1.0) + 1.0
     ws = np.power(w, s)
@@ -282,6 +281,7 @@ def check_duality(space, w, p: float, tol: Tolerances = Tolerances(),
     A_p(w**(1-p)) = A_p'(w)**(p-1) with 1/p + 1/p' = 1, and
     ||log w**(1-p)||_BUO = (p-1) ||log w||_BLO.
     """
+    _exponents(p=p)
     w = _as_weight(space, w)
     p_conj = p / (p - 1.0)
     wdual = np.power(w, 1.0 - p)
@@ -314,6 +314,7 @@ def report_unquantified(space, w, s: float, tol: Tolerances = Tolerances(),
     Hard-asserts only that the sweep behind those operators agrees with
     balls summed one by one (_naive_extremal_report).
     """
+    _exponents(s=s)
     w = _as_weight(space, w)
     f = np.log(w)
     mw, mws, bmo, *ops = yield [(maximal, w), (maximal, np.power(w, s)), (bmo_norm, f),
@@ -392,9 +393,7 @@ class SuiteParams:
     include_soft: bool = True
 
     def __post_init__(self):
-        for name, x in (("p", self.p), ("s", self.s)):
-            if not (isinstance(x, numbers.Real) and 1.0 < x < math.inf):
-                raise InvalidParams(f"suite exponent {name} must be finite and > 1, got {x!r}")
+        _exponents(p=self.p, s=self.s)
 
 
 def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],

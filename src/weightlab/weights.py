@@ -21,15 +21,15 @@ the same order, so the two suprema are exactly equal), with the alternate
 value stored on the result.
 buo is defined as the blo norm of -f (the operators' sign symmetry).
 
-All nine are memoized, each written once as a plan: the `Sup` reducer
-over the (vector, avg|min|max) tables it reads, the calls it needs (a1
-and rhinf read Mw and mw for their cross-checks, buo the blo norm of -f)
-and a finish step. A batch of calls runs its plans in one
-``BallFamily.scan``, which builds each block of a table once for every
-call that reads it; a single call is a batch of one, and ``run_suite``
-batches the calls of its checks by rounds. Inside one ``run_suite`` call
-each (space, input, exponent) is computed once; outside it every call
-computes.
+All nine are memoized, each written once as a generator that yields one
+list of requests and returns its result from the code after the yield:
+the `Sup` reducer over the (vector, avg|min|max) tables it reads, and the
+calls it needs (a1 and rhinf read Mw and mw for their cross-checks, buo
+the blo norm of -f). A batch of calls runs in one ``BallFamily.scan``,
+which builds each block of a table once for every call that reads it; a
+single call is a batch of one, and ``run_suite`` batches the calls of its
+checks by rounds. Inside one ``run_suite`` call each (space, input,
+exponent) is computed once; outside it every call computes.
 
 bmo is the one functional that sums over each ball's members rather than
 reading a prefix table, O(n) per ball. In each block a closed form first
@@ -42,12 +42,13 @@ summing every row of every center, bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import InvalidParams, NonpositiveWeight
-from .operators import _Plan, _as_function, _memoized, maximal, minimal
+from .operators import _as_function, _memoized, maximal, minimal
 from .space import CHUNK_CELLS, FiniteMetricMeasureSpace, FunctionalResult, Sup, _float_array
 
 # beyond this dynamic range exp/log round-off dominates the comparisons
@@ -73,6 +74,13 @@ def _as_weight(space: FiniteMetricMeasureSpace, w, positive: bool = True) -> np.
     return w
 
 
+def _exponents(**named) -> None:
+    """Raise InvalidParams, naming the exponent, unless each is a finite real > 1."""
+    for name, x in named.items():
+        if not (isinstance(x, numbers.Real) and 1.0 < x < math.inf):
+            raise InvalidParams(f"exponent {name} must be a finite real > 1, got {x!r}")
+
+
 def _conditioning(w: np.ndarray) -> tuple[str, ...]:
     with np.errstate(over="ignore"):  # an overflowing range reads inf
         rng = float(w.max() / w.min()) if w.min() > 0 else np.inf
@@ -82,18 +90,10 @@ def _conditioning(w: np.ndarray) -> tuple[str, ...]:
     return ()
 
 
-def _sup_plan(space: FiniteMetricMeasureSpace, kind: str, tables, table,
-              warnings: tuple[str, ...] = ()) -> _Plan:
-    """The plan of a plain sup over balls: one `Sup`, its (value, ref) as the result."""
-    return _Plan((Sup(space.ball_family, tables, table),),
-                 lambda sup: FunctionalResult(kind, *sup, warnings=warnings))
-
-
 @_memoized
-def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> _Plan:
+def ap_constant(space: FiniteMetricMeasureSpace, w, p: float):
     """Muckenhoupt constant for exponent p in (1, inf)."""
-    if not 1.0 < p < math.inf:
-        raise InvalidParams("ap_constant needs finite p > 1")
+    _exponents(p=p)
     w = _as_weight(space, w)
     dual = np.power(w, -1.0 / (p - 1.0))
 
@@ -105,12 +105,12 @@ def ap_constant(space: FiniteMetricMeasureSpace, w, p: float) -> _Plan:
             vals *= avg_w
         return vals
 
-    return _sup_plan(space, f"A_p(p={p:g})", ((w, "avg"), (dual, "avg")), table,
-                     _conditioning(w))
+    (sup,) = yield [Sup(space.ball_family, ((w, "avg"), (dual, "avg")), table)]
+    return FunctionalResult(f"A_p(p={p:g})", *sup, warnings=_conditioning(w))
 
 
 @_memoized
-def a1_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
+def a1_constant(space: FiniteMetricMeasureSpace, w):
     """A_1 constant: sup over balls of (avg w) / (min over ball of w).
 
     Cross-checked against the pointwise form max_x Mw(x) / w(x); the two
@@ -122,17 +122,14 @@ def a1_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
         with np.errstate(over="ignore"):  # an overflowing quotient is the value inf
             return avg_w / low
 
-    def finish(sup, mw):
-        with np.errstate(over="ignore"):
-            ratios = mw.values / w
-        return _cross_checked("A_1", w, *sup, ratios)
-
-    return _Plan((Sup(space.ball_family, ((w, "avg"), (w, "min")), table),), finish,
-                 needs=((maximal, w),))
+    sup, mw = yield [Sup(space.ball_family, ((w, "avg"), (w, "min")), table), (maximal, w)]
+    with np.errstate(over="ignore"):
+        ratios = mw.values / w
+    return _cross_checked("A_1", w, *sup, ratios)
 
 
 @_memoized
-def ainf_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
+def ainf_constant(space: FiniteMetricMeasureSpace, w):
     """A_inf constant: sup over balls of (avg w) * exp(-avg log w)."""
     w = _as_weight(space, w)
 
@@ -142,19 +139,18 @@ def ainf_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
         vals *= avg_w
         return vals
 
-    return _sup_plan(space, "A_inf", ((w, "avg"), (np.log(w), "avg")), table,
-                     _conditioning(w))
+    (sup,) = yield [Sup(space.ball_family, ((w, "avg"), (np.log(w), "avg")), table)]
+    return FunctionalResult("A_inf", *sup, warnings=_conditioning(w))
 
 
 @_memoized
-def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> _Plan:
+def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float):
     """Reverse Holder constant: sup over balls of (avg w**s)**(1/s) / (avg w).
 
     Nonnegative weights are allowed; balls averaging to zero are skipped,
     and the all-zero weight is rejected.
     """
-    if not 1.0 < s < math.inf:
-        raise InvalidParams("rhs_constant needs finite s > 1")
+    _exponents(s=s)
     w = _as_weight(space, w, positive=False)
     if not np.any(w > 0.0):
         raise NonpositiveWeight("weight is identically zero")
@@ -166,30 +162,30 @@ def rhs_constant(space: FiniteMetricMeasureSpace, w, s: float) -> _Plan:
         np.copyto(vals, -np.inf, where=~(a > 0.0))
         return vals
 
-    return _sup_plan(space, f"RH_s(s={s:g})", ((w, "avg"), (np.power(w, s), "avg")), table,
-                     _conditioning(w[w > 0]))
+    (sup,) = yield [Sup(space.ball_family, ((w, "avg"), (np.power(w, s), "avg")), table)]
+    return FunctionalResult(f"RH_s(s={s:g})", *sup, warnings=_conditioning(w[w > 0]))
 
 
 @_memoized
-def rhinf_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
+def rhinf_constant(space: FiniteMetricMeasureSpace, w):
     """RH_inf constant: sup over balls of (max over ball of w) / (avg w).
 
     Cross-checked against the pointwise form max_x w(x) / mw(x); exact
     agreement for the same reason as a1_constant.
     """
     w = _as_weight(space, w)
-    return _Plan((Sup(space.ball_family, ((w, "max"), (w, "avg")),
-                      lambda rows, top, avg_w: top / avg_w),),
-                 lambda sup, mw: _cross_checked("RH_inf", w, *sup, w / mw.values),
-                 needs=((minimal, w),))
+    sup, mw = yield [Sup(space.ball_family, ((w, "max"), (w, "avg")),
+                         lambda rows, top, avg_w: top / avg_w), (minimal, w)]
+    return _cross_checked("RH_inf", w, *sup, w / mw.values)
 
 
 @_memoized
-def harnack_constant(space: FiniteMetricMeasureSpace, w) -> _Plan:
+def harnack_constant(space: FiniteMetricMeasureSpace, w):
     """sup over balls of (max over ball of w) / (min over ball of w)."""
     w = _as_weight(space, w)
-    return _sup_plan(space, "Harnack", ((w, "max"), (w, "min")),
-                     lambda rows, top, low: top / low)
+    (sup,) = yield [Sup(space.ball_family, ((w, "max"), (w, "min")),
+                        lambda rows, top, low: top / low)]
+    return FunctionalResult("Harnack", *sup)
 
 
 def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
@@ -205,10 +201,11 @@ def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
 
 
 @_memoized
-def bmo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def bmo_norm(space: FiniteMetricMeasureSpace, f):
     """sup over balls of avg |f - f_B|, over the table of `_bmo_table`."""
     table, _ = _bmo_table(space, _as_function(space, f))
-    return _sup_plan(space, "BMO", (), table)
+    (sup,) = yield [Sup(space.ball_family, (), table)]
+    return FunctionalResult("BMO", *sup)
 
 
 def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
@@ -321,14 +318,16 @@ def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
 
 
 @_memoized
-def blo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def blo_norm(space: FiniteMetricMeasureSpace, f):
     """sup over balls of (avg f - min over ball of f)."""
     f = _as_function(space, f)
-    return _sup_plan(space, "BLO", ((f, "avg"), (f, "min")), lambda rows, avg, low: avg - low)
+    (sup,) = yield [Sup(space.ball_family, ((f, "avg"), (f, "min")),
+                        lambda rows, avg, low: avg - low)]
+    return FunctionalResult("BLO", *sup)
 
 
 @_memoized
-def buo_norm(space: FiniteMetricMeasureSpace, f) -> _Plan:
+def buo_norm(space: FiniteMetricMeasureSpace, f):
     """sup over balls of (max over ball of f - avg f), as the BLO norm of -f."""
-    return _Plan((), lambda blo: replace(blo, kind="BUO"),
-                 needs=((blo_norm, -_as_function(space, f)),))
+    (blo,) = yield [(blo_norm, -_as_function(space, f))]
+    return replace(blo, kind="BUO")

@@ -1,11 +1,13 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weightlab import (
     AsymmetricDistance,
+    InconsistentPair,
     InvalidFunction,
     InvalidParams,
     NonpositiveWeight,
@@ -16,17 +18,23 @@ from weightlab import (
     ap_constant,
     blo_norm,
     build_space,
+    check_duality,
+    check_harnack,
+    check_power_props,
     generate,
+    jones_factor,
     Tolerances,
     maximal,
     refined_jones,
     rhs_constant,
+    verify_factorization,
 )
 from weightlab.factorization import FactorOptions, refined_transform
 from weightlab.families import sample_space, sample_weight
 from weightlab.space import space_document, space_from_document
 
 WORDS = ["a", "b"]
+W = [1.0, 2.0]
 
 
 @pytest.mark.parametrize("call, error", [
@@ -59,17 +67,43 @@ WORDS = ["a", "b"]
     (lambda sp: refined_transform([1.0, 2.0], [1.0, 2.0], 2.0, np.inf), InvalidParams),
     (lambda sp: SuiteParams(p=np.nan), InvalidParams),
     (lambda sp: SuiteParams(s=np.inf), InvalidParams),
+    (lambda sp: ap_constant(sp, W, "2"), (InvalidParams, "exponent p")),
+    (lambda sp: rhs_constant(sp, W, "2"), (InvalidParams, "exponent s")),
+    (lambda sp: refined_jones(sp, W, "2", 2.0), (InvalidParams, "exponent p")),
+    (lambda sp: jones_factor(sp, W, "2"), (InvalidParams, "exponent q")),
+    (lambda sp: jones_factor(sp, W, np.inf), (InvalidParams, "exponent q")),
+    (lambda sp: check_harnack(sp, W, "2"), (InvalidParams, "exponent p")),
+    (lambda sp: check_duality(sp, W, 1.0), (InvalidParams, "exponent p")),
+    (lambda sp: check_power_props(sp, W, np.nan, 2.0), (InvalidParams, "exponent s")),
+    (lambda sp: FactorOptions(multistarts=1.5), InvalidParams),
+    (lambda sp: FactorOptions(multistarts="2"), InvalidParams),
+    (lambda sp: FactorOptions(seed=-1), InvalidParams),
+    (lambda sp: refined_transform([1.0, np.nan], W, 2.0, 2.0), NonpositiveWeight),
+    (lambda sp: refined_transform(W, [1.0, np.inf], 2.0, 2.0), NonpositiveWeight),
+    (lambda sp: refined_transform(W, [1.0, 2.0, 3.0], 2.0, 2.0), NonpositiveWeight),
+    (lambda sp: refined_transform([[1.0], [2.0, 3.0]], W, 2.0, 2.0), NonpositiveWeight),
+    (lambda sp: verify_factorization(sp, W, refined_transform([1.0] * 3, [1.0] * 3, 2.0, 2.0)),
+     InconsistentPair),
+    (lambda sp: verify_factorization(sp, W, replace(refined_transform(W, W, 2.0, 2.0), p="2")),
+     (InvalidParams, "exponent p")),
+    (lambda sp: annular_decay_constant(sp, "1", 1.0), InvalidParams),
+    (lambda sp: annular_decay_constant(sp, 1.0, "1"), InvalidParams),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
         "maximal", "blo", "blo-ragged", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
         "scalar-coords", "weight-family", "sample-max-n", "tolerance-nan",
         "tolerance-negative", "tolerance-inf", "tolerance-str",
         "multistarts-0", "multistarts-negative", "max-sweeps-negative",
         "ap-p-inf", "rhs-s-inf", "refined-jones-p-inf", "refined-transform-s-inf",
-        "suite-p-nan", "suite-s-inf"])
+        "suite-p-nan", "suite-s-inf", "ap-p-str", "rhs-s-str", "refined-jones-p-str",
+        "jones-q-str", "jones-q-inf", "harnack-p-str", "duality-p-1", "power-props-s-nan",
+        "multistarts-float", "multistarts-str", "seed-negative", "transform-nan",
+        "transform-inf", "transform-lengths", "transform-ragged", "verify-pair-length",
+        "verify-pair-p-str", "annular-alpha-str", "annular-r_min-str"])
 def test_bad_input_raises_its_weightlab_error(two_point, call, error):
+    error, match = error if isinstance(error, tuple) else (error, None)  # match: the message
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and prints no numpy warning on the way
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             call(two_point)
 
 

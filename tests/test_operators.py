@@ -281,3 +281,29 @@ class TestLazyWitnesses:
         f[:] = 0.0
         assert np.array_equal(out.witness_center, want[1])
         assert np.array_equal(out.witness_rank, want[2])
+
+
+class TestOneYield:
+    def test_a_second_yield_fails_its_own_call_and_stays_out_of_the_memo(self):
+        space = sample_space(np.random.default_rng(13), 20)
+        f = np.random.default_rng(14).normal(size=space.n)
+        runs, closed = [], []
+        want = natural_maximal(space, f).values
+
+        @operators._memoized
+        def twice(space, f):
+            runs.append(f.tobytes())
+            try:
+                (up,) = yield [(natural_maximal, f)]
+                yield [(natural_maximal, -f)]
+                return up
+            finally:
+                closed.append(True)
+
+        with operators._memo_scope():
+            with pytest.raises(RuntimeError, match="twice yielded twice"):
+                twice(space, f)
+            out, up = operators._outcomes(space, [(twice, f), (natural_maximal, f)])
+            assert isinstance(out, RuntimeError)  # the batch's other call still returns
+            assert np.array_equal(up.values, want)
+        assert len(runs) == len(closed) == 2  # not kept: the second batch ran it again

@@ -25,7 +25,7 @@ from weightlab import (
     save,
 )
 from weightlab.families import sample_space
-from weightlab.space import GENERATOR_KINDS, _annular_scan
+from weightlab.space import GENERATOR_KINDS, TRIANGLE_TOL_FACTOR, _annular_scan
 
 
 class TestBuildSpace:
@@ -43,6 +43,36 @@ class TestBuildSpace:
             build_space(d, "explicit-matrix", np.ones(3))
         assert exc.value.triple == (0, 1, 2)
         assert exc.value.excess == pytest.approx(3.0)
+
+    def test_derived_metrics_stay_within_their_rounding_bound(self):
+        # the argument of build_space's docstring, on 400 adversarial derived
+        # spaces; the worst slack read 3.8e-7 of the 1e-9 tolerance
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for t in range(400):
+            n = int(rng.integers(3, 41))
+            if t % 4 == 3:  # a random tree plus chords, edges over 1e-9..1e9
+                edges = np.full((n, n), np.inf)
+                for v in range(1, n):
+                    for u in {int(rng.integers(0, v)), int(rng.integers(0, n))} - {v}:
+                        edges[u, v] = edges[v, u] = 10.0 ** rng.uniform(-9, 9)
+                space, c = build_space(edges, "graph-shortest-path", np.ones(n)), n
+            else:  # near-collinear points at one scale in 1e-12..1e12
+                dim = int(rng.integers(1, 4))
+                line = rng.uniform(-1, 1, size=(n, 1)) * rng.normal(size=dim)
+                jitter = rng.choice([0.0, 1e-8, 1.0]) * rng.normal(size=(n, dim))
+                coords = 10.0 ** rng.uniform(-12, 12) * (line + jitter)
+                space = build_space(coords, ("euclidean", "l1", "linf")[t % 4], np.ones(n))
+                c = dim + 2
+            d = space.dist
+            slack = max(float((d - (d[:, j, None] + d[j])).max()) for j in range(n))
+            assert slack <= 2 * (2 * c + 1) * 2.0 ** -53 * d.max()
+            worst = max(worst, slack / (TRIANGLE_TOL_FACTOR * d.max()))
+        assert worst < 1e-6
+
+    def test_subnormal_euclidean_squares_keep_the_check(self):
+        with pytest.raises(TriangleViolation):
+            build_space([[0.0], [4e-162], [8e-162]], "euclidean", np.ones(3))
 
     def test_asymmetric(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])

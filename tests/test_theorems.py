@@ -275,15 +275,10 @@ class TestReportUnquantified:
         raw = operators._natural_extremal.__wrapped__
 
         def defective(space, f):
-            plan = raw(space, f)
+            out = yield from raw(space, f)
             bump = np.zeros(space.n)
             bump[x] = 1e-6
-
-            def finish(values):
-                out = plan.finish(values)
-                return replace(out, values=out.values + bump)
-
-            return replace(plan, finish=finish)
+            return replace(out, values=out.values + bump)
 
         assert_all_pass(report_unquantified(space, w, 2.0))
         monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(defective))
@@ -357,7 +352,7 @@ class TestRunSuite:
 
         def counted(space, f):
             calls.append(f.tobytes())
-            return raw(space, f)
+            return (yield from raw(space, f))
 
         monkeypatch.setattr(operators, "_natural_extremal", operators._memoized(counted))
         return calls
