@@ -264,7 +264,9 @@ def cmd_bench(args) -> int:
     times = {}
     for n in sizes:
         nx = max(d for d in range(1, int(np.sqrt(n)) + 1) if n % d == 0)
+        t0 = time.perf_counter()
         space = generate("grid", {"nx": nx, "ny": n // nx}, seed=1)
+        t_gen = time.perf_counter() - t0
         g = np.random.default_rng(5).uniform(0.1, 5.0, size=space.n)
         t0 = time.perf_counter()
         space.ball_family  # the per-center index realizes every ball
@@ -281,6 +283,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         theorems.run_suite(space, {"w": g}, suite_params)
         t_suite = time.perf_counter() - t0
+        rows.append((space.n, "generate", f"{t_gen:.6f}"))
         rows.append((space.n, "ball_enumeration", f"{t_enum:.6f}"))
         rows.append((space.n, "maximal", f"{best:.6f}"))
         rows.append((space.n, "suite_core", f"{t_suite:.6f}"))

@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -41,7 +40,8 @@ from .errors import (
 
 TRIANGLE_TOL_FACTOR = 1e-9  # tolerance = factor * max distance
 # (center, position) cells per block of centers or chunk of cells: every
-# reduction over the n x n ball tables works in pieces of this size
+# reduction over the n x n ball tables, and the construction of the
+# distances and the index, works in pieces of this size
 CHUNK_CELLS = 1 << 15
 
 METRIC_KINDS = ("euclidean", "l1", "linf", "graph-shortest-path", "explicit-matrix")
@@ -121,6 +121,8 @@ class BallFamily:
     through order. ball_key[c, i] = rank * n + c at each ball end, and is
     undefined elsewhere. It is the package's one tie rule: a witness is the
     attaining ball of smallest key, i.e. smallest rank, then smallest center.
+    The four arrays are built one `row_blocks` slice of centers at a time,
+    straight into their rows, so the build holds no n x n temporary.
 
     A per-ball table (averages, running extrema and what is computed from
     them) is built one block of centers at a time, over the row slices of
@@ -135,19 +137,30 @@ class BallFamily:
         n = space.n
         # int32 indices halve the memory traffic of the operator sweeps
         self.index_dtype = np.int32 if n <= 30_000 else np.int64
-        # stable sort: ties in distance resolve to ascending point id, so
-        # order[c, 0] == c on a validated space
-        self.order = np.argsort(space.dist, axis=1, kind="stable").astype(self.index_dtype)
-        self.prefix_measure = np.cumsum(space.measure[self.order], axis=1)
-        # prefix ending at position i is a ball iff the next distance differs
-        sorted_dist = np.take_along_axis(space.dist, self.order, axis=1)
+        self.order = np.empty((n, n), dtype=self.index_dtype)
+        self.prefix_measure = np.empty((n, n))
         self.is_ball_end = np.empty((n, n), dtype=bool)
-        np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=self.is_ball_end[:, :-1])
-        self.is_ball_end[:, -1] = True
-        # rank (1-based) * n + center at each ball end, in place: no n x n temporary
-        self.ball_key = np.cumsum(self.is_ball_end, axis=1, dtype=self.index_dtype)
-        self.ball_key *= self.index_dtype(n)
-        self.ball_key += np.arange(n, dtype=self.index_dtype)[:, None]
+        self.ball_key = np.empty((n, n), dtype=self.index_dtype)
+        # rows are independent: each block of centers is built straight into
+        # its rows of the four arrays, which hold the bytes of a full build
+        for rows in self.row_blocks():
+            dist, order = space.dist[rows], self.order[rows]
+            # stable sort: ties in distance resolve to ascending point id, so
+            # order[c, 0] == c on a validated space
+            order[...] = np.argsort(dist, axis=1, kind="stable")
+            prefix = self.prefix_measure[rows]
+            np.take(space.measure, order, out=prefix)
+            np.cumsum(prefix, axis=1, out=prefix)
+            # prefix ending at position i is a ball iff the next distance differs
+            sorted_dist = np.take_along_axis(dist, order, axis=1)
+            ends = self.is_ball_end[rows]
+            np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=ends[:, :-1])
+            ends[:, -1] = True
+            # rank (1-based) * n + center at each ball end
+            key = self.ball_key[rows]
+            np.cumsum(ends, axis=1, dtype=self.index_dtype, out=key)
+            key *= self.index_dtype(n)
+            key += np.arange(rows.start, rows.stop, dtype=self.index_dtype)[:, None]
 
     @property
     def n(self) -> int:
@@ -155,9 +168,7 @@ class BallFamily:
 
     def row_blocks(self):
         """Slices of consecutive centers that cover 0..n-1, CHUNK_CELLS cells per slice."""
-        step = max(1, CHUNK_CELLS // self.n)
-        for c0 in range(0, self.n, step):
-            yield slice(c0, min(c0 + step, self.n))
+        return _row_blocks(self.n)
 
     def averages_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Average of f over each prefix, in fixed ascending order.
@@ -219,12 +230,12 @@ class BallFamily:
         first reader, through `averages_at_pos`, `running_min_at_pos` or
         `running_max_at_pos`, and dropped after its last reader, so only the
         tables still to be read are held. The reducers take each block in an
-        order that holds few tables: greedily, next the one after which the
-        fewest more tables are held, the earliest on a tie. Reducers that
-        name the same vector share its table and must not write to it. A
-        table is keyed by a digest of its vector's bytes: -f has its own,
-        since reading avg(-f) as -avg(f) would flip the sign of an average
-        that is exactly zero.
+        order that holds few tables, `_reducer_order`: greedily, next the one
+        after which the fewest more tables are held, the earliest on a tie.
+        Reducers that name the same vector share its table and must not
+        write to it. A table is keyed by a digest of its vector's bytes: -f
+        has its own, since reading avg(-f) as -avg(f) would flip the sign of
+        an average that is exactly zero.
         """
         build = {"avg": self.averages_at_pos, "min": self.running_min_at_pos,
                  "max": self.running_max_at_pos}
@@ -239,18 +250,7 @@ class BallFamily:
                         np.ascontiguousarray(vec), digest_size=16).digest()
                 keys.append((kind, digests[id(vec)]))
             reads.append(keys)
-        uniq = [set(keys) for keys in reads]
-        left = Counter(k for u in uniq for k in u)  # readers still to come
-        ahead, lonely = set(), {k for k, c in left.items() if c == 1}  # held; one reader left
-        order, rest = [], list(range(len(reducers)))
-        while rest:
-            i = min(rest, key=lambda i: len(uniq[i] - ahead) - len(uniq[i] & lonely))
-            rest.remove(i)
-            order.append(i)
-            for k in uniq[i]:
-                left[k] -= 1
-                (ahead.add if left[k] else ahead.discard)(k)
-                (lonely.add if left[k] == 1 else lonely.discard)(k)
+        order = _reducer_order(reads)
         last = {k: i for i in order for k in reads[i]}
         for rows in self.row_blocks():
             held = {}
@@ -313,28 +313,85 @@ class Sup:
         return self.value, BallRef(center, rank, self.fam.end_of_key(self.key)[1])
 
 
+def _reducer_order(reads) -> list[int]:
+    """The order in which `BallFamily.scan` feeds its reducers, given the table keys each reads.
+
+    Greedily, next the reducer after which the fewest more tables are held,
+    the earliest on a tie. A reducer's score sums one term per table it
+    reads: 1 while the table is not yet held, less 1 while that reducer is
+    its last reader. Taking a reducer changes the terms of its own tables
+    only, so only the scores of the reducers that share one of them move.
+    """
+    uniq = [set(keys) for keys in reads]
+    readers = {}
+    for i, u in enumerate(uniq):
+        for k in u:
+            readers.setdefault(k, []).append(i)
+    left = {k: len(r) for k, r in readers.items()}  # readers still to come
+    scores = [len(u) - sum(left[k] == 1 for k in u) for u in uniq]
+    order, rest = [], list(range(len(uniq)))
+    while rest:
+        i = min(rest, key=scores.__getitem__)  # the first minimum: earliest on a tie
+        rest.remove(i)
+        order.append(i)
+        for k in uniq[i]:
+            # held once built, until its last reader; readers[k] taken so far
+            # are out of `rest`, so their scores no longer matter
+            before = (left[k] == len(readers[k])) - (left[k] == 1)
+            left[k] -= 1
+            delta = (left[k] == 0) - (left[k] == 1) - before
+            if delta:
+                for j in readers[k]:
+                    scores[j] += delta
+    return order
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive rows that cover 0..n-1 of an n x n array, CHUNK_CELLS cells per slice."""
+    step = max(1, CHUNK_CELLS // max(n, 1))
+    for r0 in range(0, n, step):
+        yield slice(r0, min(r0 + step, n))
+
+
 def _above(a: float, b: float) -> bool:
     """a ranks above b in a sup that propagates NaN: NaN above every number."""
     return a > b or (a != a and b == b)
 
 
 def _validate_matrix(dist: np.ndarray, check_triangle: bool = True) -> None:
+    """Raise the first fault of a distance matrix, in the order of the checks below.
+
+    Each check but the diagonal one reads the matrix one row block at a time,
+    so none makes an n x n temporary; the triangle check reuses one n x n
+    buffer over its n passes.
+    """
     n = dist.shape[0]
-    if not np.all(np.isfinite(dist)):
+    blocks = list(_row_blocks(n))
+    if not all(np.isfinite(dist[rows]).all() for rows in blocks):
         raise AsymmetricDistance("distance matrix has non-finite entries")
     if np.any(np.diag(dist) != 0.0):
         raise ZeroDistanceDistinctPoints("nonzero diagonal entry")
-    if not np.array_equal(dist, dist.T):
-        i, j = np.unravel_index(int(np.abs(dist - dist.T).argmax()), dist.shape)
+    if not all(np.array_equal(dist[rows], dist[:, rows].T) for rows in blocks):
+        # the first maximal |d - d^T| in row-major order
+        worst = (-1.0, (0, 0))
+        for rows in blocks:
+            gap = np.abs(dist[rows] - dist[:, rows].T)
+            i, j = np.unravel_index(int(gap.argmax()), gap.shape)
+            if gap[i, j] > worst[0]:
+                worst = (float(gap[i, j]), (rows.start + int(i), int(j)))
+        i, j = worst[1]
         raise AsymmetricDistance(f"dist({i},{j}) != dist({j},{i})")
-    off = dist[~np.eye(n, dtype=bool)]
-    if off.size and off.min() <= 0.0:
+    # the diagonal is 0, so each row holds exactly one entry <= 0 unless a
+    # pair of distinct points does too
+    if any(np.count_nonzero(dist[rows] <= 0.0) > rows.stop - rows.start for rows in blocks):
         raise ZeroDistanceDistinctPoints("distinct points at distance <= 0")
     if check_triangle and n >= 3:
         tol = TRIANGLE_TOL_FACTOR * float(dist.max())
         worst = (0.0, (0, 0, 0))
+        slack = np.empty_like(dist)
         for j in range(n):
-            slack = dist - (dist[:, j][:, None] + dist[j][None, :])
+            np.add(dist[:, j, None], dist[j], out=slack)
+            np.subtract(dist, slack, out=slack)
             m = float(slack.max())
             if m > worst[0]:
                 i, k = np.unravel_index(int(slack.argmax()), slack.shape)
@@ -361,14 +418,31 @@ def _square_matrix(data, what: str) -> np.ndarray:
 
 
 def _coords_to_dist(coords: np.ndarray, metric_kind: str) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    if metric_kind == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=2))
-    if metric_kind == "l1":
-        return np.abs(diff).sum(axis=2)
-    if metric_kind == "linf":
-        return np.abs(diff).max(axis=2)
-    raise InvalidParams(f"metric kind {metric_kind!r} needs no coordinates")
+    """Pairwise distances, written one row block at a time: no (n, n, d) array.
+
+    Each row holds the bytes of the full-array formula. A block's Euclidean
+    and l1 sums reduce each cell's d terms as the full (n, n, d) reduction
+    does; the linf max is exact in any order, so it folds the coordinates
+    in one at a time.
+    """
+    if metric_kind not in ("euclidean", "l1", "linf"):
+        raise InvalidParams(f"metric kind {metric_kind!r} needs no coordinates")
+    n = coords.shape[0]
+    dist = np.zeros((n, n))  # linf folds from 0, the max of no |difference|
+    for rows in _row_blocks(n):
+        out = dist[rows]
+        if metric_kind == "linf":
+            for k in range(coords.shape[1]):
+                diff = np.subtract.outer(coords[rows, k], coords[:, k])
+                np.maximum(out, np.abs(diff, out=diff), out=out)
+            continue
+        diff = coords[rows, None, :] - coords[None, :, :]
+        if metric_kind == "euclidean":
+            diff *= diff
+            np.sqrt(diff.sum(axis=2, out=out), out=out)
+        else:
+            np.abs(diff, out=diff).sum(axis=2, out=out)
+    return dist
 
 
 def _graph_shortest_path(weights: np.ndarray) -> np.ndarray:
@@ -408,6 +482,10 @@ def build_space(
     below 2 (2c + 1) 2^-53 of the max distance, under the tolerance while
     c < 2^21. Euclidean squares that go subnormal lose that accuracy, so a
     Euclidean space of diameter below 1e-140 is checked too.
+
+    Coordinate distances and the matrix checks run one block of rows at a
+    time, so a coordinate space makes no n x n temporary beside its
+    distances; the triangle check, when it runs, reuses one n x n buffer.
     """
     if metric_kind not in METRIC_KINDS:
         raise InvalidParams(f"unknown metric kind {metric_kind!r}")

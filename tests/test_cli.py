@@ -246,6 +246,10 @@ class TestBench:
         assert text.startswith("n,kernel,seconds")
         assert "maximal" in text and "ball_enumeration" in text
         assert "suite_core" in text
+        # set-up splits into generating the space and building its index
+        kernels = [line.split(",")[:2] for line in text.splitlines()[1:]]
+        for n in ("64", "100"):
+            assert [k for m, k in kernels if m == n][:2] == ["generate", "ball_enumeration"]
         assert "gate: fast vs naive" in capsys.readouterr().out
 
     def test_empty_sizes_header_only(self, tmp_path):

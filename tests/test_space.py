@@ -24,8 +24,14 @@ from weightlab import (
     load,
     save,
 )
+from weightlab import space as space_module
 from weightlab.families import sample_space
-from weightlab.space import GENERATOR_KINDS, TRIANGLE_TOL_FACTOR, _annular_scan
+from weightlab.space import (
+    GENERATOR_KINDS,
+    TRIANGLE_TOL_FACTOR,
+    _annular_scan,
+    _validate_matrix,
+)
 
 
 class TestBuildSpace:
@@ -119,6 +125,157 @@ class TestBuildSpace:
         assert np.all(np.diff(fam.prefix_measure, axis=1) > 0.0)
         assert fam.prefix_measure[:, -1] == pytest.approx(
             space.total_mass, rel=1e-15)
+
+
+def _full_index(space):
+    """The four index arrays by the full-array formulas, n x n temporaries and all."""
+    dist, n = space.dist, space.n
+    dtype = space.ball_family.index_dtype
+    order = np.argsort(dist, axis=1, kind="stable").astype(dtype)
+    prefix = np.cumsum(space.measure[order], axis=1)
+    sorted_dist = np.take_along_axis(dist, order, axis=1)
+    ends = np.empty((n, n), dtype=bool)
+    np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=ends[:, :-1])
+    ends[:, -1] = True
+    key = np.cumsum(ends, axis=1, dtype=dtype) * dtype(n) + np.arange(n, dtype=dtype)[:, None]
+    return {"order": order, "prefix_measure": prefix, "is_ball_end": ends, "ball_key": key}
+
+
+def _full_coords_dist(coords, metric_kind):
+    """Coordinate distances by the full (n, n, d) formulas."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    if metric_kind == "euclidean":
+        return np.sqrt((diff * diff).sum(axis=2))
+    if metric_kind == "l1":
+        return np.abs(diff).sum(axis=2)
+    return np.abs(diff).max(axis=2)
+
+
+def _full_validate(dist):
+    """The matrix checks, bar the triangle, by full-matrix formulas."""
+    n = dist.shape[0]
+    if not np.all(np.isfinite(dist)):
+        raise AsymmetricDistance("distance matrix has non-finite entries")
+    if np.any(np.diag(dist) != 0.0):
+        raise ZeroDistanceDistinctPoints("nonzero diagonal entry")
+    if not np.array_equal(dist, dist.T):
+        i, j = np.unravel_index(int(np.abs(dist - dist.T).argmax()), dist.shape)
+        raise AsymmetricDistance(f"dist({i},{j}) != dist({j},{i})")
+    off = dist[~np.eye(n, dtype=bool)]
+    if off.size and off.min() <= 0.0:
+        raise ZeroDistanceDistinctPoints("distinct points at distance <= 0")
+
+
+def _full_triangle(dist):
+    """(excess, triple) of the worst triangle slack, two temporaries per j."""
+    worst = (0.0, (0, 0, 0))
+    for j in range(dist.shape[0]):
+        slack = dist - (dist[:, j][:, None] + dist[j][None, :])
+        m = float(slack.max())
+        if m > worst[0]:
+            i, k = np.unravel_index(int(slack.argmax()), slack.shape)
+            worst = (m, (int(i), j, int(k)))
+    return worst
+
+
+STREAMED_SPACES = {
+    "euclidean-dim-9": lambda: generate("random-points", {"n": 90, "dim": 9}, seed=4),
+    "euclidean-dim-2": lambda: generate("random-points", {"n": 70, "measure": "random"}, seed=1),
+    "l1-dim-12": lambda: generate("random-points", {"n": 60, "dim": 12, "metric": "l1"}, seed=4),
+    "linf-dim-5": lambda: generate("random-points", {"n": 60, "dim": 5, "metric": "linf"}, seed=4),
+    "path": lambda: generate("path", {"n": 50}, seed=3),
+    "tree": lambda: generate("tree", {"n": 45}, seed=3),
+    "snowflake": lambda: generate(
+        "snowflake", {"base": generate("grid", {"nx": 6, "ny": 7}, seed=0), "eps": 0.5}, seed=0),
+    "n=1": lambda: generate("random-points", {"n": 1, "dim": 3}, seed=0),
+    "n=2": lambda: generate("grid", {"nx": 1, "ny": 2, "metric": "l1"}, seed=0),
+}
+
+
+class TestStreamedBuild:
+    @staticmethod
+    def _assert_full_bytes(space, base=None):
+        if space.metric_kind in ("euclidean", "l1", "linf"):
+            want = _full_coords_dist(space.coords, space.metric_kind)
+            assert space.dist.tobytes() == want.tobytes()
+        if base is not None:
+            assert space.dist.tobytes() == np.power(base.dist, 0.5).tobytes()
+        fam = space.ball_family
+        for name, want in _full_index(space).items():
+            got = getattr(fam, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_three_block_grid_is_byte_equal_to_the_full_build(self, three_block_grid):
+        self._assert_full_bytes(three_block_grid)
+
+    @pytest.mark.parametrize("name", list(STREAMED_SPACES))
+    def test_uneven_blocks_are_byte_equal_to_the_full_build(self, monkeypatch, name):
+        # 1-7 rows per block, the last one short
+        monkeypatch.setattr(space_module, "CHUNK_CELLS", 400)
+        space = STREAMED_SPACES[name]()
+        base = None
+        if name == "snowflake":
+            base = generate("grid", {"nx": 6, "ny": 7}, seed=0)
+        self._assert_full_bytes(space, base)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("grid", {"nx": 50, "ny": 60, "metric": "linf"}),
+        ("random-points", {"n": 3000}),
+    ])
+    def test_generate_and_index_peak_at_their_held_bytes(self, kind, params):
+        # the full-array builds peaked at 40 n^2 (generate) and 37 n^2 (index);
+        # 25 n^2 is held: distances 8 bytes per cell, the index 17
+        tracemalloc.start()
+        try:
+            space = generate(kind, params, seed=1)
+            space.ball_family
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.n == 3000
+        assert peak <= 27 * space.n ** 2
+
+    @staticmethod
+    def _faulty(fault):
+        d = generate("random-points", {"n": 40}, seed=5).dist.copy()
+        if fault == "asymmetric":
+            d[1, 2], d[2, 1] = 1.0, 1.25  # a smaller gap in the first block
+            # two maximal gaps in later blocks: the first is named
+            d[20, 33], d[33, 20] = 1.0, 1.5
+            d[25, 30], d[30, 25] = 1.0, 1.5
+        elif fault == "zero":
+            d[31, 30] = d[30, 31] = 0.0
+        elif fault == "negative":
+            d[39, 38] = d[38, 39] = -1.0
+        elif fault == "non-finite":
+            d[36, 2] = d[2, 36] = np.nan
+            d[38, 1] = np.inf
+        return d
+
+    @pytest.mark.parametrize("fault", ["asymmetric", "zero", "negative", "non-finite"])
+    def test_a_fault_in_a_later_block_raises_the_full_check_error(self, monkeypatch, fault):
+        monkeypatch.setattr(space_module, "CHUNK_CELLS", 3 * 40)  # 14 blocks of 3 rows
+        d = self._faulty(fault)
+        with pytest.raises((AsymmetricDistance, ZeroDistanceDistinctPoints)) as want:
+            _full_validate(d)
+        with pytest.raises(type(want.value)) as got:
+            _validate_matrix(d, check_triangle=False)
+        assert str(got.value) == str(want.value)
+        if fault == "asymmetric":
+            assert str(got.value) == "dist(20,33) != dist(33,20)"
+
+    def test_worst_triangle_triple_and_slack_are_unchanged(self):
+        rng = np.random.default_rng(8)
+        d = generate("random-points", {"n": 60}, seed=8).dist.copy()
+        for _ in range(5):  # a few violations of different sizes
+            i, k = rng.choice(60, size=2, replace=False)
+            d[i, k] = d[k, i] = d[i, k] * rng.uniform(2.0, 4.0)
+        excess, triple = _full_triangle(d)
+        assert excess > TRIANGLE_TOL_FACTOR * d.max()
+        with pytest.raises(TriangleViolation) as exc:
+            _validate_matrix(d)
+        assert exc.value.triple == triple
+        assert exc.value.excess == excess
 
 
 class TestAveragesAtPos:
