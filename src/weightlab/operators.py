@@ -19,15 +19,15 @@ the sign of an average that cancels to exactly zero).
 
 Values first, by blocks of centers. The kernel is a `_MaxFold` reducer of
 ``BallFamily.scan``: per ``row_blocks`` slice of centers it reads the
-prefix averages of f, sweeps them, and folds the block's per-point best
-into one length-n vector by np.maximum; no n x n table is held, and a
-batch that also asks for other reductions of f shares its average table.
-It computes values only. The witnesses are resolved on the first read of
-``witness_center``, ``witness_rank``, ``witness_radius`` or
-``witness()``, once per kernel run (and so once per memo entry): the same
-block sweep again, carrying keys, with the blocks merged by a running
-minimum of the key of each point's best ball. mnat f shares the
-resolution of Mnat(-f).
+prefix averages of f, sweeps them, and folds each position's best into
+one length-n vector by np.maximum.at, at the point that position holds;
+no n x n table is held, and a batch that also asks for other reductions
+of f shares its average table. It computes values only. The witnesses
+are resolved on the first read of ``witness_center``, ``witness_rank``,
+``witness_radius`` or ``witness()``, once per kernel run (and so once per
+memo entry): the same block sweep again, carrying keys, folded by
+np.minimum.at into a running minimum of the key of each point's best
+ball. mnat f shares the resolution of Mnat(-f).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
@@ -288,17 +288,11 @@ def _ball_ends_only(fam, f: np.ndarray, rows) -> np.ndarray:
     return avg
 
 
-def _to_points(fam, rows, at_pos: np.ndarray) -> np.ndarray:
-    """Move a (center, position) table of the centers in rows to (center, point)."""
-    out = np.empty_like(at_pos)
-    np.put_along_axis(out, fam.order[rows], at_pos, axis=1)
-    return out
-
-
 class _MaxFold:
     """A `BallFamily.scan` reducer: Mnat f, one max sweep per block of centers.
 
-    Each block's per-point best folds into one length-n maximum.
+    Each block's per-position best folds straight into one length-n
+    maximum, at the points its positions hold.
     """
 
     def __init__(self, fam, f: np.ndarray):
@@ -312,7 +306,8 @@ class _MaxFold:
         # containing the point at position i
         best = np.where(fam.is_ball_end[rows], avg, -np.inf)
         np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
-        np.maximum(self.values, _to_points(fam, rows, best).max(axis=0), out=self.values)
+        # the index of ufunc.at must be 1-D: a 2-D one runs about 8x slower
+        np.maximum.at(self.values, fam.order[rows].ravel(), best.ravel())
 
     def result(self) -> np.ndarray:
         return self.values
@@ -330,22 +325,26 @@ def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
     """Per point, the smallest ball_key of a ball containing it with average values[point].
 
     The kernel's sweep again, carrying keys: per center, the smallest key
-    among the balls that attain each point's best, then a running minimum
-    over the centers whose best equals the known value.
+    among the balls that attain each position's best, then a running
+    minimum, at the points the positions hold, over the centers whose best
+    equals the known value. A NaN attains as in `Sup`: a NaN value's
+    witness is the NaN ball of smallest key that contains the point.
     """
     fam = space.ball_family
     none = np.iinfo(fam.index_dtype).max
     wit_key = np.full(space.n, none, dtype=fam.index_dtype)
     for rows in fam.row_blocks():
-        rev = _ball_ends_only(fam, f, rows)[:, ::-1]
-        best = np.maximum.accumulate(rev, axis=1)
+        avg = _ball_ends_only(fam, f, rows)
+        best = np.empty_like(avg)
+        np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
         # keys fall along the sweep, so the latest step attaining the running
         # max holds the smallest key of all the steps attaining it
-        key = np.where(rev == best, fam.ball_key[rows, ::-1], none)
-        np.minimum.accumulate(key, axis=1, out=key)
-        cand = _to_points(fam, rows, best[:, ::-1])
-        cand_key = _to_points(fam, rows, key[:, ::-1])
-        np.minimum(wit_key, np.where(cand == values, cand_key, none).min(axis=0), out=wit_key)
+        key = np.where((avg == best) | (avg != avg), fam.ball_key[rows], none)
+        np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
+        points = fam.order[rows]
+        want = np.take(values, points)
+        hit = (best == want) | (best != best) & (want != want)
+        np.minimum.at(wit_key, points.ravel(), np.where(hit, key, none).ravel())
     return wit_key
 
 

@@ -180,19 +180,19 @@ class BallFamily:
         slice or an index array of centers) limits the table to those
         centers; each row holds the same bytes as in the full table.
         """
-        fs = (f * self.space.measure)[self.order[rows]]
+        fs = np.take(f * self.space.measure, self.order[rows])
         np.cumsum(fs, axis=1, out=fs)
         np.divide(fs, self.prefix_measure[rows], out=fs)
         fs[:, 0] = f[rows]
         return fs
 
     def running_min_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
-        fs = f[self.order[rows]]
+        fs = np.take(f, self.order[rows])
         np.minimum.accumulate(fs, axis=1, out=fs)
         return fs
 
     def running_max_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
-        fs = f[self.order[rows]]
+        fs = np.take(f, self.order[rows])
         np.maximum.accumulate(fs, axis=1, out=fs)
         return fs
 
@@ -501,13 +501,20 @@ def build_space(
         if coords.ndim != 2:
             raise InvalidParams("coordinates must be an n x d array")
         dist = _coords_to_dist(coords, metric_kind)
-
-    n = dist.shape[0]
     if check_triangle is None:
         check_triangle = metric_kind == "explicit-matrix" or (
             metric_kind == "euclidean" and dist.max(initial=0.0) < 1e-140)
-    _validate_matrix(dist, check_triangle=check_triangle)
+    return _owned_space(dist, metric_kind, measure, check_triangle, coords)
 
+
+def _owned_space(dist: np.ndarray, metric_kind: str, measure, check_triangle: bool,
+                 coords: np.ndarray | None = None) -> FiniteMetricMeasureSpace:
+    """`build_space`'s checks on a square float64 matrix that the space then keeps.
+
+    dist is not copied: the caller hands over a matrix no one else holds.
+    """
+    n = dist.shape[0]
+    _validate_matrix(dist, check_triangle=check_triangle)
     mu = _float_array(measure, NonpositiveMeasure, "measure").copy()
     if mu.shape != (n,):
         raise NonpositiveMeasure(f"measure must have shape ({n},), got {mu.shape}")
@@ -823,8 +830,7 @@ def generate(kind: str, params: dict | None = None, seed: int = 0) -> FiniteMetr
         if not 0.0 < eps <= 1.0:
             raise InvalidParams("snowflake eps must lie in (0, 1]")
         dist = np.power(base.dist, eps)  # still a metric for eps <= 1
-        return build_space(dist, "explicit-matrix", base.measure,
-                           check_triangle=base.n <= 512)
+        return _owned_space(dist, "explicit-matrix", base.measure, check_triangle=base.n <= 512)
     raise InvalidParams(f"unknown generator kind {kind!r}")
 
 
@@ -899,10 +905,10 @@ def space_from_document(doc: dict) -> tuple[FiniteMetricMeasureSpace, dict[str, 
     coords = None
     if all(isinstance(p, dict) and "coords" in p for p in points):
         coords = numeric([p["coords"] for p in points], "points", "coords")
+    if isinstance(doc["distances"], np.ndarray):
+        dist = dist.copy()  # parsed lists are a fresh matrix; a caller's array is not
     # stored distances are authoritative; re-validate but never re-derive
-    space = build_space(dist, "explicit-matrix", measure,
-                        check_triangle=n <= 512)
-    space = FiniteMetricMeasureSpace(space.dist, space.measure, metric, coords)
+    space = _owned_space(dist, metric, measure, check_triangle=n <= 512, coords=coords)
     weights = {}
     for name, vec in weight_doc.items():
         w = numeric(vec, "weights", f"weight {name!r}")

@@ -208,6 +208,129 @@ class TestRowBlocks:
         assert np.array_equal(out.witness_rank, np.ones(space.n))
 
 
+def _fancy_averages(fam, f, rows):
+    """averages_at_pos as a 2-D fancy-index gather, the formula before np.take."""
+    fs = (f * fam.space.measure)[fam.order[rows]]
+    np.cumsum(fs, axis=1, out=fs)
+    np.divide(fs, fam.prefix_measure[rows], out=fs)
+    fs[:, 0] = f[rows]
+    return fs
+
+
+def _scattered(fam, rows, at_pos):
+    """A (center, position) block moved to (center, point) by put_along_axis."""
+    out = np.empty_like(at_pos)
+    np.put_along_axis(out, fam.order[rows], at_pos, axis=1)
+    return out
+
+
+def _scatter_fold(space, f):
+    """Mnat f and its witness keys, each block scattered to point order and folded by rows."""
+    fam = space.ball_family
+    none = np.iinfo(fam.index_dtype).max
+    values = np.full(space.n, -np.inf)
+    for rows in fam.row_blocks():
+        best = np.where(fam.is_ball_end[rows], _fancy_averages(fam, f, rows), -np.inf)
+        np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
+        np.maximum(values, _scattered(fam, rows, best).max(axis=0), out=values)
+    keys = np.full(space.n, none, dtype=fam.index_dtype)
+    for rows in fam.row_blocks():
+        avg = _fancy_averages(fam, f, rows)
+        np.copyto(avg, -np.inf, where=~fam.is_ball_end[rows])
+        rev = avg[:, ::-1]
+        best = np.maximum.accumulate(rev, axis=1)
+        key = np.where(rev == best, fam.ball_key[rows, ::-1], none)
+        np.minimum.accumulate(key, axis=1, out=key)
+        cand = _scattered(fam, rows, best[:, ::-1])
+        cand_key = _scattered(fam, rows, key[:, ::-1])
+        np.minimum(keys, np.where(cand == values, cand_key, none).min(axis=0), out=keys)
+    return values, keys.astype(np.int64)
+
+
+class TestFlatKernels:
+    """np.take gathers and ufunc.at folds give the bytes of 2-D fancy indexing and scatters."""
+
+    @staticmethod
+    def assert_scatter_bytes(space, f):
+        values, keys = _scatter_fold(space, f)
+        out = natural_maximal(space, f)
+        assert out.values.tobytes() == values.tobytes()
+        rank, center = np.divmod(keys, space.n)
+        radius = np.array([space.ball_family.end_of_key(k)[1] for k in keys.tolist()])
+        assert out.witness_center.tobytes() == center.tobytes()
+        assert out.witness_rank.tobytes() == rank.tobytes()
+        assert out.witness_radius.tobytes() == radius.tobytes()
+
+    @staticmethod
+    def functions(n, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float),
+                rng.integers(-1, 2, size=n) * 0.0,  # +0.0 and -0.0 tie
+                np.full(n, 1.5), np.exp(rng.normal(scale=3.0, size=n))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sampled_spaces(self, seed):
+        space = sample_space(np.random.default_rng(700 + seed), 40)
+        for f in self.functions(space.n, seed):
+            self.assert_scatter_bytes(space, f)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate("grid", {"nx": 15, "ny": 20, "metric": "linf"}, seed=2),
+        lambda: generate("random-points", {"n": 200, "measure": "random"}, seed=3),
+    ], ids=["tied-linf-grid", "points-n200"])
+    def test_several_row_blocks(self, make):
+        space = make()
+        assert len(list(space.ball_family.row_blocks())) >= 2
+        for f in self.functions(space.n, 5):
+            self.assert_scatter_bytes(space, f)
+            self.assert_scatter_bytes(space, -f)  # natural_minimal of f
+
+    def test_tables_at_index_array_rows(self, three_block_grid):
+        # bmo_norm's table builds read the centers of kept balls as an int array
+        fam = three_block_grid.ball_family
+        rng = np.random.default_rng(6)
+        f = rng.normal(size=fam.n)
+        for rows in (np.unique(rng.integers(0, fam.n, 40)), rng.integers(0, fam.n, 40),
+                     slice(None), slice(110, 220)):
+            assert fam.averages_at_pos(f, rows).tobytes() == _fancy_averages(fam, f, rows).tobytes()
+            for build, acc in ((fam.running_min_at_pos, np.minimum),
+                               (fam.running_max_at_pos, np.maximum)):
+                assert build(f, rows).tobytes() == acc.accumulate(f[fam.order[rows]], axis=1).tobytes()
+
+
+class TestNaNWitnesses:
+    """A NaN operator value is witnessed by the NaN ball of smallest key that contains the point."""
+
+    @staticmethod
+    def nan_ball_keys(space, f):
+        fam = space.ball_family
+        avg = fam.averages_at_pos(f)
+        keys = np.full(space.n, np.iinfo(np.int64).max)
+        for c, pos in zip(*np.nonzero(fam.is_ball_end & np.isnan(avg))):
+            members = fam.order[c, :pos + 1]
+            keys[members] = np.minimum(keys[members], fam.ball_key[c, pos])
+        return keys
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate("path", {"n": 40, "measure": "random"}, seed=5),
+        lambda: generate("grid", {"nx": 15, "ny": 14, "metric": "linf", "measure": "random"}, seed=2),
+        lambda: generate("random-points", {"n": 60, "measure": "random"}, seed=7),
+    ], ids=["path", "grid", "points"])
+    def test_overflowing_averages(self, make):
+        space = make()
+        # f * measure overflows to +-inf where the measure exceeds 1, so
+        # balls holding both signs average to NaN
+        f = np.where(np.arange(space.n) % 2 == 0, 1e308, -1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = natural_maximal(space, f)
+            center, rank = out.witness_center, out.witness_rank
+            keys = self.nan_ball_keys(space, f)
+        assert np.isnan(out.values).all()
+        assert np.array_equal(center, keys % space.n)
+        assert np.array_equal(rank, keys // space.n)
+        assert np.isfinite(out.witness_radius).all()
+
+
 class TestLazyWitnesses:
     @staticmethod
     def _count_sweeps(monkeypatch):

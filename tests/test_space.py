@@ -235,6 +235,31 @@ class TestStreamedBuild:
         assert space.n == 3000
         assert peak <= 27 * space.n ** 2
 
+    @pytest.mark.parametrize("source", ["snowflake", "document"])
+    def test_a_fresh_matrix_is_kept_not_copied(self, source):
+        # build_space's copy of the fresh matrix peaked at 2.01 x 8n^2
+        base = generate("grid", {"nx": 25, "ny": 40}, seed=0)
+        doc = space_module.space_document(base) if source == "document" else None
+        tracemalloc.start()
+        try:
+            if doc is None:
+                space = generate("snowflake", {"base": base, "eps": 0.5})
+            else:
+                space, _ = space_module.space_from_document(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert space.n == 1000
+        assert peak <= 1.1 * 8 * space.n ** 2
+
+    def test_a_document_array_is_copied(self):
+        base = generate("grid", {"nx": 3, "ny": 4}, seed=0)
+        doc = space_module.space_document(base)
+        doc["distances"] = base.dist.copy()
+        space, _ = space_module.space_from_document(doc)
+        assert space.dist is not doc["distances"]
+        assert doc["distances"].flags.writeable
+
     @staticmethod
     def _faulty(fault):
         d = generate("random-points", {"n": 40}, seed=5).dist.copy()
