@@ -22,7 +22,9 @@ Values first, by blocks of centers. The kernel is a `_MaxFold` reducer of
 prefix averages of f, sweeps them, and folds each position's best into
 one length-n vector by np.maximum.at, at the point that position holds;
 no n x n table is held, and a batch that also asks for other reductions
-of f shares its average table. It computes values only. The witnesses
+of f shares its average table. Where the block has a ``BallLayout`` the
+table and the sweep have one column per ball, and each ball's best is
+spread over the positions of its tie group before the fold. It computes values only. The witnesses
 are resolved on the first read of ``witness_center``, ``witness_rank``,
 ``witness_radius`` or ``witness()``, once per kernel run (and so once per
 memo entry): the same block sweep again, carrying keys, folded by
@@ -115,7 +117,7 @@ class _WitnessSweep:
         fam = self.space.ball_family
         key = _witness_keys(self.space, self.f, self.values).astype(np.int64)
         rank, center = np.divmod(key, self.space.n)
-        radius = np.array([fam.end_of_key(k)[1] for k in key.tolist()])
+        radius = fam.radius_at_pos(center, fam.end_positions(key))
         out = (center, rank, radius)
         for arr in out:
             arr.flags.writeable = False
@@ -281,13 +283,6 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
     return f
 
 
-def _ball_ends_only(fam, f: np.ndarray, rows) -> np.ndarray:
-    """Prefix averages of f on the centers in rows, -inf where no ball ends."""
-    avg = fam.averages_at_pos(f, rows)
-    np.copyto(avg, -np.inf, where=~fam.is_ball_end[rows])
-    return avg
-
-
 class _MaxFold:
     """A `BallFamily.scan` reducer: Mnat f, one max sweep per block of centers.
 
@@ -299,13 +294,19 @@ class _MaxFold:
         self.fam, self.tables = fam, ((f, "avg"),)
         self.values = np.full(fam.n, -np.inf)
 
-    def add(self, rows, avg: np.ndarray) -> None:
+    def add(self, rows, layout, avg: np.ndarray) -> None:
         fam = self.fam
         # sweep each center's order from the far end: position i then holds
         # the best ball ending at a position >= i, i.e. the best ball
-        # containing the point at position i
-        best = np.where(fam.is_ball_end[rows], avg, -np.inf)
-        np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
+        # containing the point at position i; a per-ball table (with its
+        # layout) sweeps its balls and spreads each over its tie group
+        if layout is None:
+            best = np.where(fam.is_ball_end[rows], avg, -np.inf)
+            np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
+        else:
+            best = np.empty_like(avg)  # avg is shared: not written to
+            np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
+            best = layout.to_positions(best)
         # the index of ufunc.at must be 1-D: a 2-D one runs about 8x slower
         np.maximum.at(self.values, fam.order[rows].ravel(), best.ravel())
 
@@ -328,23 +329,35 @@ def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
     among the balls that attain each position's best, then a running
     minimum, at the points the positions hold, over the centers whose best
     equals the known value. A NaN attains as in `Sup`: a NaN value's
-    witness is the NaN ball of smallest key that contains the point.
+    witness is the NaN ball of smallest key that contains the point. A
+    block with a layout sweeps one column per ball and spreads the best and
+    its key over each ball's tie group.
     """
     fam = space.ball_family
     none = np.iinfo(fam.index_dtype).max
     wit_key = np.full(space.n, none, dtype=fam.index_dtype)
     for rows in fam.row_blocks():
-        avg = _ball_ends_only(fam, f, rows)
+        layout = fam.layout(rows)
+        if layout is None:  # -inf where no ball ends
+            avg = fam.averages_at_pos(f, rows)
+            np.copyto(avg, -np.inf, where=~fam.is_ball_end[rows])
+            keys = fam.ball_key[rows]
+        else:
+            avg = fam.averages_at_pos(f, rows, layout=layout)
+            keys = np.take(fam.ball_key[rows], layout.ends)
         best = np.empty_like(avg)
         np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
         # keys fall along the sweep, so the latest step attaining the running
         # max holds the smallest key of all the steps attaining it
-        key = np.where((avg == best) | (avg != avg), fam.ball_key[rows], none)
+        key = np.where((avg == best) | (avg != avg), keys, none)
         np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
-        points = fam.order[rows]
+        if layout is not None:
+            best, key = layout.to_positions(best), layout.to_positions(key)
+        points = fam.order[rows].ravel()
         want = np.take(values, points)
+        best = best.ravel()
         hit = (best == want) | (best != best) & (want != want)
-        np.minimum.at(wit_key, points.ravel(), np.where(hit, key, none).ravel())
+        np.minimum.at(wit_key, points, np.where(hit, key.ravel(), none))
     return wit_key
 
 

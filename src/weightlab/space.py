@@ -5,7 +5,9 @@ Provides:
   * BallFamily: per-center sorted-distance index with measure prefix sums.
     Every ball of the space is a closed sub-level set of dist(center, .) at
     one of the center's distinct distances, so the family is a complete,
-    finite realization of all balls.
+    finite realization of all balls. Its `scan` feeds every ball reduction
+    block by block of centers, over tables with one column per ball where
+    the block has a `BallLayout` and one per position elsewhere.
   * Ball enumeration, the doubling constant, and the annular decay constant,
     each with an extremal witness.
   * Generators for standard space families and a JSON document format.
@@ -43,6 +45,15 @@ TRIANGLE_TOL_FACTOR = 1e-9  # tolerance = factor * max distance
 # reduction over the n x n ball tables, and the construction of the
 # distances and the index, works in pieces of this size
 CHUNK_CELLS = 1 << 15
+# below this many points every table keeps one column per position: on the
+# hard suite, tied grids of 49 and 64 points took 0.72-1.18 of the time with
+# layouts, of 81 points 0.65-0.95, of 100 and 121 points 0.73-0.81
+LAYOUT_MIN_N = 80
+# a block whose widest center has more balls than this share of n keeps one
+# column per position: per block, a suite's mix of table builds and
+# reductions took 0.76-0.99 of the time with a layout at shares 0.33-0.55,
+# and 1.0-1.7 at shares above 0.7 (Euclidean grids, n = 1000)
+LAYOUT_MAX_SHARE = 0.5
 
 METRIC_KINDS = ("euclidean", "l1", "linf", "graph-shortest-path", "explicit-matrix")
 
@@ -129,7 +140,9 @@ class BallFamily:
     `row_blocks`, and reduced before the next block is built: no row needs
     another, and every row holds the same bytes as in a full table. `scan`
     makes that pass once for many reductions, building each table block
-    once for all of them.
+    once for all of them. Where a block has a `BallLayout`, built on its
+    first scan, its tables hold one column per ball instead of one per
+    position.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -141,6 +154,7 @@ class BallFamily:
         self.prefix_measure = np.empty((n, n))
         self.is_ball_end = np.empty((n, n), dtype=bool)
         self.ball_key = np.empty((n, n), dtype=self.index_dtype)
+        self._layouts = {}  # (start, stop) of a row block -> its BallLayout or None
         # rows are independent: each block of centers is built straight into
         # its rows of the four arrays, which hold the bytes of a full build
         for rows in self.row_blocks():
@@ -170,34 +184,68 @@ class BallFamily:
         """Slices of consecutive centers that cover 0..n-1, CHUNK_CELLS cells per slice."""
         return _row_blocks(self.n)
 
-    def averages_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def layout(self, rows) -> "BallLayout | None":
+        """The layout of a `row_blocks` slice, built on first use and kept.
+
+        None where the block's tables keep one column per position: below
+        LAYOUT_MIN_N points, and where a center has more balls than
+        LAYOUT_MAX_SHARE of n (a tie-free block has n). Threads that race
+        to build one build equal layouts.
+        """
+        if self.n < LAYOUT_MIN_N:
+            return None
+        key = rows.start, rows.stop
+        if key not in self._layouts:
+            ends = self.is_ball_end[rows]
+            counts = np.count_nonzero(ends, axis=1)
+            self._layouts[key] = (BallLayout(ends, counts)
+                                  if counts.max() <= LAYOUT_MAX_SHARE * self.n else None)
+        return self._layouts[key]
+
+    def averages_at_pos(self, f: np.ndarray, rows=slice(None), *,
+                        layout: "BallLayout | None" = None) -> np.ndarray:
         """Average of f over each prefix, in fixed ascending order.
 
         Entry (c, i) is the measure-weighted average of f over the first
         i+1 points nearest to center c. Column 0 is set to f(center)
-        exactly, so singleton balls average without round-off. Works in
-        one fresh buffer to keep large-n memory traffic down. `rows` (a
+        exactly, so singleton balls average without round-off. The full
+        table works in one fresh buffer to keep large-n memory traffic
+        down. `rows` (a
         slice or an index array of centers) limits the table to those
-        centers; each row holds the same bytes as in the full table.
+        centers; each row holds the same bytes as in the full table. With
+        the `layout` of a `row_blocks` slice the table has one column per
+        ball, the full table's entries at the ball ends.
         """
         fs = np.take(f * self.space.measure, self.order[rows])
         np.cumsum(fs, axis=1, out=fs)
-        np.divide(fs, self.prefix_measure[rows], out=fs)
+        if layout is not None:
+            fs = np.take(fs, layout.ends)
+            fs /= np.take(self.prefix_measure[rows], layout.ends)
+        else:
+            np.divide(fs, self.prefix_measure[rows], out=fs)
         fs[:, 0] = f[rows]
         return fs
 
-    def running_min_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def running_min_at_pos(self, f: np.ndarray, rows=slice(None), *,
+                           layout: "BallLayout | None" = None) -> np.ndarray:
+        """Minimum of f over each prefix; per ball with a `layout`, as `averages_at_pos`."""
         fs = np.take(f, self.order[rows])
+        if layout is not None:
+            return layout.running(np.minimum, fs)
         np.minimum.accumulate(fs, axis=1, out=fs)
         return fs
 
-    def running_max_at_pos(self, f: np.ndarray, rows=slice(None)) -> np.ndarray:
+    def running_max_at_pos(self, f: np.ndarray, rows=slice(None), *,
+                           layout: "BallLayout | None" = None) -> np.ndarray:
+        """Maximum of f over each prefix; per ball with a `layout`, as `averages_at_pos`."""
         fs = np.take(f, self.order[rows])
+        if layout is not None:
+            return layout.running(np.maximum, fs)
         np.maximum.accumulate(fs, axis=1, out=fs)
         return fs
 
-    def radius_at_pos(self, center: int, pos):
-        """Distance from the center to the point at position(s) pos of its order."""
+    def radius_at_pos(self, center, pos):
+        """Distance from the center(s) to the point at position(s) pos of its order."""
         return self.space.dist[center, self.order[center, pos]]
 
     def end_of_key(self, key: int) -> tuple[int, float]:
@@ -209,6 +257,29 @@ class BallFamily:
         center = key % self.n
         pos = int(self.ball_key[center].searchsorted(key))
         return pos, float(self.radius_at_pos(center, pos))
+
+    def end_positions(self, keys: np.ndarray) -> np.ndarray:
+        """End position of the ball of each key, as `end_of_key`, for an int64 array of keys.
+
+        A block with a layout reads them from it. Elsewhere each is the
+        number of entries below the key in its center's row of ball_key,
+        counted for one block's worth of rows at a time.
+        """
+        n = self.n
+        rank, center = np.divmod(keys, n)
+        pos = np.empty_like(keys)
+        for rows in self.row_blocks():
+            at = np.flatnonzero((center >= rows.start) & (center < rows.stop))
+            layout = self.layout(rows)
+            if layout is not None:
+                r = center[at] - rows.start
+                pos[at] = layout.ends[r, rank[at] - 1] - r * n
+                continue
+            step = rows.stop - rows.start
+            for i in range(0, at.size, step):
+                part = at[i:i + step]
+                pos[part] = np.count_nonzero(self.ball_key[center[part]] < keys[part, None], axis=1)
+        return pos
 
     def ball_at(self, center: int, rank: int) -> Ball:
         if not 1 <= rank <= self.ball_key[center, -1] // self.n:
@@ -225,13 +296,17 @@ class BallFamily:
 
         A reducer names the tables it reads in `tables`, as (vector, kind)
         pairs with kind "avg", "min" or "max", takes one block of centers at
-        a time through `add(rows, *tables)` and gives its result through
-        `result()`. In each block every named table is built once, by its
-        first reader, through `averages_at_pos`, `running_min_at_pos` or
-        `running_max_at_pos`, and dropped after its last reader, so only the
-        tables still to be read are held. The reducers take each block in an
-        order that holds few tables, `_reducer_order`: greedily, next the one
-        after which the fewest more tables are held, the earliest on a tie.
+        a time through `add(rows, layout, *tables)` and gives its result
+        through `result()`. In each block every named table is built once,
+        by its first reader, through `averages_at_pos`, `running_min_at_pos`
+        or `running_max_at_pos`, and dropped after its last reader, so only
+        the tables still to be read are held. In a block with a layout the
+        tables have one column per ball and `add` gets that `BallLayout`;
+        elsewhere, and for a reducer that names no table (it builds its own,
+        one column per position), `layout` is None. The reducers take each
+        block in an order that holds few tables, `_reducer_order`: greedily,
+        next the one after which the fewest more tables are held, the
+        earliest on a tie.
         Reducers that name the same vector share its table and must not
         write to it. A table is keyed by a digest of its vector's bytes: -f
         has its own, since reading avg(-f) as -avg(f) would flip the sign of
@@ -253,13 +328,13 @@ class BallFamily:
         order = _reducer_order(reads)
         last = {k: i for i in order for k in reads[i]}
         for rows in self.row_blocks():
-            held = {}
+            layout, held = self.layout(rows), {}
             for i in order:
                 r, keys = reducers[i], reads[i]
                 for key, (vec, kind) in zip(keys, r.tables):
                     if key not in held:
-                        held[key] = build[kind](vec, rows)
-                r.add(rows, *[held[key] for key in keys])
+                        held[key] = build[kind](vec, rows, layout=layout)
+                r.add(rows, layout if keys else None, *[held[key] for key in keys])
                 for key in keys:
                     if last[key] == i:
                         held.pop(key, None)
@@ -278,31 +353,39 @@ class Sup:
     """A `BallFamily.scan` reducer: the sup of a per-prefix table over realized balls.
 
     `table(rows, *tables)` returns the table's rows for one block of
-    centers, from the built tables named in `tables`. `result()` is
-    (value, BallRef). The witness is the attaining ball of smallest
-    ball_key, as in the operators. A NaN on a ball propagates to the value,
-    and the witness is then the NaN ball of smallest key. Blocks merge by a
-    running (value, smallest key) pair, with a NaN ranked above every
-    number, so value and witness are those of one reduction over the full
-    table. With witness=False the result is the value alone, merged the
-    same way without the key minimum.
+    centers, from the built tables named in `tables`, entry by entry: in a
+    block with a layout they have one column per ball, and so has its
+    result. `result()` is (value, BallRef). The witness is the attaining
+    ball of smallest ball_key, as in the operators. A NaN on a ball
+    propagates to the value, and the witness is then the NaN ball of
+    smallest key. Blocks merge by a running (value, smallest key) pair,
+    with a NaN ranked above every number, so value and witness are those of
+    one reduction over the full table. With witness=False the result is the
+    value alone, merged the same way without the key minimum.
     """
 
     def __init__(self, fam: BallFamily, tables, table, witness: bool = True):
         self.fam, self.tables, self.table, self.witness = fam, tables, table, witness
         self.value, self.key = -np.inf, None
 
-    def add(self, rows, *tables) -> None:
+    def add(self, rows, layout, *tables) -> None:
         fam = self.fam
         vals = self.table(rows, *tables)
-        ends = fam.is_ball_end[rows]
-        top = float(vals.max(where=ends, initial=-np.inf))
+        if layout is None:  # one column per position: only the ball ends count
+            ends = fam.is_ball_end[rows]
+            top = float(vals.max(where=ends, initial=-np.inf))
+        else:  # one column per ball; a pad repeats its row's last ball
+            top = float(vals.max())
         if _above(self.value, top):
             return
         if self.witness:
             hits = vals == top if top == top else np.isnan(vals)
-            hits &= ends  # never empty: top is the value of a ball of the block
-            k = int(fam.ball_key[rows][hits].min())
+            # never empty: top is the value of a ball of the block
+            if layout is None:
+                hits &= ends
+                k = int(fam.ball_key[rows][hits].min())
+            else:
+                k = int(np.take(fam.ball_key[rows], layout.ends[hits]).min())
             self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
         self.value = top
 
@@ -311,6 +394,71 @@ class Sup:
             return self.value
         rank, center = divmod(self.key, self.fam.n)
         return self.value, BallRef(center, rank, self.fam.end_of_key(self.key)[1])
+
+
+class BallLayout:
+    """Where the balls of one `row_blocks` slice end: the columns of its per-ball tables.
+
+    A table with one column per ball holds, in row r and column j, the full
+    table's entry at the end of the (j+1)-th ball of the block's r-th
+    center. A center with fewer balls than the block's widest repeats its
+    last ball, which ends at position n - 1, in the pad columns: a pad has
+    that ball's value and key, so no reduction needs a mask. Positions are
+    flat in the block's rows (r * n + i), and balls are numbered across the
+    block, row by row. Four int32 arrays:
+
+      ends    (rows, width)  the end position of every column, pads included
+      starts  (balls,)       the first position of every ball's tie group,
+                             for ufunc.reduceat
+      first, last  (rows,)   the number of each row's first and last ball
+
+    A table's entry at a ball end is read from the full sequential cumsum
+    (averages) or reduced over the tie groups and accumulated across the
+    columns (running extrema), so it holds the bytes of the full table.
+    """
+
+    __slots__ = ("ends", "starts", "first", "last")
+
+    def __init__(self, is_ball_end: np.ndarray, counts: np.ndarray):
+        """The layout of a block's rows of `BallFamily.is_ball_end`, with their ball counts."""
+        real = np.flatnonzero(is_ball_end)  # ascending: row by row, then by position
+        self.starts = np.concatenate(([0], real[:-1] + 1)).astype(np.int32)
+        self.last = (np.cumsum(counts) - 1).astype(np.int32)
+        self.first = self.last - counts.astype(np.int32) + 1
+        self.ends = real.astype(np.int32)[self._balls(counts.max())]
+
+    def _balls(self, width: int) -> np.ndarray:
+        """The number of the ball in every column."""
+        balls = np.add.outer(self.first, np.arange(width))
+        return np.minimum(balls, self.last[:, None], out=balls)
+
+    def to_positions(self, table: np.ndarray) -> np.ndarray:
+        """A per-ball table as one entry per position, its ball's, flat in the block's rows."""
+        # a column's tie group runs on from the previous column's end; a pad's is empty
+        ends = self.ends.ravel()
+        sizes = np.empty_like(ends)
+        sizes[0] = ends[0] + 1
+        np.subtract(ends[1:], ends[:-1], out=sizes[1:])
+        return np.repeat(table.ravel(), sizes)
+
+    def running(self, ufunc, fs: np.ndarray) -> np.ndarray:
+        """ufunc (np.minimum or np.maximum) accumulated along the rows of fs, at the ball ends.
+
+        On a tie of zeros an accumulate keeps the later zero, and a
+        reduction may keep either. So a tie group whose extremum is zero
+        takes the sign of its last zero, and the columns hold the bytes of
+        the full accumulate.
+        """
+        flat = fs.ravel()
+        groups = ufunc.reduceat(flat, self.starts)
+        zero = np.flatnonzero(groups == 0.0)
+        if zero.size:
+            at = np.flatnonzero(flat == 0.0)
+            group_end = np.append(self.starts[1:], flat.size)[zero] - 1
+            groups[zero] = flat[at[np.searchsorted(at, group_end, side="right") - 1]]
+        out = np.take(groups, self._balls(self.ends.shape[1]))
+        ufunc.accumulate(out, axis=1, out=out)
+        return out
 
 
 def _reducer_order(reads) -> list[int]:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from weightlab import operators
+from weightlab import space as space_module
 from weightlab import (
     generate,
     maximal,
@@ -18,6 +19,7 @@ from weightlab import (
     natural_minimal_naive,
 )
 from weightlab.families import sample_space
+from weightlab.space import BallRef, Sup
 
 E = np.e
 
@@ -430,3 +432,153 @@ class TestOneYield:
             assert isinstance(out, RuntimeError)  # the batch's other call still returns
             assert np.array_equal(up.values, want)
         assert len(runs) == len(closed) == 2  # not kept: the second batch ran it again
+
+
+def _full_sup(fam, tables, table):
+    """A Sup by the per-position formula: the max over ball ends, and the smallest attaining key."""
+    build = {"avg": fam.averages_at_pos, "min": fam.running_min_at_pos,
+             "max": fam.running_max_at_pos}
+    vals = table(slice(None), *[build[kind](vec) for vec, kind in tables])
+    ends = fam.is_ball_end
+    top = float(vals.max(where=ends, initial=-np.inf))
+    hits = (vals == top if top == top else np.isnan(vals)) & ends
+    key = int(fam.ball_key[hits].min())
+    rank, center = divmod(key, fam.n)
+    return top, BallRef(center, rank, fam.end_of_key(key)[1])
+
+
+def _full_operator(space, f):
+    """Mnat f with its witnesses by the per-position formulas, one radius search per point."""
+    fam = space.ball_family
+    none = np.iinfo(fam.index_dtype).max
+    avg = fam.averages_at_pos(f)
+    np.copyto(avg, -np.inf, where=~fam.is_ball_end)
+    best = np.empty_like(avg)
+    np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
+    values = np.full(space.n, -np.inf)
+    np.maximum.at(values, fam.order.ravel(), best.ravel())
+    key = np.where((avg == best) | (avg != avg), fam.ball_key, none)
+    np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
+    want = values[fam.order]
+    hit = (best == want) | (best != best) & (want != want)
+    keys = np.full(space.n, none, dtype=fam.index_dtype)
+    np.minimum.at(keys, fam.order.ravel(), np.where(hit, key, none).ravel())
+    rank, center = np.divmod(keys.astype(np.int64), space.n)
+    radius = np.array([fam.end_of_key(k)[1] for k in keys.tolist()])
+    return values, center, rank, radius
+
+
+def _no_gates(monkeypatch):
+    """A layout for every block of every space built from here on."""
+    monkeypatch.setattr(space_module, "LAYOUT_MIN_N", 1)
+    monkeypatch.setattr(space_module, "LAYOUT_MAX_SHARE", 1.0)
+
+
+class TestBallIndexedTables:
+    """Tables with one column per ball give the bytes of the per-position formulas."""
+
+    SPACES = {
+        "linf-grid": lambda: generate("grid", {"nx": 15, "ny": 20, "metric": "linf"}, seed=2),
+        "euclidean-grid": lambda: generate(
+            "grid", {"nx": 15, "ny": 20, "metric": "euclidean", "measure": "random"}, seed=2),
+        "points": lambda: generate("random-points", {"n": 200, "measure": "random"}, seed=3),
+        "n=1": lambda: generate("random-points", {"n": 1}, seed=0),
+        "n=2": lambda: generate("grid", {"nx": 1, "ny": 2, "metric": "l1"}, seed=0),
+        "above-size-gate": lambda: generate(
+            "grid", {"nx": 3, "ny": space_module.LAYOUT_MIN_N // 3 + 1, "metric": "linf"}, seed=4),
+    }
+
+    @staticmethod
+    def functions(n, seed):
+        rng = np.random.default_rng(seed)
+        return {
+            "normal": rng.normal(size=n),
+            "integers": rng.integers(-2, 3, size=n).astype(float),
+            "signed-zeros": rng.integers(-1, 2, size=n) * 0.0,
+            "zeros-and-ones": np.where(rng.random(n) < 0.3, 1.0, rng.integers(-1, 2, size=n) * 0.0),
+            "constant": np.full(n, 1.5),
+            "lognormal": np.exp(rng.normal(scale=3.0, size=n)),
+            # f * measure overflows where the measure exceeds 1: NaN averages
+            "overflowing": np.where(np.arange(n) % 2 == 0, 1e308, -1e308),
+        }
+
+    SUPS = {
+        "avg-min": (lambda f, g: ((f, "avg"), (f, "min")), lambda rows, a, lo: a - lo),
+        "max-min": (lambda f, g: ((f, "max"), (f, "min")), lambda rows, hi, lo: hi - lo),
+        "max-avg": (lambda f, g: ((f, "max"), (g, "avg")), lambda rows, hi, a: hi * a),
+        "two-avg": (lambda f, g: ((f, "avg"), (g, "avg")), lambda rows, a, b: a / b),
+    }
+
+    def assert_bytes(self, space, seed=5):
+        fam = space.ball_family
+        for name, f in self.functions(space.n, seed).items():
+            g = np.exp(-np.abs(f) / 1e307) + 1.0
+            with np.errstate(all="ignore"):
+                for vec in (f, -f):
+                    out = natural_maximal(space, vec)
+                    want = _full_operator(space, vec)
+                    got = (out.values, out.witness_center, out.witness_rank, out.witness_radius)
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                for sup, (tables, table) in self.SUPS.items():
+                    named = tables(f, g)
+                    value, ref = fam.scan([Sup(fam, named, table)])[0]
+                    top, want_ref = _full_sup(fam, named, table)
+                    assert np.float64(value).tobytes() == np.float64(top).tobytes(), (name, sup)
+                    assert ref == want_ref, (name, sup)
+                    alone = fam.scan([Sup(fam, named, table, witness=False)])[0]
+                    assert np.float64(alone).tobytes() == np.float64(top).tobytes(), (name, sup)
+                for rows in fam.row_blocks():
+                    layout = fam.layout(rows)
+                    if layout is None:
+                        continue
+                    for build in (fam.averages_at_pos, fam.running_min_at_pos,
+                                  fam.running_max_at_pos):
+                        full = np.take(build(f, rows), layout.ends)
+                        assert build(f, rows, layout=layout).tobytes() == full.tobytes(), name
+
+    @staticmethod
+    def with_layout(space):
+        fam = space.ball_family
+        return [fam.layout(rows) is not None for rows in fam.row_blocks()]
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_default_gates(self, name):
+        space = self.SPACES[name]()
+        with_layout = self.with_layout(space)
+        if name in ("linf-grid", "above-size-gate"):
+            assert all(with_layout) and len(with_layout) >= (3 if name == "linf-grid" else 1)
+        elif name == "euclidean-grid":  # two blocks over the gate, one under it
+            assert with_layout == [False, True, False]
+        else:  # below the size gate, or tie-free
+            assert not any(with_layout)
+        self.assert_bytes(space)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_every_block_with_a_layout(self, monkeypatch, name):
+        # random points get the identity layout, n = 1 and 2 theirs
+        _no_gates(monkeypatch)
+        space = self.SPACES[name]()
+        assert all(self.with_layout(space))
+        self.assert_bytes(space, seed=6)
+
+    def test_pads_repeat_the_last_ball(self):
+        space = self.SPACES["linf-grid"]()
+        fam = space.ball_family
+        rows = next(r for r in fam.row_blocks() if r.start <= 157 < r.stop)
+        layout = fam.layout(rows)
+        counts = np.count_nonzero(fam.is_ball_end[rows], axis=1)
+        # the grid's middle points have about half the balls of a center at its edge
+        assert counts.max() == layout.ends.shape[1] and counts.min() <= 0.6 * counts.max()
+        local = layout.ends - (np.arange(rows.stop - rows.start) * space.n)[:, None]
+        for r, count in enumerate(counts):
+            assert np.array_equal(local[r, :count], np.flatnonzero(fam.is_ball_end[rows.start + r]))
+            assert (local[r, count:] == space.n - 1).all()
+        self.assert_bytes(space, seed=7)
+
+    def test_radii_read_from_the_layout(self):
+        space = self.SPACES["euclidean-grid"]()
+        fam = space.ball_family
+        keys = fam.ball_key[fam.is_ball_end].astype(np.int64)
+        want = np.array([fam.end_of_key(k)[0] for k in keys.tolist()])
+        assert np.array_equal(fam.end_positions(keys), want)

@@ -28,6 +28,7 @@ from weightlab import space as space_module
 from weightlab.families import sample_space
 from weightlab.space import (
     GENERATOR_KINDS,
+    BallLayout,
     TRIANGLE_TOL_FACTOR,
     _annular_scan,
     _validate_matrix,
@@ -234,6 +235,42 @@ class TestStreamedBuild:
             tracemalloc.stop()
         assert space.n == 3000
         assert peak <= 27 * space.n ** 2
+
+    @pytest.mark.parametrize("kind, params", [
+        ("grid", {"nx": 50, "ny": 60, "metric": "linf"}),
+        ("random-points", {"n": 3000}),
+    ])
+    def test_layouts_stay_within_the_held_bytes(self, kind, params):
+        # the tied grid gets a layout in every block, the points none
+        tracemalloc.start()
+        try:
+            space = generate(kind, params, seed=1)
+            fam = space.ball_family
+            layouts = [fam.layout(rows) for rows in fam.row_blocks()]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(layouts) if kind == "grid" else not any(layouts)
+        assert peak <= 27 * space.n ** 2
+
+    def test_layout_bytes_per_cell_just_under_the_width_gate(self):
+        # distances 1 + ((i + j) mod k) / k, all in [1, 2], so a metric:
+        # every center has k + 1 = n / 2 balls, the widest a layout takes
+        n = 256
+        k = n // 2 - 1
+        i = np.arange(n)
+        dist = 1.0 + (np.add.outer(i, i) % k) / k
+        np.fill_diagonal(dist, 0.0)
+        fam = build_space(dist, "explicit-matrix", np.ones(n)).ball_family
+        layouts = [fam.layout(rows) for rows in fam.row_blocks()]
+        assert all(layout.ends.shape[1] == n // 2 == space_module.LAYOUT_MAX_SHARE * n
+                   for layout in layouts)
+        held = sum(getattr(layout, name).nbytes for layout in layouts
+                   for name in BallLayout.__slots__)
+        # ends and starts 2 bytes per cell each, first and last 8 per row; with
+        # the 25 of distances and index and a suite's 1.8, n = 15 000 needs
+        # 30.9 n^2 = 6.95 GB
+        assert held <= 4.1 * n ** 2
 
     @pytest.mark.parametrize("source", ["snowflake", "document"])
     def test_a_fresh_matrix_is_kept_not_copied(self, source):

@@ -468,9 +468,9 @@ class TestRunSuite:
         passes = []
         raw = BallFamily.averages_at_pos
 
-        def counted(fam, g, rows=slice(None)):
+        def counted(fam, g, rows=slice(None), **kwargs):
             passes.append(g.tobytes())
-            return raw(fam, g, rows)
+            return raw(fam, g, rows, **kwargs)
 
         monkeypatch.setattr(BallFamily, "averages_at_pos", counted)
         with operators._memo_scope():
@@ -523,8 +523,9 @@ class TestSuiteBatches:
         """Record (kind, input bytes, rows, inside a round) of every table block built."""
         builds = []
         for name in ("averages_at_pos", "running_min_at_pos", "running_max_at_pos"):
-            def counted(fam, f, rows=slice(None), raw=getattr(BallFamily, name), name=name):
-                out = raw(fam, f, rows)
+            def counted(fam, f, rows=slice(None), raw=getattr(BallFamily, name), name=name,
+                        **kwargs):
+                out = raw(fam, f, rows, **kwargs)
                 builds.append((name, f.tobytes(), out.shape[0], bool(rounds)))
                 return out
 
