@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -155,6 +156,7 @@ class BallFamily:
         self.is_ball_end = np.empty((n, n), dtype=bool)
         self.ball_key = np.empty((n, n), dtype=self.index_dtype)
         self._layouts = {}  # (start, stop) of a row block -> its BallLayout or None
+        self._kept = _KeptBlock()  # per thread: the block cast by `block_index`
         # rows are independent: each block of centers is built straight into
         # its rows of the four arrays, which hold the bytes of a full build
         for rows in self.row_blocks():
@@ -202,6 +204,39 @@ class BallFamily:
                                   if counts.max() <= LAYOUT_MAX_SHARE * self.n else None)
         return self._layouts[key]
 
+    def block_index(self, rows) -> np.ndarray:
+        """order[rows], as intp where a space has several blocks: one block's gather index.
+
+        np.take and ufunc.at cast an int32 index to intp in full on every
+        call, which made a gather of a CHUNK_CELLS block 3x slower. So in a
+        space of several blocks, a slice of at most one block's rows is cast
+        into a buffer of one block, kept per thread, and read by every call
+        for the same rows until another is asked for: the tables and
+        reducers of a block share one cast, and no block allocates one. The
+        result is valid until then. Other rows are cast afresh. A space of
+        one block reads order itself: on so few cells the cast costs no
+        more than the call.
+        """
+        kept = self._kept
+        if isinstance(rows, slice):
+            if rows == kept.rows:
+                return kept.index
+            n = self.order.shape[0]
+            step = max(1, CHUNK_CELLS // max(n, 1))
+            if step >= n:
+                return self.order[rows]
+            start, stop, stride = rows.indices(n)
+            if stride == 1 and stop - start <= step:
+                if kept.buffer is None or kept.buffer.shape != (step, n):
+                    kept.buffer = np.empty((step, n), dtype=np.intp)
+                kept.rows = None
+                # not read-only: np.take copies a read-only index
+                kept.index = kept.buffer[:stop - start]
+                np.copyto(kept.index, self.order[start:stop])
+                kept.rows = rows
+                return kept.index
+        return self.order[rows].astype(np.intp)
+
     def averages_at_pos(self, f: np.ndarray, rows=slice(None), *,
                         layout: "BallLayout | None" = None) -> np.ndarray:
         """Average of f over each prefix, in fixed ascending order.
@@ -216,7 +251,7 @@ class BallFamily:
         the `layout` of a `row_blocks` slice the table has one column per
         ball, the full table's entries at the ball ends.
         """
-        fs = np.take(f * self.space.measure, self.order[rows])
+        fs = np.take(f * self.space.measure, self.block_index(rows))
         np.cumsum(fs, axis=1, out=fs)
         if layout is not None:
             fs = np.take(fs, layout.ends)
@@ -229,7 +264,7 @@ class BallFamily:
     def running_min_at_pos(self, f: np.ndarray, rows=slice(None), *,
                            layout: "BallLayout | None" = None) -> np.ndarray:
         """Minimum of f over each prefix; per ball with a `layout`, as `averages_at_pos`."""
-        fs = np.take(f, self.order[rows])
+        fs = np.take(f, self.block_index(rows))
         if layout is not None:
             return layout.running(np.minimum, fs)
         np.minimum.accumulate(fs, axis=1, out=fs)
@@ -238,7 +273,7 @@ class BallFamily:
     def running_max_at_pos(self, f: np.ndarray, rows=slice(None), *,
                            layout: "BallLayout | None" = None) -> np.ndarray:
         """Maximum of f over each prefix; per ball with a `layout`, as `averages_at_pos`."""
-        fs = np.take(f, self.order[rows])
+        fs = np.take(f, self.block_index(rows))
         if layout is not None:
             return layout.running(np.maximum, fs)
         np.maximum.accumulate(fs, axis=1, out=fs)
@@ -349,6 +384,12 @@ class BallFamily:
         return self.scan([Sup(self, (), table)])[0]
 
 
+class _KeptBlock(threading.local):
+    """Per thread, the rows `BallFamily.block_index` last cast, their cast, and its buffer."""
+
+    rows = index = buffer = None
+
+
 class Sup:
     """A `BallFamily.scan` reducer: the sup of a per-prefix table over realized balls.
 
@@ -432,6 +473,10 @@ class BallLayout:
         balls = np.add.outer(self.first, np.arange(width))
         return np.minimum(balls, self.last[:, None], out=balls)
 
+    def to_columns(self, per_ball: np.ndarray) -> np.ndarray:
+        """One entry per ball, in ball order, as a per-ball table: a pad repeats its row's last."""
+        return np.take(per_ball, self._balls(self.ends.shape[1]))
+
     def to_positions(self, table: np.ndarray) -> np.ndarray:
         """A per-ball table as one entry per position, its ball's, flat in the block's rows."""
         # a column's tie group runs on from the previous column's end; a pad's is empty
@@ -456,7 +501,7 @@ class BallLayout:
             at = np.flatnonzero(flat == 0.0)
             group_end = np.append(self.starts[1:], flat.size)[zero] - 1
             groups[zero] = flat[at[np.searchsorted(at, group_end, side="right") - 1]]
-        out = np.take(groups, self._balls(self.ends.shape[1]))
+        out = self.to_columns(groups)
         ufunc.accumulate(out, axis=1, out=out)
         return out
 

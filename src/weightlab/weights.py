@@ -32,11 +32,14 @@ checks by rounds. Inside one ``run_suite`` call each (space, input,
 exponent) is computed once; outside it every call computes.
 
 bmo is the one functional that sums over each ball's members rather than
-reading a prefix table, O(n) per ball. In each block a closed form first
-estimates every ball's value, with a bound on the rounding of both
-computations; only the balls that may reach the sup are summed exactly,
-one full-length masked row each. Values and witnesses equal those of
-summing every row of every center, bit for bit.
+reading a prefix table, O(n) per ball; it reads avg f from the scan, so a
+batch shares that table with blo. A block of centers with few balls per
+center (a `BallLayout` at most BMO_EXACT_MAX_WIDTH ceil(sqrt n) wide) sums
+every ball, into its per-ball table. In every other block a closed form
+first estimates every ball's value, with a bound on the rounding of both
+computations; only the balls that may reach the sup are summed exactly.
+Each summed ball is one full-length masked row, so values and witnesses
+equal those of summing every row of every center, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,6 +61,14 @@ CROSS_FORM_RTOL = 1e-12
 BMO_SCREEN_MIN_N = 32
 # the screen's error bound assumes |f| and the measure within these powers of two
 SCREEN_RANGE = 2.0 ** 400
+# a block of centers with a layout whose widest center has at most this many
+# times ceil(sqrt n) balls sums every ball and skips the screen. Time of that
+# path over the screen's, per layout block, by width / ceil(sqrt n) (median
+# and range; linf, l1 and Euclidean grids of 500-2000 points, f = log w):
+#   <1.25: 0.27 (0.18-0.36)  1.25-1.75: 0.45 (0.26-0.69)  1.75-2.25: 0.53 (0.35-0.74)
+#   2.25-2.75: 0.64 (0.52-0.94)  2.75-3.25: 0.77 (0.64-0.97)  3.25-4: 0.96 (0.74-1.32)
+#   4-5: 1.22 (0.87-1.56)  5-6: 1.54 (1.09-2.19)  6-30 (Euclidean): 2-4 (1.37-6.59)
+BMO_EXACT_MAX_WIDTH = 3.0
 
 
 def _as_weight(space: FiniteMetricMeasureSpace, w, positive: bool = True) -> np.ndarray:
@@ -203,13 +214,28 @@ def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
 @_memoized
 def bmo_norm(space: FiniteMetricMeasureSpace, f):
     """sup over balls of avg |f - f_B|, over the table of `_bmo_table`."""
-    table, _ = _bmo_table(space, _as_function(space, f))
-    (sup,) = yield [Sup(space.ball_family, (), table)]
+    f = _as_function(space, f)
+    table, _ = _bmo_table(space, f)
+    (sup,) = yield [Sup(space.ball_family, ((f, "avg"),), table)]
     return FunctionalResult("BMO", *sup)
 
 
 def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
-    """The BMO norm's `table(rows)` for a `Sup`, and a count of the balls it summed.
+    """The BMO norm's `table(rows, avg)` for a `Sup` of avg(f), and a count of the balls summed.
+
+    Exact sums. A ball's value is summed as one full-length masked row:
+    mu |f - f_B| over the center's order, times 1 at the members'
+    positions and 0 after, summed with numpy's pairwise sum over the row
+    and divided by the ball's mass. Every ball summed is summed so, and
+    a singleton reads exactly zero.
+
+    Which balls. A row block with a `BallLayout` whose widest center has
+    at most BMO_EXACT_MAX_WIDTH * ceil(sqrt n) balls sums every ball, one
+    row per ball and none per pad, into its per-ball table: R_b n per
+    center against the screen's ~n^1.5 (the constant's comment has the
+    measured crossover). Every other block runs the screen below, and a
+    block with a layout reads its result at the ball ends. Both give the
+    bytes of summing every ball of every center.
 
     Screen. Let x = f - (max f + min f) / 2. With M the mass of a ball, S
     the sum of mu x over it, a = S / M and M_le, S_le the same two sums
@@ -230,14 +256,15 @@ def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
     underflow, which SCREEN_RANGE keeps small: the measure and |f| lie
     within it, so nothing overflows either.
 
-    Scan. In each row block of the scan the balls with
-    v >= max(L - err, V - 2 err) are summed exactly, with L the earlier
-    blocks' largest exact value and V the block's largest estimate; every
-    other ball reads -inf. A ball that ties or beats the sup t* has
-    t >= t* >= L, and t* >= (t of the block's top-estimate ball) >= V - err,
-    so its v clears both terms: value and tie-rule witness are those of
-    summing every ball, each as one full-length masked row. A NaN keeps
-    every ball; small spaces and inputs out of range mark every ball.
+    Scan. In each screened block the balls with v >= max(L - err, V - 2 err)
+    are summed exactly, with L the earlier blocks' largest exact value and
+    V the block's largest estimate; every other ball reads -inf. A ball
+    that ties or beats the sup t* has t >= t* >= L, and
+    t* >= (t of the block's top-estimate ball) >= V - err, so its v clears
+    both terms: value and tie-rule witness are those of summing every
+    ball. A NaN keeps every ball. Small spaces and inputs out of range do
+    not screen: every ball is summed, by the per-ball path where the block
+    has a layout.
     """
     n = space.n
     fam = space.ball_family
@@ -245,16 +272,20 @@ def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
     top = float(np.abs(f).max())
     screen = (n >= BMO_SCREEN_MIN_N and top <= SCREEN_RANGE
               and 1.0 / SCREEN_RANGE <= mu.min() and mu.max() <= SCREEN_RANGE)
+    width = math.isqrt(n - 1) + 1  # the screen's block of positions
     if screen:
         x = f - (0.5 * f.max() + 0.5 * f.min())
         by_rank = np.argsort(x, kind="stable")
         x_sorted = x[by_rank]
         rank1 = np.empty(n, dtype=np.intp)  # 1 + rank of x: column 0 of seen stays 0
         rank1[by_rank] = np.arange(1, n + 1)
-        width = math.isqrt(n - 1) + 1
         in_block = np.tri(width, dtype=bool)  # row j: block members at positions <= j
         err = 80.0 * (n + 1) * 2.0 ** -53 * top + (n + 8) * 2.0 ** -600
-    chunk = max(1, CHUNK_CELLS // n)
+    chunk = max(1, CHUNK_CELLS // n)  # rows of n summed at once
+    # row j: 1.0 at the positions <= j, the members, and 0.0 after, as
+    # windows of one vector; a float mask multiplies 10% faster than a bool
+    members = np.lib.stride_tricks.sliding_window_view(
+        (np.arange(2 * n - 1) < n).astype(float), n)[::-1]
     best, evaluated = -np.inf, 0  # largest exact value so far, balls summed
 
     def estimates(order, mass):
@@ -288,29 +319,44 @@ def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
         est[:, 0] = 0.0
         return est
 
-    def table(rows):
-        nonlocal best, evaluated
-        order, mass = fam.order[rows], fam.prefix_measure[rows]
-        marked = fam.is_ball_end[rows].copy()
-        if screen:
-            est = estimates(order, mass)
-            thr = np.maximum(best - err, est.max(where=marked, initial=-np.inf) - 2.0 * err)
-            marked &= ~(est < thr)  # a NaN keeps every ball
-        r, j = np.nonzero(marked)
-        evaluated += r.size
-        hit, row = np.unique(r, return_inverse=True)  # averages of these rows only
-        a = fam.averages_at_pos(f, rows.start + hit)[row, j]
-        vals = np.full(marked.shape, -np.inf)
+    def exact(rows, r, j, a):
+        """The values of the balls ending at positions j of rows r of a block, of averages a."""
+        index = fam.block_index(rows)
+        fo, mo = np.take(f, index), np.take(mu, index)
+        out = np.empty(r.size)
         for k in range(0, r.size, chunk):
             rk, jk = r[k:k + chunk], j[k:k + chunk]
-            ids = order[rk]
-            dev = f[ids]  # whole rows: a gather per entry is 3x slower
+            dev = fo[rk]  # whole rows: a gather per entry is 3x slower
             dev -= a[k:k + chunk, None]
             np.abs(dev, out=dev)
-            dev *= mu[ids]
-            dev *= np.arange(n) <= jk[:, None]  # members: positions <= j
-            vals[rk, jk] = dev.sum(axis=1) / mass[rk, jk]
+            dev *= mo[rk]
+            dev *= members[jk]  # gathered rows: 2x faster than a compare
+            out[k:k + chunk] = dev.sum(axis=1)
+        out /= fam.prefix_measure[rows][r, j]
+        return out
+
+    def table(rows, avg):
+        nonlocal best, evaluated
+        layout = fam.layout(rows)
+        if layout is not None and (not screen or avg.shape[1] <= BMO_EXACT_MAX_WIDTH * width):
+            real = np.arange(avg.shape[1]) < (layout.last - layout.first + 1)[:, None]  # no pad
+            r, j = np.divmod(layout.ends[real], n)  # ball order: row by row, then by position
+            vals = layout.to_columns(exact(rows, r, j, avg[real]))
+        else:
+            if layout is not None:  # each ball's average at every position of its tie group
+                avg = layout.to_positions(avg).reshape(-1, n)
+            marked = fam.is_ball_end[rows].copy()
+            if screen:
+                est = estimates(fam.block_index(rows), fam.prefix_measure[rows])
+                thr = np.maximum(best - err, est.max(where=marked, initial=-np.inf) - 2.0 * err)
+                marked &= ~(est < thr)  # a NaN keeps every ball
+            r, j = np.nonzero(marked)
+            vals = np.full(marked.shape, -np.inf)
+            vals[r, j] = exact(rows, r, j, avg[r, j])
+            if layout is not None:
+                vals = np.take(vals, layout.ends)
         vals[:, 0] = 0.0  # singletons oscillate exactly zero
+        evaluated += r.size
         best = np.maximum(best, vals.max())
         return vals
 

@@ -138,6 +138,36 @@ def bmo_rowwise(space, f):
     return sup_over_table(space, vals)
 
 
+def bmo_ball_rows(space, f):
+    """`bmo_rowwise` with only the rows at ball ends summed: the same bytes, O(n) per ball."""
+    return sup_over_table(space, bmo_ball_rows_table(space, f))
+
+
+def bmo_ball_rows_table(space, f):
+    """The (center, position) table of `bmo_ball_rows`.
+
+    Each center's row j is the same full-length masked row as in
+    `bmo_rowwise`, with the same operations; rows that end no ball read
+    -inf, which `sup_over_table` never reads.
+    """
+    f = np.asarray(f, dtype=float)
+    fam = space.ball_family
+    a = fam.averages_at_pos(f)
+    n = space.n
+    vals = np.full((n, n), -np.inf)
+    tri = np.tril(np.ones((n, n)), k=0)
+    for c in range(n):
+        order = fam.order[c]
+        ends = np.flatnonzero(fam.is_ball_end[c])
+        dev = f[order][None, :] - a[c, ends][:, None]
+        np.abs(dev, out=dev)
+        dev *= space.measure[order][None, :]
+        dev *= tri[ends]
+        vals[c, ends] = dev.sum(axis=1) / fam.prefix_measure[c, ends]
+    vals[:, 0] = 0.0
+    return vals
+
+
 def sup_over_table(space, table):
     """(value, BallRef) of a full (center, position) table, in one reduction.
 

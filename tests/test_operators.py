@@ -288,7 +288,7 @@ class TestFlatKernels:
             self.assert_scatter_bytes(space, -f)  # natural_minimal of f
 
     def test_tables_at_index_array_rows(self, three_block_grid):
-        # bmo_norm's table builds read the centers of kept balls as an int array
+        # the builders take any rows of centers: a slice or an int array
         fam = three_block_grid.ball_family
         rng = np.random.default_rng(6)
         f = rng.normal(size=fam.n)

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -644,3 +645,35 @@ class TestDocuments:
         assert np.array_equal(space.dist, three_path.dist)
         assert np.array_equal(space.measure, three_path.measure)
         assert "w" in weights
+
+
+class TestBlockIndex:
+    def test_a_block_cast_is_shared_by_the_reads_of_its_block(self, three_block_grid):
+        fam = three_block_grid.ball_family
+        for rows in list(fam.row_blocks()) * 2:
+            index = fam.block_index(rows)
+            assert index.dtype == np.intp and np.array_equal(index, fam.order[rows])
+            assert fam.block_index(rows) is index  # every read of the block shares it
+        assert fam.order.dtype == np.int32
+
+    def test_other_rows_are_cast_afresh(self, three_block_grid):
+        fam = three_block_grid.ball_family
+        for rows in (slice(None), slice(3, 250), slice(0, 20, 2), np.array([5, 2, 9])):
+            index = fam.block_index(rows)
+            assert index.dtype == np.intp and np.array_equal(index, fam.order[rows])
+            assert fam.block_index(rows) is not index
+        # a short slice is at most one block's cells
+        assert fam.block_index(slice(7, 9)) is fam.block_index(slice(7, 9))
+        # one block covers a small space: it reads order, and nothing is kept
+        small = generate("grid", {"nx": 8, "ny": 8}, seed=0).ball_family
+        assert small.block_index(slice(0, 64)).base is small.order
+        assert small._kept.buffer is None
+
+    def test_threads_keep_their_own_block(self, three_block_grid):
+        fam = three_block_grid.ball_family
+        first, last = list(fam.row_blocks())[0], list(fam.row_blocks())[-1]
+        index = fam.block_index(first)
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(lambda: fam.block_index(last).copy()).result()
+        assert np.array_equal(other, fam.order[last])
+        assert fam.block_index(first) is index and np.array_equal(index, fam.order[first])

@@ -24,9 +24,10 @@ from weightlab import (
 )
 from weightlab.factorization import _a1_value
 from weightlab.families import sample_space, sample_weight
-from weightlab.space import BallRef, Sup
+from weightlab.space import LAYOUT_MIN_N, BallRef, Sup
 from weightlab.theorems import check_harnack
-from weightlab.weights import BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_table
+from weightlab import weights
+from weightlab.weights import BMO_EXACT_MAX_WIDTH, BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_table
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -214,9 +215,10 @@ class TestBruteForceAgreement:
 
 
 def _bmo_inputs(rng, space):
-    """Seven function families: noise, log-weight, tied, offset, constant, spiky
+    """Nine function families: noise, log-weight, tied, offset, constant, spiky
     and linear (a coordinate, or the distance to point 0 where the space has
-    none), whose sup many centers' balls attain."""
+    none), whose sup many centers' balls attain, then two out of the screen's
+    range: |f| above SCREEN_RANGE, and +-1e308, whose deviations overflow."""
     n = space.n
     z = rng.standard_normal(n)
     return {
@@ -227,19 +229,36 @@ def _bmo_inputs(rng, space):
         "constant": np.full(n, 3.7),
         "spikes": np.where(rng.random(n) < 0.1, 1e6, 0.0) + z,
         "linear": space.dist[0] if space.coords is None else space.coords[:, 0],
+        "above-screen-range": np.linspace(-2.0, 2.0, n) * SCREEN_RANGE,
+        "extreme": np.where(rng.random(n) < 0.5, 1e308, -1e308),
     }
 
 
 def _balls_summed(space, f) -> int:
-    """How many balls the screened BMO scan of f sums exactly."""
+    """How many balls the BMO scan of f sums exactly."""
     table, summed = _bmo_table(space, f)
-    space.ball_family.sup_over_balls(table)
+    fam = space.ball_family
+    fam.scan([Sup(fam, ((f, "avg"),), table)])
     return summed()
 
 
-def _assert_bmo_matches_rowwise(space, f, label):
-    got = bmo_norm(space, f)
-    value, ref = oracles.bmo_rowwise(space, f)
+def _bmo_paths(space) -> list[str]:
+    """Per row block, the path of an input the screen accepts: "balls" (every
+    ball, per-ball table), "screen" (with a layout) or "positions" (no layout)."""
+    fam = space.ball_family
+    cutoff = BMO_EXACT_MAX_WIDTH * (math.isqrt(space.n - 1) + 1)
+    paths = []
+    for rows in fam.row_blocks():
+        layout = fam.layout(rows)
+        paths.append("positions" if layout is None
+                     else "balls" if layout.ends.shape[1] <= cutoff else "screen")
+    return paths
+
+
+def _assert_bmo_matches_rowwise(space, f, label, reference=oracles.bmo_rowwise):
+    with np.errstate(all="ignore"):  # +-1e308 overflows to NaN in both
+        got = bmo_norm(space, f)
+        value, ref = reference(space, f)
     assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), label
     assert got.witness == ref, label
 
@@ -264,14 +283,18 @@ class TestBmoScreen:
             _assert_bmo_matches_rowwise(space, f, name)
 
     def test_monotone_path(self):
-        # the whole path attains the sup from every center
+        # the whole path attains the sup from every center; tie-free, so no
+        # block has a layout and every block screens
         space = generate("path", {"n": 300}, seed=3)
+        assert set(_bmo_paths(space)) == {"positions"}
         f = np.arange(space.n, dtype=float)
         _assert_bmo_matches_rowwise(space, f, "arange")
         assert _balls_summed(space, f) >= space.n
 
     def test_screen_keeps_few_balls(self):
-        space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
+        # a Euclidean grid: every block's widest center is above the cutoff
+        space = generate("grid", {"nx": 20, "ny": 20, "metric": "euclidean"}, seed=3)
+        assert set(_bmo_paths(space)) == {"screen"}
         f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
         assert _balls_summed(space, f) <= 4
         # a coordinate ties across many centers, yet a ball per center or so
@@ -279,7 +302,9 @@ class TestBmoScreen:
         assert space.n <= kept <= 3 * space.n
 
     def test_degenerate_inputs_keep_every_ball(self):
-        space = generate("grid", {"nx": 8, "ny": 8, "metric": "linf"}, seed=3)
+        # tie-free points above the layout gate: no layout, the screen runs
+        space = generate("random-points", {"n": 100}, seed=3)
+        assert space.n >= LAYOUT_MIN_N and set(_bmo_paths(space)) == {"positions"}
         every = np.count_nonzero(space.ball_family.is_ball_end)
         for f in (np.full(space.n, 3.7), np.linspace(-2.0, 2.0, space.n) * SCREEN_RANGE):
             assert _balls_summed(space, f) == every
@@ -299,6 +324,89 @@ class TestBmoScreen:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * 8 * space.n ** 2
+
+
+class TestBmoEveryBall:
+    """Blocks with few balls sum every ball into a per-ball table, bit-identical to every row."""
+
+    def test_reference_rows_at_ball_ends(self):
+        # the fast reference below sums bmo_rowwise's rows at the ball ends only
+        rng = np.random.default_rng(5)
+        spaces = [generate("grid", {"nx": 9, "ny": 12, "metric": "l1"}, seed=5),
+                  generate("random-points", {"n": 90, "measure": "random"}, seed=5)]
+        for space in spaces + [sample_space(rng, 40) for _ in range(3)]:
+            for name, f in _bmo_inputs(rng, space).items():
+                with np.errstate(all="ignore"):
+                    v, ref = oracles.bmo_ball_rows(space, f)
+                    want, want_ref = oracles.bmo_rowwise(space, f)
+                assert np.float64(v).tobytes() == np.float64(want).tobytes(), name
+                assert ref == want_ref, name
+
+    @pytest.mark.parametrize("metric", ["linf", "l1"])
+    def test_grid_1000(self, metric):
+        space = generate("grid", {"nx": 25, "ny": 40, "metric": metric}, seed=1)
+        assert set(_bmo_paths(space)) == {"balls"}
+        for name, f in _bmo_inputs(np.random.default_rng(8), space).items():
+            _assert_bmo_matches_rowwise(space, f, name, oracles.bmo_ball_rows)
+
+    def test_grid_1000_against_every_row(self):
+        space = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
+        f = np.log(np.random.default_rng(1).uniform(0.1, 5.0, space.n))
+        _assert_bmo_matches_rowwise(space, f, "log-weight")
+
+    @pytest.mark.parametrize("make, paths", [
+        # the ends of each grid row screen, its middle sums every ball
+        (lambda: generate("grid", {"nx": 8, "ny": 100, "metric": "linf"}, seed=2),
+         {"balls", "screen"}),
+        # blocks with and without a layout, all screened at the default cutoff
+        (lambda: generate("grid", {"nx": 16, "ny": 25, "metric": "euclidean"}, seed=2),
+         {"positions", "screen"}),
+    ], ids=["linf-8x100", "euclidean-16x25"])
+    def test_cutoff_leaves_the_bytes(self, make, paths, monkeypatch):
+        space = make()
+        assert set(_bmo_paths(space)) == paths
+        inputs = _bmo_inputs(np.random.default_rng(9), space)
+        for name in ("log-weight", "linear", "constant", "extreme"):
+            f = inputs[name]
+            with np.errstate(all="ignore"):
+                value, ref = oracles.bmo_ball_rows(space, f)
+            # every layout block screens, as chosen, or sums every ball
+            for cutoff in (0.0, BMO_EXACT_MAX_WIDTH, math.inf):
+                monkeypatch.setattr(weights, "BMO_EXACT_MAX_WIDTH", cutoff)
+                with np.errstate(all="ignore"):
+                    got = bmo_norm(space, f)
+                assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), name
+                assert got.witness == ref, (name, cutoff)
+
+    def test_just_above_the_layout_gate(self):
+        space = generate("grid", {"nx": 9, "ny": 9, "metric": "linf", "measure": "random"},
+                         seed=4)
+        assert space.n == LAYOUT_MIN_N + 1 and set(_bmo_paths(space)) == {"balls"}
+        for name, f in _bmo_inputs(np.random.default_rng(4), space).items():
+            _assert_bmo_matches_rowwise(space, f, name)
+
+    def test_sums_every_ball(self):
+        space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
+        f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
+        assert _balls_summed(space, f) == np.count_nonzero(space.ball_family.is_ball_end)
+
+    @pytest.mark.parametrize("pattern", ["stripes", "diagonals"])
+    def test_sup_tied_across_blocks(self, pattern):
+        # unit masses and a 0/1 pattern: translated balls sum the same terms
+        # in the same order, so the sup ties exactly in several blocks
+        grid = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed=1)
+        space = build_space(grid.coords, "linf", np.ones(grid.n))
+        i, j = grid.coords[:, 0], grid.coords[:, 1]
+        f = ((j % 3 == 0) if pattern == "stripes" else ((i + j) % 3 == 0)).astype(float)
+        table = oracles.bmo_ball_rows_table(space, f)
+        fam = space.ball_family
+        value, ref = oracles.sup_over_table(space, table)
+        attaining = np.flatnonzero(((table == value) & fam.is_ball_end).any(axis=1))
+        blocks = [rows for rows in fam.row_blocks()
+                  if np.any((attaining >= rows.start) & (attaining < rows.stop))]
+        assert len(blocks) >= 2 and set(_bmo_paths(space)) == {"balls"}
+        got = bmo_norm(space, f)
+        assert got.value == value and got.witness == ref
 
 
 class TestEquivalentForms:
