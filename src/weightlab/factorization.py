@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentPair, InvalidParams, NonpositiveWeight
-from .operators import _batched, evaluate
+from .operators import _stepped, evaluate
 from .report import CheckReport, Tolerances, inequality_report
 from .space import BallFamily, FiniteMetricMeasureSpace, Sup, _float_array
 from .weights import (_as_weight, _exponents, a1_constant, ap_constant, blo_norm,
@@ -246,7 +246,7 @@ def refined_jones(space: FiniteMetricMeasureSpace, w, p: float, s: float,
     return refined_transform(search.v1, search.v2, p, s, space, search)
 
 
-@_batched
+@_stepped
 def verify_factorization(space: FiniteMetricMeasureSpace, w, pair: FactorPair,
                          tol: Tolerances = Tolerances(), inputs: str = "",
                          ) -> list[CheckReport]:

@@ -36,18 +36,10 @@ tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
 Max and min are exact and associative, so values and witnesses do not
 depend on how the centers are cut into blocks.
 
-Memo scope and batches: a memoized functional, decorated with
-``_memoized``, is a generator that yields one list of requests, each a
-``BallFamily.scan`` reducer or a call (functional, f, *params), and
-returns its result from the code after the yield. ``evaluate`` runs a
-batch of calls in one scan, and a single call is a batch of one. A check
-is a generator that yields the calls it needs next, decorated with
-``_batched``: alone it runs one batch per yield, and ``_drive`` runs
-several in lockstep rounds of one batch each. Inside ``_memo_scope()``
-each result is kept under (space, input bytes, params) and read by later
-calls. ``theorems.run_suite`` opens one scope per call; outside a scope
-every call computes. The scope is a ContextVar, so each thread running
-suites has its own.
+Memo scope and rounds: functionals and checks are generators that
+``_outcomes`` runs, one scan per round (see ``_stepped``). ``run_suite``
+opens one ``_memo_scope()`` per call; outside a scope every call computes.
+The scope is a ContextVar, so each thread running suites has its own.
 """
 
 from __future__ import annotations
@@ -138,140 +130,147 @@ def _memo_scope():
         _memo.reset(token)
 
 
-def _memoized(steps):
-    """Make steps(space, f, *params), a one-yield generator, into the functional it defines.
+def _stepped(steps, memoized: bool = False):
+    """Make steps(space, *args), a generator function, into the plain function it defines.
 
-    `steps` yields one list of requests, each a `BallFamily.scan` reducer or
-    a call (functional, f, *params), and returns the call's result from the
-    code after the yield. A call is a batch of one. Inside a memo scope the
-    result is kept under (steps, space, dtype, shape, digest of f's bytes,
-    params); the key holds the space itself, so its id cannot be reused
-    while the scope lives. Exceptions are not kept.
+    `steps` yields lists of requests, each a `BallFamily.scan` reducer or a
+    call (fn, *args) of another such function, as often as it needs, gets
+    their results at each yield and returns its own. Called by name, it is
+    a batch of one, with keyword arguments bound to positions. A memoized
+    call (fn, f, *params) is kept in the open memo scope under (steps,
+    space, dtype, shape, digest of f's bytes, params), never its exception.
     """
     signature = inspect.signature(steps)
 
     @functools.wraps(steps)
-    def functional(space, f, *params, **kwargs):
-        if kwargs:  # as positional params: one key per call, however it is spelled
-            params = signature.bind(space, f, *params, **kwargs).args[2:]
-        return evaluate(space, [(functional, f, *params)])[0]
-
-    functional.steps = steps  # copied onto any wrapper made with functools.wraps
-    return functional
-
-
-def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
-    """Per call (functional, f, *params), its result or the exception it raised.
-
-    A call already in the open memo scope is read; the others are started,
-    and their reducers and those of the calls they request run in one
-    `BallFamily.scan`. Each call then gets its results at its yield, or a
-    failed requested call's exception there, and returns its result, kept
-    in the scope under its key; an exception is not kept, and a second
-    yield fails the call. An exception that escapes the scan, such as a
-    numpy warning raised as an error, lands on its own call: the calls run
-    again one at a time.
-    """
-    memo = _memo.get()
-    done = {} if memo is None else memo  # results by key: the scope's, or this batch's
-    failed = {}  # key -> exception
-    started = {}  # key -> (generator, per request (reducer, None) or (None, its call's key))
-    keys = [_add(space, call, done, failed, started) for call in calls]
-    if started:
-        try:
-            outs = iter(space.ball_family.scan(
-                [r for _, parts in started.values() for r, _ in parts if r is not None]))
-        except Exception as exc:
-            if len(calls) > 1:
-                return [out for call in calls for out in _outcomes(space, [call])]
-            failed.update(dict.fromkeys(started, exc))
-            started = {}
-        for key, (gen, parts) in started.items():
-            got = [done.get(k) if r is None else next(outs) for r, k in parts]
-            exc = next((failed[k] for _, k in parts if k in failed), None)
-            try:
-                gen.send(got) if exc is None else gen.throw(exc)
-                gen.close()
-                raise RuntimeError(f"{gen.__name__} yielded twice; a functional yields once")
-            except StopIteration as stop:
-                done[key] = stop.value
-            except Exception as err:  # kept for this call
-                failed[key] = err
-    return [failed[key] if key in failed else done[key] for key in keys]
-
-
-def _add(space, call, done: dict, failed: dict, started: dict):
-    """The memo key of a call; starts it, and the calls it requests, unless known."""
-    fn, f, *params = call
-    try:
-        data = np.ascontiguousarray(f)
-        key = (fn.steps, space, data.dtype.str, data.shape,
-               hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
-    except ValueError:  # a ragged f has no bytes to key it by: its steps reject it
-        key = object()
-    if key in done or key in failed or key in started:
-        return key
-    gen = fn.steps(space, f, *params)
-    try:
-        requests = gen.send(None)
-    except Exception as exc:  # kept for this call
-        failed[key] = exc
-        return key
-    # added after the calls it requests, so finished after them
-    started[key] = (gen, [(None, _add(space, r, done, failed, started)) if isinstance(r, tuple)
-                          else (r, None) for r in requests])
-    return key
-
-
-def _batched(steps):
-    """Make a generator function into the plain function that runs it, one batch per yield.
-
-    `steps(space, ...)` yields lists of calls (functional, f, *params) and
-    gets their results at the yield, or the exception of the first failing
-    one thrown there. `steps` stays an attribute of the function, for `_drive`.
-    """
-
-    @functools.wraps(steps)
     def run(space, *args, **kwargs):
-        (out,) = _drive(space, [steps(space, *args, **kwargs)])
-        if isinstance(out, Exception):
-            raise out
-        return out
+        if kwargs:
+            args = signature.bind(space, *args, **kwargs).args[1:]
+        return evaluate(space, [(run, *args)])[0]
 
-    run.steps = steps
+    # copied onto any wrapper made with functools.wraps, so `_outcomes` drives it alike
+    run.steps, run.memoized = steps, memoized
     return run
 
 
+_memoized = functools.partial(_stepped, memoized=True)
+
+
+class _Step:
+    """A running call: its generator, what its last yield gets, and that yield's requests:
+    ``calls`` as (position, key), ``reducers`` as (position, reducer), and their scan's ``error``.
+    """
+
+    __slots__ = ("gen", "got", "calls", "reducers", "error")
+
+    def __init__(self, gen):
+        self.gen, self.got, self.calls, self.reducers, self.error = gen, None, (), (), None
+
+
+class _Loop:
+    """The state of one `_outcomes` call."""
+
+    def __init__(self, space: FiniteMetricMeasureSpace):
+        memo = _memo.get()
+        self.space, self.failed, self.running, self.waiting = space, {}, {}, []
+        self.done = {} if memo is None else memo  # results by key: the scope's, or this loop's
+
+    def start(self, call):
+        """The key of a call; starts the call unless it is known."""
+        fn, f, *params = call
+        key = object()  # not memoized: a key no other call has
+        if fn.memoized:
+            try:  # the key holds the space itself, so its id is not reused while it lives
+                data = np.ascontiguousarray(f)
+                key = (fn.steps, self.space, data.dtype.str, data.shape,
+                       hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
+            except ValueError:  # a ragged f has no bytes to key it by: its steps reject it
+                pass
+        if key not in self.done and key not in self.failed and key not in self.running:
+            self.running[key] = step = _Step(fn.steps(self.space, f, *params))
+            self.resume(key, step)
+        return key
+
+    def resume(self, key, step: _Step) -> bool:
+        """Send a step its results, or throw the first failure, once its calls have finished."""
+        exc = step.error
+        for i, k in step.calls:
+            if k in self.done:
+                step.got[i] = self.done[k]
+            elif k in self.failed:
+                exc = exc or self.failed[k]
+            else:  # it waits for a later round
+                self.waiting.append((key, step))
+                return False
+        try:
+            requests = step.gen.send(step.got) if exc is None else step.gen.throw(exc)
+        except StopIteration as stop:
+            self.done[key] = stop.value
+        except Exception as err:  # kept for this call
+            self.failed[key] = err
+        else:
+            step.got, step.calls, step.reducers, step.error = list(requests), [], [], None
+            for i, request in enumerate(step.got):
+                if type(request) is tuple:
+                    step.calls.append((i, self.start(request)))
+                else:
+                    step.reducers.append((i, request))
+            self.waiting.append((key, step))  # after the calls it started
+            return True
+        del self.running[key]
+        return True
+
+
+def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
+    """Per call (fn, *args), its result or the exception it raised: the one round loop.
+
+    A memoized call in the open scope is read; the others start, and so do
+    the calls they request, each step waiting behind the calls it started.
+    A round scans the reducers of every step that yielded since the last
+    one (if any). Then, in order, each step whose requested calls have
+    finished gets their results at its yield, or the first failure among
+    them thrown there; what it yields next waits for the next round.
+    """
+    loop = _Loop(space)
+    keys = [loop.start(call) for call in calls]
+    while loop.waiting:
+        steps, loop.waiting = loop.waiting, []
+        scanned = [step for _, step in steps if step.reducers]
+        if scanned:
+            _scan(space, scanned)
+        progressed = [loop.resume(key, step) for key, step in steps]
+        if not (scanned or any(progressed)):
+            raise RuntimeError("the waiting steps wait for each other")
+    return [loop.failed[key] if key in loop.failed else loop.done[key] for key in keys]
+
+
+def _scan(space: FiniteMetricMeasureSpace, batch: list) -> None:
+    """Put the outputs of one scan of the steps' reducers at their yields, once.
+
+    An exception that escapes the scan is a lone step's error; a batch scans
+    again step by step.
+    """
+    try:
+        outs = iter(space.ball_family.scan([r for step in batch for _, r in step.reducers]))
+    except Exception as exc:
+        if len(batch) > 1:
+            for step in batch:
+                _scan(space, [step])
+            return
+        batch[0].error, outs = exc, iter(())
+    for step in batch:  # zip takes from outs only while the step has reducers left
+        for (i, _), out in zip(step.reducers, outs):
+            step.got[i] = out
+        step.reducers = ()
+
+
 def evaluate(space: FiniteMetricMeasureSpace, calls: list) -> list:
-    """Results of calls (functional, f, *params) in one scan, or the first failure raised."""
+    """Results of calls (fn, *args), run together by `_outcomes`, or the first failure raised."""
     outs = _outcomes(space, calls)
     for out in outs:
         if isinstance(out, Exception):
             raise out
     return outs
-
-
-def _drive(space: FiniteMetricMeasureSpace, gens: list) -> list:
-    """Run generators of `_batched` steps in lockstep; per generator, what it returns or raises.
-
-    Each round runs the calls of every pending yield as one batch, one scan.
-    """
-    out, moves = [None] * len(gens), [(i, gen.send, None) for i, gen in enumerate(gens)]
-    while moves:
-        pending = []  # (index, the calls its generator yielded)
-        for i, move, value in moves:
-            try:
-                pending.append((i, move(value)))
-            except StopIteration as stop:
-                out[i] = stop.value
-            except Exception as exc:  # the generator's own error, as when it runs alone
-                out[i] = exc
-        results, moves = iter(_outcomes(space, [c for _, calls in pending for c in calls])), []
-        for i, calls in pending:
-            got = [next(results) for _ in calls]
-            exc = next((r for r in got if isinstance(r, Exception)), None)
-            moves.append((i, gens[i].send, got) if exc is None else (i, gens[i].throw, exc))
-    return out
 
 
 def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import factorization
+from . import factorization, operators
 from .operators import (
-    _batched,
-    _drive,
     _memo_scope,
+    _stepped,
     maximal,
     minimal,
     natural_maximal,
@@ -60,7 +59,7 @@ def _worst_point(arr: np.ndarray) -> dict:
     return {"point": i, "value": float(arr[i])}
 
 
-@_batched
+@_stepped
 def check_commutation(space, w, tol: Tolerances = Tolerances(),
                       inputs: str = "") -> list[CheckReport]:
     """Gap of log against the natural extremal operators on a positive weight.
@@ -85,7 +84,7 @@ def check_commutation(space, w, tol: Tolerances = Tolerances(),
     return out
 
 
-@_batched
+@_stepped
 def check_oscillation_characterization(space, f, tol: Tolerances = Tolerances(),
                                        inputs: str = "") -> list[CheckReport]:
     """Oscillation norms against the natural extremal deviation.
@@ -106,7 +105,7 @@ def check_oscillation_characterization(space, f, tol: Tolerances = Tolerances(),
     ]
 
 
-@_batched
+@_stepped
 def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
                   inputs: str = "") -> list[CheckReport]:
     """Two Harnack bounds on the ball oscillation of a positive weight.
@@ -133,7 +132,7 @@ def check_harnack(space, w, p: float, tol: Tolerances = Tolerances(),
     ]
 
 
-@_batched
+@_stepped
 def check_a1_characterization(space, w, tol: Tolerances = Tolerances(),
                               inputs: str = "") -> CheckReport:
     """Sandwich exp(||log w||_BLO) <= A_1(w) <= A_inf(w) exp(||log w||_BLO)."""
@@ -149,7 +148,7 @@ def check_a1_characterization(space, w, tol: Tolerances = Tolerances(),
     )
 
 
-@_batched
+@_stepped
 def check_rhinf_characterization(space, w, tol: Tolerances = Tolerances(),
                                  inputs: str = "") -> CheckReport:
     """Sandwich C <= exp(||log w||_BUO) <= C * A_inf(w), C the RH_inf constant."""
@@ -165,7 +164,7 @@ def check_rhinf_characterization(space, w, tol: Tolerances = Tolerances(),
     )
 
 
-@_batched
+@_stepped
 def check_converse_chain(space, w, tol: Tolerances = Tolerances(),
                          inputs: str = "") -> list[CheckReport]:
     """The three-step chain bounding M(Mw) by a computable multiple of Mw.
@@ -205,7 +204,7 @@ def check_converse_chain(space, w, tol: Tolerances = Tolerances(),
     ]
 
 
-@_batched
+@_stepped
 def check_power_props(space, w, s: float, p: float,
                       tol: Tolerances = Tolerances(),
                       inputs: str = "") -> list[CheckReport]:
@@ -250,7 +249,7 @@ def check_power_props(space, w, s: float, p: float,
     return [a, b, c, d]
 
 
-@_batched
+@_stepped
 def check_multiplier(space, phi, w, tol: Tolerances = Tolerances(),
                      inputs: str = "") -> CheckReport:
     """Products of weights on the upper-oscillation side.
@@ -273,7 +272,7 @@ def check_multiplier(space, phi, w, tol: Tolerances = Tolerances(),
     )
 
 
-@_batched
+@_stepped
 def check_duality(space, w, p: float, tol: Tolerances = Tolerances(),
                   inputs: str = "") -> list[CheckReport]:
     """Conjugate-exponent identities for the power w**(1-p).
@@ -303,7 +302,7 @@ def check_duality(space, w, p: float, tol: Tolerances = Tolerances(),
     ]
 
 
-@_batched
+@_stepped
 def report_unquantified(space, w, s: float, tol: Tolerances = Tolerances(),
                         inputs: str = "") -> list[CheckReport]:
     """Constants the general theory leaves as unspecified functions of C_d.
@@ -330,7 +329,7 @@ def report_unquantified(space, w, s: float, tol: Tolerances = Tolerances(),
     for name, val in zip(("ratio_blo_Mnat_f", "ratio_blo_Mf", "ratio_buo_mnat_f",
                           "ratio_buo_mf"), norms):
         quantities[name] = val / f_bmo if f_bmo > 0.0 else None
-    naive = yield from _naive_extremal_report.steps(space, f, tol.eq_for(w), inputs)
+    (naive,) = yield [(_naive_extremal_report, f, tol.eq_for(w), inputs)]
     return [soft_report("unquantified.constants", quantities, inputs), naive]
 
 
@@ -339,7 +338,7 @@ def _probe_points(n: int) -> np.ndarray:
     return np.unique(np.linspace(0, n - 1, min(n, 4)).astype(np.int64))
 
 
-@_batched
+@_stepped
 def _naive_extremal_report(space, f: np.ndarray, tol: float,
                            inputs: str) -> CheckReport:
     """Mnat f and mnat f at a few probe points against balls summed one by one.
@@ -406,42 +405,42 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
     Report order is fixed by (weight name in given order, check id).
 
     The checks share one memo scope, so each constant, norm and operator
-    sweep of a given input is computed once per call. A weight's checks run
-    in lockstep rounds: the calls each yields next form one batch, one
-    ``BallFamily.scan``, which builds each table a round reads once. The
-    multiplier runs after the weights. Nothing outlives the call.
+    sweep of a given input is computed once per call. A weight's checks are
+    one batch of the step loop, whose every round is one ``BallFamily.scan``
+    that builds each table it reads once. The multiplier runs after the
+    weights. Nothing outlives the call.
     """
     names = list(weights)
     p, s, tol = params.p, params.s, params.tol
-    suites = []  # (tag, inputs, {check name: generator of its steps}), run in this order
+    suites = []  # (tag, inputs, {check name: its call}), run in this order
     for name in names:
         w = np.asarray(weights[name], dtype=np.float64)
         inp = digest(space.dist, space.measure, w, p, s)
         checks = {
-            "commutation": check_commutation.steps(space, w, tol, inp),
-            "oscillation": _oscillation_of_log(space, w, tol, inp),
-            "harnack": check_harnack.steps(space, w, p, tol, inp),
-            "a1_characterization": check_a1_characterization.steps(space, w, tol, inp),
-            "rhinf_characterization": check_rhinf_characterization.steps(space, w, tol, inp),
-            "converse_chain": check_converse_chain.steps(space, w, tol, inp),
-            "power_props": check_power_props.steps(space, w, s, p, tol, inp),
-            "duality": check_duality.steps(space, w, p, tol, inp),
+            "commutation": (check_commutation, w, tol, inp),
+            "oscillation": (_oscillation_of_log, w, tol, inp),
+            "harnack": (check_harnack, w, p, tol, inp),
+            "a1_characterization": (check_a1_characterization, w, tol, inp),
+            "rhinf_characterization": (check_rhinf_characterization, w, tol, inp),
+            "converse_chain": (check_converse_chain, w, tol, inp),
+            "power_props": (check_power_props, w, s, p, tol, inp),
+            "duality": (check_duality, w, p, tol, inp),
         }
         if params.include_soft:
-            checks["unquantified"] = report_unquantified.steps(space, w, s, tol, inp)
+            checks["unquantified"] = (report_unquantified, w, s, tol, inp)
         if params.include_factorization and name == names[0]:
-            checks["factorization"] = _factorization_reports(space, w, params, inp)
+            checks["factorization"] = (_factorization_reports, w, params, inp)
         suites.append((f"{label}{name}", inp, checks))
     if names:
         phi_name, w_name = names[0], names[1 % len(names)]
         phi, w = weights[phi_name], weights[w_name]
         inp = digest(space.dist, space.measure, phi, w)
         suites.append((f"{label}{phi_name}*{w_name}", inp,
-                       {"multiplier": check_multiplier.steps(space, phi, w, tol, inp)}))
+                       {"multiplier": (check_multiplier, phi, w, tol, inp)}))
     reports: list[CheckReport] = []
     with _memo_scope():
         for tag, inp, checks in suites:
-            for name, out in zip(checks, _drive(space, list(checks.values()))):
+            for name, out in zip(checks, operators._outcomes(space, list(checks.values()))):
                 if isinstance(out, Exception):  # a failed entry, never an aborted suite
                     reports.append(error_report(f"{tag}.{name}", out, inp))
                 else:
@@ -450,17 +449,19 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
     return reports
 
 
+@_stepped
 def _oscillation_of_log(space, w, tol: Tolerances, inputs: str):
-    """The steps of the oscillation check on log w."""
-    return (yield from check_oscillation_characterization.steps(
-        space, np.log(_as_weight(space, w)), tol, inputs))
+    """The oscillation check on log w."""
+    return (yield [(check_oscillation_characterization, np.log(_as_weight(space, w)),
+                    tol, inputs)])[0]
 
 
+@_stepped
 def _factorization_reports(space, w, params: SuiteParams, inputs: str):
+    """The checks of the suite's factor pair of w."""
     pair = factorization.refined_jones(space, w, params.p, params.s,
                                        factorization.SUITE_OPTIONS)
-    return (yield from factorization.verify_factorization.steps(
-        space, w, pair, params.tol, inputs=inputs))
+    return (yield [(factorization.verify_factorization, w, pair, params.tol, inputs)])[0]
 
 
 __all__ = [

@@ -21,15 +21,14 @@ the same order, so the two suprema are exactly equal), with the alternate
 value stored on the result.
 buo is defined as the blo norm of -f (the operators' sign symmetry).
 
-All nine are memoized, each written once as a generator that yields one
-list of requests and returns its result from the code after the yield:
-the `Sup` reducer over the (vector, avg|min|max) tables it reads, and the
-calls it needs (a1 and rhinf read Mw and mw for their cross-checks, buo
-the blo norm of -f). A batch of calls runs in one ``BallFamily.scan``,
-which builds each block of a table once for every call that reads it; a
-single call is a batch of one, and ``run_suite`` batches the calls of its
-checks by rounds. Inside one ``run_suite`` call each (space, input,
-exponent) is computed once; outside it every call computes.
+All nine are memoized generators, run by the one step loop of
+``operators``. Each yields its requests once: the `Sup` reducer over the
+(vector, avg|min|max) tables it reads, and the calls it needs (a1 and
+rhinf read Mw and mw for their cross-checks, buo the blo norm of -f). A
+round of the loop is one ``BallFamily.scan``, which builds each block of a
+table once for every call that reads it. Inside one ``run_suite`` call
+each (space, input, exponent) is computed once; outside it every call
+computes.
 
 bmo is the one functional that sums over each ball's members rather than
 reading a prefix table, O(n) per ball; it reads avg f from the scan, so a

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,8 +19,10 @@ from weightlab import (
     natural_minimal,
     natural_minimal_naive,
 )
+from weightlab.errors import InvalidFunction
 from weightlab.families import sample_space
-from weightlab.space import BallRef, Sup
+from weightlab.space import BallFamily, BallRef, Sup
+from weightlab.weights import blo_norm
 
 E = np.e
 
@@ -408,30 +411,108 @@ class TestLazyWitnesses:
         assert np.array_equal(out.witness_rank, want[2])
 
 
-class TestOneYield:
-    def test_a_second_yield_fails_its_own_call_and_stays_out_of_the_memo(self):
-        space = sample_space(np.random.default_rng(13), 20)
-        f = np.random.default_rng(14).normal(size=space.n)
-        runs, closed = [], []
-        want = natural_maximal(space, f).values
+class TestRounds:
+    """A step yields as often as it needs; every round of the loop is one scan."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Record the reducers of every scan and, per vector, the rows of average table built."""
+        scans, rows = [], Counter()
+        raw_scan, raw_avg = BallFamily.scan, BallFamily.averages_at_pos
+
+        def scan(fam, reducers):
+            scans.append(len(reducers))
+            return raw_scan(fam, reducers)
+
+        def averages(fam, f, block=slice(None), **kwargs):
+            out = raw_avg(fam, f, block, **kwargs)
+            rows[f.tobytes()] += out.shape[0]
+            return out
+
+        monkeypatch.setattr(BallFamily, "scan", scan)
+        monkeypatch.setattr(BallFamily, "averages_at_pos", averages)
+        return scans, rows
+
+    @staticmethod
+    def _instance(seed):
+        space = sample_space(np.random.default_rng(seed), 20)
+        return space, np.random.default_rng(seed + 1).normal(size=space.n)
+
+    def test_a_step_that_yields_twice_runs_two_rounds_and_is_kept_once(self, monkeypatch):
+        space, f = self._instance(13)
+        want = blo_norm(space, natural_maximal(space, f).values)
+        runs = []
 
         @operators._memoized
         def twice(space, f):
             runs.append(f.tobytes())
+            (up,) = yield [(natural_maximal, f)]
+            (blo,) = yield [(blo_norm, up.values)]
+            return blo
+
+        scans, _ = self._count(monkeypatch)
+        with operators._memo_scope():
+            got = twice(space, f)
+            assert scans == [1, 1]  # the kernel, then the Sup
+            assert twice(space, f) is got and twice(space, f=f) is got
+            assert [key[0] for key in operators._memo.get()].count(twice.steps) == 1
+        assert len(runs) == 1 and len(scans) == 2
+        assert (got.value, got.witness) == (want.value, want.witness)
+
+    def test_a_call_at_a_second_yield_shares_that_rounds_scan(self, monkeypatch):
+        space, f = self._instance(15)
+        mf = natural_maximal(space, f).values
+
+        @operators._memoized
+        def then(space, f, op):
+            (up,) = yield [(natural_maximal, f)]
+            return (yield [(op, up.values)])[0]
+
+        scans, rows = self._count(monkeypatch)
+        up, blo = operators.evaluate(space, [(then, f, natural_maximal), (then, f, blo_norm)])
+        # one kernel on f, then Mnat and the blo Sup of Mnat f in one scan,
+        # which builds the average table of Mnat f once over all its blocks
+        assert scans == [1, 2]
+        assert rows[mf.tobytes()] == space.n
+        assert np.array_equal(up.values, natural_maximal(space, mf).values)
+        assert blo == blo_norm(space, mf)
+
+    def test_a_failing_call_at_a_later_yield_is_thrown_there_and_not_kept(self):
+        space, f = self._instance(17)
+        runs, caught = [], []
+
+        @operators._memoized
+        def then_fails(space, f):
+            runs.append(True)
+            (up,) = yield [(natural_maximal, f)]
             try:
-                (up,) = yield [(natural_maximal, f)]
-                yield [(natural_maximal, -f)]
-                return up
-            finally:
-                closed.append(True)
+                yield [(natural_maximal, np.full(space.n, np.nan))]
+            except InvalidFunction as exc:
+                caught.append(exc)
+                raise
+            return up
 
         with operators._memo_scope():
-            with pytest.raises(RuntimeError, match="twice yielded twice"):
-                twice(space, f)
-            out, up = operators._outcomes(space, [(twice, f), (natural_maximal, f)])
-            assert isinstance(out, RuntimeError)  # the batch's other call still returns
-            assert np.array_equal(up.values, want)
-        assert len(runs) == len(closed) == 2  # not kept: the second batch ran it again
+            with pytest.raises(InvalidFunction, match="non-finite"):
+                then_fails(space, f)
+            out, up = operators._outcomes(space, [(then_fails, f), (natural_maximal, f)])
+            assert isinstance(out, InvalidFunction)  # the batch's other call still returns
+            assert np.array_equal(up.values, natural_maximal(space, f).values)
+            # neither the failed step nor the failed call is kept: only Mnat f
+            assert [key[0] for key in operators._memo.get()] == [
+                operators._natural_extremal.steps, natural_maximal.steps]
+        assert len(runs) == len(caught) == 2  # the second batch ran it again
+
+    def test_steps_that_wait_for_each_other_raise(self):
+        space, f = self._instance(19)
+
+        @operators._memoized
+        def loops(space, f):
+            (again,) = yield [(loops, f)]
+            return again
+
+        with pytest.raises(RuntimeError, match="wait for each other"):
+            loops(space, f)
 
 
 def _full_sup(fam, tables, table):

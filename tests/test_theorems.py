@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import tracemalloc
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from weightlab import operators
+from weightlab import operators, theorems
 from weightlab import space as space_module
 from weightlab import (
     SuiteParams,
@@ -612,6 +613,41 @@ class TestSuiteBatches:
         assert any(order != sorted(order) for _, order in rounds)
         for reads, order in rounds:
             assert order == self._rescored_order(reads)
+
+
+class TestTracedWrappers:
+    """The benchmark's tracer replaces public names with functools.wraps wrappers.
+
+    The loop reaches each generator through a wrapper's copied `steps`.
+    """
+
+    @staticmethod
+    def _traced(fn, log):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            log.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return traced
+
+    def test_wrapped_names_give_the_same_reports_and_memo_entries(self, monkeypatch):
+        space, weights = TestRunSuite._tied_instance()
+        w = weights["w"]
+        want_check = reports_to_jsonl(check_harnack(space, w, 2.0))
+        want_suite = reports_to_jsonl(run_suite(space, weights))
+        log = []
+        a1, harnack = self._traced(a1_constant, log), self._traced(check_harnack, log)
+        assert reports_to_jsonl(harnack(space, w, 2.0)) == want_check
+        assert reports_to_jsonl(operators.evaluate(space, [(harnack, w, 2.0)])[0]) == want_check
+        with operators._memo_scope():
+            wrapped, plain = operators.evaluate(space, [(a1, w), (a1_constant, w)])
+            assert wrapped is plain and a1(space, w) is plain
+            assert [key[0] for key in operators._memo.get()].count(a1_constant.steps) == 1
+        assert log == ["check_harnack", "a1_constant"]  # called by name; in a batch, never
+        for name in ("a1_constant", "check_harnack"):
+            monkeypatch.setattr(theorems, name, self._traced(getattr(theorems, name), log))
+        assert reports_to_jsonl(run_suite(space, weights)) == want_suite
+        assert log == ["check_harnack", "a1_constant"]
 
 
 class TestDigest:
