@@ -38,8 +38,9 @@ depend on how the centers are cut into blocks.
 
 Memo scope and rounds: functionals and checks are generators that
 ``_outcomes`` runs, one scan per round (see ``_stepped``). ``run_suite``
-opens one ``_memo_scope()`` per call; outside a scope every call computes.
-The scope is a ContextVar, so each thread running suites has its own.
+opens one ``_memo_scope()`` per call, which keeps each memoized call that
+ended without an exception; outside a scope every call computes. The
+scope is a ContextVar, so each thread running suites has its own.
 """
 
 from __future__ import annotations
@@ -136,16 +137,19 @@ def _stepped(steps, memoized: bool = False):
     `steps` yields lists of requests, each a `BallFamily.scan` reducer or a
     call (fn, *args) of another such function, as often as it needs, gets
     their results at each yield and returns its own. Called by name, it is
-    a batch of one, with keyword arguments bound to positions. A memoized
-    call (fn, f, *params) is kept in the open memo scope under (steps,
-    space, dtype, shape, digest of f's bytes, params), never its exception.
+    a batch of one, with keyword arguments and defaults bound to positions.
+    A memoized call (fn, f, *params) is kept in the open memo scope under
+    (steps, space, dtype, shape, digest of f's bytes, params), never its
+    exception.
     """
     signature = inspect.signature(steps)
 
     @functools.wraps(steps)
     def run(space, *args, **kwargs):
-        if kwargs:
-            args = signature.bind(space, *args, **kwargs).args[1:]
+        if kwargs:  # bind stops at the first parameter not passed: defaults fill the gap
+            bound = signature.bind(space, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
         return evaluate(space, [(run, *args)])[0]
 
     # copied onto any wrapper made with functools.wraps, so `_outcomes` drives it alike
@@ -154,31 +158,40 @@ def _stepped(steps, memoized: bool = False):
 
 
 _memoized = functools.partial(_stepped, memoized=True)
+_RUNNING = object()  # the `out` of a call that has not ended
 
 
-class _Step:
-    """A running call: its generator, what its last yield gets, and that yield's requests:
-    ``calls`` as (position, key), ``reducers`` as (position, reducer), and their scan's ``error``.
+class _Call:
+    """A call of a step function, run by `_Loop`: its generator and memo key (or None).
+
+    At a yield, `got` holds the requests, each replaced by its result as it
+    arrives; `reducers` are their positions, `waits` counts the results
+    still to come (one per running call, one for the scan) and `failed`
+    tells whether one is an exception. Once it ends, `out` is what it
+    returned or raised, and `failed` tells which. Its result goes to each
+    (step, position) in `waiters`.
     """
 
-    __slots__ = ("gen", "got", "calls", "reducers", "error")
+    got, waits, failed, out = None, 0, False, _RUNNING  # before its first step
 
-    def __init__(self, gen):
-        self.gen, self.got, self.calls, self.reducers, self.error = gen, None, (), (), None
+    def __init__(self, gen, key):
+        self.gen, self.key, self.waiters = gen, key, []
 
 
 class _Loop:
-    """The state of one `_outcomes` call."""
+    """The state of one `_outcomes` call: the memo it reads, its keyed calls, its next scan."""
 
     def __init__(self, space: FiniteMetricMeasureSpace):
         memo = _memo.get()
-        self.space, self.failed, self.running, self.waiting = space, {}, {}, []
-        self.done = {} if memo is None else memo  # results by key: the scope's, or this loop's
+        self.space = space
+        self.memo = {} if memo is None else memo  # ended calls by key: the scope's, or this loop's
+        self.started = {}  # this loop's calls by key, failed ones too
+        self.scanning = []  # the steps that wait for the next scan
 
-    def start(self, call):
-        """The key of a call; starts the call unless it is known."""
-        fn, f, *params = call
-        key = object()  # not memoized: a key no other call has
+    def call(self, request) -> _Call:
+        """The call (fn, f, *params): known by its key, or started and run until it waits."""
+        fn, f, *params = request
+        key = None
         if fn.memoized:
             try:  # the key holds the space itself, so its id is not reused while it lives
                 data = np.ascontiguousarray(f)
@@ -186,82 +199,96 @@ class _Loop:
                        hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
             except ValueError:  # a ragged f has no bytes to key it by: its steps reject it
                 pass
-        if key not in self.done and key not in self.failed and key not in self.running:
-            self.running[key] = step = _Step(fn.steps(self.space, f, *params))
-            self.resume(key, step)
-        return key
+            if key in self.started:
+                return self.started[key]
+            if key in self.memo:
+                return self.memo[key]
+        call = _Call(fn.steps(self.space, f, *params), key)
+        if key is not None:  # before it runs: a call that requests itself waits for itself
+            self.started[key] = call
+        self.resume(call)
+        return call
 
-    def resume(self, key, step: _Step) -> bool:
-        """Send a step its results, or throw the first failure, once its calls have finished."""
-        exc = step.error
-        for i, k in step.calls:
-            if k in self.done:
-                step.got[i] = self.done[k]
-            elif k in self.failed:
-                exc = exc or self.failed[k]
-            else:  # it waits for a later round
-                self.waiting.append((key, step))
-                return False
-        try:
-            requests = step.gen.send(step.got) if exc is None else step.gen.throw(exc)
-        except StopIteration as stop:
-            self.done[key] = stop.value
-        except Exception as err:  # kept for this call
-            self.failed[key] = err
-        else:
-            step.got, step.calls, step.reducers, step.error = list(requests), [], [], None
+    def resume(self, step: _Call) -> None:
+        """Run a step on from its yield, once all its results are in, until it waits or ends.
+
+        At its end, its result goes to the steps that wait for it, and each
+        that had no other result to wait for runs on.
+        """
+        while not step.waits:
+            exc = next(g for g in step.got if isinstance(g, Exception)) if step.failed else None
+            try:
+                requests = step.gen.send(step.got) if exc is None else step.gen.throw(exc)
+            except StopIteration as stop:
+                step.out, step.failed = stop.value, False
+                if step.key is not None:
+                    self.memo[step.key] = step
+                break
+            except Exception as err:  # kept for this call
+                step.out, step.failed = err, True
+                break
+            step.got, step.reducers, step.failed = list(requests), [], False
             for i, request in enumerate(step.got):
-                if type(request) is tuple:
-                    step.calls.append((i, self.start(request)))
+                if type(request) is not tuple:
+                    step.reducers.append(i)
+                elif (call := self.call(request)).out is _RUNNING:
+                    call.waiters.append((step, i))
+                    step.waits += 1
                 else:
-                    step.reducers.append((i, request))
-            self.waiting.append((key, step))  # after the calls it started
-            return True
-        del self.running[key]
-        return True
+                    step.got[i] = call.out
+                    step.failed |= call.failed
+            if step.reducers:
+                step.waits += 1
+                self.scanning.append(step)
+        if step.out is _RUNNING:
+            return
+        for waiter, i in step.waiters:
+            waiter.got[i] = step.out
+            waiter.failed |= step.failed
+            waiter.waits -= 1
+            self.resume(waiter)
 
 
 def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
     """Per call (fn, *args), its result or the exception it raised: the one round loop.
 
-    A memoized call in the open scope is read; the others start, and so do
-    the calls they request, each step waiting behind the calls it started.
-    A round scans the reducers of every step that yielded since the last
-    one (if any). Then, in order, each step whose requested calls have
-    finished gets their results at its yield, or the first failure among
-    them thrown there; what it yields next waits for the next round.
+    Each call is read from the memo, or starts and runs until it waits for
+    the results of a yield; the calls it requests start alike. A round
+    scans the reducers of every step that waits for a scan; a step runs on
+    once its last result is in, with the first failure among them thrown
+    at its yield, and what it yields next waits for a later round.
     """
     loop = _Loop(space)
-    keys = [loop.start(call) for call in calls]
-    while loop.waiting:
-        steps, loop.waiting = loop.waiting, []
-        scanned = [step for _, step in steps if step.reducers]
-        if scanned:
-            _scan(space, scanned)
-        progressed = [loop.resume(key, step) for key, step in steps]
-        if not (scanned or any(progressed)):
-            raise RuntimeError("the waiting steps wait for each other")
-    return [loop.failed[key] if key in loop.failed else loop.done[key] for key in keys]
+    started = [loop.call(call) for call in calls]
+    while loop.scanning:
+        batch, loop.scanning = loop.scanning, []
+        _scan(space, batch)
+        for step in batch:  # a step's last result may be its scan's, or a call's that ends here
+            step.waits -= 1
+            loop.resume(step)
+    if any(call.out is _RUNNING for call in started):
+        raise RuntimeError("the waiting steps wait for each other")
+    return [call.out for call in started]
 
 
 def _scan(space: FiniteMetricMeasureSpace, batch: list) -> None:
-    """Put the outputs of one scan of the steps' reducers at their yields, once.
+    """Put the outputs of one scan of the steps' reducers at their yields.
 
-    An exception that escapes the scan is a lone step's error; a batch scans
+    An exception that escapes the scan fails a lone step; a batch scans
     again step by step.
     """
     try:
-        outs = iter(space.ball_family.scan([r for step in batch for _, r in step.reducers]))
+        outs = iter(space.ball_family.scan([step.got[i] for step in batch for i in step.reducers]))
     except Exception as exc:
         if len(batch) > 1:
             for step in batch:
                 _scan(space, [step])
             return
-        batch[0].error, outs = exc, iter(())
+        outs = iter([exc] * len(batch[0].reducers))
+        batch[0].failed = True
     for step in batch:  # zip takes from outs only while the step has reducers left
-        for (i, _), out in zip(step.reducers, outs):
+        for i, out in zip(step.reducers, outs):
             step.got[i] = out
-        step.reducers = ()
 
 
 def evaluate(space: FiniteMetricMeasureSpace, calls: list) -> list:

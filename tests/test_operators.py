@@ -503,6 +503,59 @@ class TestRounds:
                 operators._natural_extremal.steps, natural_maximal.steps]
         assert len(runs) == len(caught) == 2  # the second batch ran it again
 
+    def test_a_call_that_fails_after_a_round_is_thrown_at_the_yield_that_waits(self):
+        space, f = self._instance(21)
+        caught = []
+
+        @operators._memoized
+        def fails_late(space, f):
+            yield [(natural_maximal, f)]  # ends after the round that scans Mnat f
+            raise InvalidFunction("late")
+
+        @operators._memoized
+        def asks(space, f):
+            try:
+                yield [(fails_late, f)]
+            except InvalidFunction as exc:
+                caught.append(exc)
+                raise
+
+        with operators._memo_scope():
+            with pytest.raises(InvalidFunction, match="late"):
+                asks(space, f)
+            assert [key[0] for key in operators._memo.get()] == [
+                operators._natural_extremal.steps, natural_maximal.steps]
+        assert len(caught) == 1
+
+    def test_an_exception_escaping_a_scan_is_thrown_at_its_steps_yield(self):
+        space, f = self._instance(23)
+        caught = []
+
+        class Fails:
+            """A reducer whose every block raises, as a numpy warning raised as an error would."""
+
+            def __init__(self, f):
+                self.tables = ((f, "avg"),)
+
+            def add(self, rows, layout, avg):
+                raise FloatingPointError("in the scan")
+
+            def result(self):
+                return None
+
+        @operators._memoized
+        def scanned(space, f):
+            try:
+                yield [Fails(f)]
+            except FloatingPointError as exc:
+                caught.append(exc)
+                raise
+
+        out, up = operators._outcomes(space, [(scanned, f), (natural_maximal, f)])
+        assert isinstance(out, FloatingPointError) and caught == [out]
+        # the round's other step scans again alone and still returns
+        assert np.array_equal(up.values, natural_maximal(space, f).values)
+
     def test_steps_that_wait_for_each_other_raise(self):
         space, f = self._instance(19)
 

@@ -650,6 +650,33 @@ class TestTracedWrappers:
         assert log == ["check_harnack", "a1_constant"]
 
 
+class TestCallsByName:
+    """A step function called by name is a batch of one: keywords bind to positions."""
+
+    def test_a_keyword_after_a_skipped_default_reaches_the_check(self):
+        space, weights = TestRunSuite._tied_instance()
+        w = weights["w"]
+        assert {r.inputs for r in check_harnack(space, w, 2.0, inputs="x")} == {"x"}
+        pair = refined_jones(space, w, 2.0, 2.0, SUITE_OPTIONS)
+        by_keyword = verify_factorization(space, w, pair, inputs="y")
+        assert by_keyword and {r.inputs for r in by_keyword} == {"y"}
+        assert reports_to_jsonl(by_keyword) == reports_to_jsonl(
+            verify_factorization(space, w, pair, Tolerances(), "y"))
+
+    def test_checks_are_not_kept_in_the_memo_scope(self):
+        space, weights = TestRunSuite._tied_instance()
+        w = weights["w"]
+        with operators._memo_scope():
+            first = check_harnack(space, w, 2.0)
+            memo = operators._memo.get()
+            # only functionals, keyed by (steps, space, ...): no entry for the check
+            assert memo and all(type(key) is tuple and key[1] is space for key in memo)
+            assert check_harnack.steps not in {key[0] for key in memo}
+            entries = len(memo)
+            assert check_harnack(space, w, 2.0) is not first
+            assert len(memo) == entries  # the second call reads the functionals, adds nothing
+
+
 class TestDigest:
     @staticmethod
     def copied(*parts):
