@@ -37,10 +37,11 @@ Max and min are exact and associative, so values and witnesses do not
 depend on how the centers are cut into blocks.
 
 Memo scope and rounds: functionals and checks are generators that
-``_outcomes`` runs, one scan per round (see ``_stepped``). ``run_suite``
-opens one ``_memo_scope()`` per call, which keeps each memoized call that
-ended without an exception; outside a scope every call computes. The
-scope is a ContextVar, so each thread running suites has its own.
+``_outcomes`` runs (see ``_stepped``), one scan per round; a reducer's
+output and a call's result, an exception too, reach the waiting step by
+one path. ``run_suite`` opens one ``_memo_scope()`` per call, which keeps
+each memoized call that ended without an exception; outside a scope every
+call computes. The scope is a ContextVar, so each thread has its own.
 """
 
 from __future__ import annotations
@@ -138,9 +139,7 @@ def _stepped(steps, memoized: bool = False):
     call (fn, *args) of another such function, as often as it needs, gets
     their results at each yield and returns its own. Called by name, it is
     a batch of one, with keyword arguments and defaults bound to positions.
-    A memoized call (fn, f, *params) is kept in the open memo scope under
-    (steps, space, dtype, shape, digest of f's bytes, params), never its
-    exception.
+    A memoized call (fn, f, *params) is kept under the key `_outcomes` makes.
     """
     signature = inspect.signature(steps)
 
@@ -162,14 +161,12 @@ _RUNNING = object()  # the `out` of a call that has not ended
 
 
 class _Call:
-    """A call of a step function, run by `_Loop`: its generator and memo key (or None).
+    """A call of a step function, run by `_outcomes`: its generator and memo key (or None).
 
     At a yield, `got` holds the requests, each replaced by its result as it
-    arrives; `reducers` are their positions, `waits` counts the results
-    still to come (one per running call, one for the scan) and `failed`
-    tells whether one is an exception. Once it ends, `out` is what it
-    returned or raised, and `failed` tells which. Its result goes to each
-    (step, position) in `waiters`.
+    arrives, `waits` counts the results still to come, and `failed` tells
+    whether one is an exception. Once it ends, `out` is what it returned or
+    raised and `failed` tells which; it goes to each (step, position) in `waiters`.
     """
 
     got, waits, failed, out = None, 0, False, _RUNNING  # before its first step
@@ -178,43 +175,50 @@ class _Call:
         self.gen, self.key, self.waiters = gen, key, []
 
 
-class _Loop:
-    """The state of one `_outcomes` call: the memo it reads, its keyed calls, its next scan."""
+def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
+    """Per call (fn, *args), its result or the exception it raised: the one round loop.
 
-    def __init__(self, space: FiniteMetricMeasureSpace):
-        memo = _memo.get()
-        self.space = space
-        self.memo = {} if memo is None else memo  # ended calls by key: the scope's, or this loop's
-        self.started = {}  # this loop's calls by key, failed ones too
-        self.scanning = []  # the steps that wait for the next scan
+    Each call is read from the memo, or starts and runs until it waits for
+    the results of a yield; the calls it requests start alike. A round
+    scans every reducer that a step waits for, at once. Each result, a
+    reducer's output or a call's, goes to its step by `resume`.
+    """
+    memo = _memo.get()
+    memo = {} if memo is None else memo  # ended calls by key: the scope's, or this loop's
+    started = {}  # this loop's calls by key, failed ones too
+    scanning = []  # (reducer, step, position) for the next scan
 
-    def call(self, request) -> _Call:
+    def call(request) -> _Call:
         """The call (fn, f, *params): known by its key, or started and run until it waits."""
         fn, f, *params = request
         key = None
         if fn.memoized:
             try:  # the key holds the space itself, so its id is not reused while it lives
                 data = np.ascontiguousarray(f)
-                key = (fn.steps, self.space, data.dtype.str, data.shape,
+                key = (fn.steps, space, data.dtype.str, data.shape,
                        hashlib.blake2b(data, digest_size=16).digest(), tuple(params))
             except ValueError:  # a ragged f has no bytes to key it by: its steps reject it
                 pass
-            if key in self.started:
-                return self.started[key]
-            if key in self.memo:
-                return self.memo[key]
-        call = _Call(fn.steps(self.space, f, *params), key)
+            if key in started:
+                return started[key]
+            if key in memo:
+                return memo[key]
+        step = _Call(fn.steps(space, f, *params), key)
         if key is not None:  # before it runs: a call that requests itself waits for itself
-            self.started[key] = call
-        self.resume(call)
-        return call
+            started[key] = step
+        resume(step)
+        return step
 
-    def resume(self, step: _Call) -> None:
-        """Run a step on from its yield, once all its results are in, until it waits or ends.
+    def resume(step: _Call, position=None, out=None, failed=False) -> None:
+        """Put a result in place and count down; at zero, run the step on until it waits or ends.
 
-        At its end, its result goes to the steps that wait for it, and each
-        that had no other result to wait for runs on.
+        A step's first run puts nothing, and its first failure is thrown at its
+        yield. At its end, its result goes the same way to the steps that wait.
         """
+        if position is not None:
+            step.got[position] = out
+            step.failed |= failed
+            step.waits -= 1
         while not step.waits:
             exc = next(g for g in step.got if isinstance(g, Exception)) if step.failed else None
             try:
@@ -222,73 +226,42 @@ class _Loop:
             except StopIteration as stop:
                 step.out, step.failed = stop.value, False
                 if step.key is not None:
-                    self.memo[step.key] = step
+                    memo[step.key] = step
                 break
             except Exception as err:  # kept for this call
                 step.out, step.failed = err, True
                 break
-            step.got, step.reducers, step.failed = list(requests), [], False
+            step.got, step.failed = list(requests), False
             for i, request in enumerate(step.got):
                 if type(request) is not tuple:
-                    step.reducers.append(i)
-                elif (call := self.call(request)).out is _RUNNING:
-                    call.waiters.append((step, i))
+                    scanning.append((request, step, i))
+                    step.waits += 1
+                elif (called := call(request)).out is _RUNNING:
+                    called.waiters.append((step, i))
                     step.waits += 1
                 else:
-                    step.got[i] = call.out
-                    step.failed |= call.failed
-            if step.reducers:
-                step.waits += 1
-                self.scanning.append(step)
-        if step.out is _RUNNING:
-            return
-        for waiter, i in step.waiters:
-            waiter.got[i] = step.out
-            waiter.failed |= step.failed
-            waiter.waits -= 1
-            self.resume(waiter)
+                    step.got[i] = called.out
+                    step.failed |= called.failed
+        if step.out is not _RUNNING:
+            for waiter, i in step.waiters:
+                resume(waiter, i, step.out, step.failed)
 
+    def scanned(batch: list) -> list:
+        """Per (reducer, step, position), its output from one scan, or the exception raised."""
+        try:
+            return [(out, False) for out in space.ball_family.scan([r for r, _, _ in batch])]
+        except Exception as exc:  # if a scan of several raises, each reducer scans again alone
+            return [(exc, True)] if len(batch) == 1 else [scanned([entry])[0] for entry in batch]
 
-def _outcomes(space: FiniteMetricMeasureSpace, calls) -> list:
-    """Per call (fn, *args), its result or the exception it raised: the one round loop.
-
-    Each call is read from the memo, or starts and runs until it waits for
-    the results of a yield; the calls it requests start alike. A round
-    scans the reducers of every step that waits for a scan; a step runs on
-    once its last result is in, with the first failure among them thrown
-    at its yield, and what it yields next waits for a later round.
-    """
-    loop = _Loop(space)
-    started = [loop.call(call) for call in calls]
-    while loop.scanning:
-        batch, loop.scanning = loop.scanning, []
-        _scan(space, batch)
-        for step in batch:  # a step's last result may be its scan's, or a call's that ends here
-            step.waits -= 1
-            loop.resume(step)
-    if any(call.out is _RUNNING for call in started):
+    first = [call(request) for request in calls]
+    while scanning:
+        batch, scanning = scanning, []
+        for (_, step, i), (out, failed) in zip(batch, scanned(batch)):
+            resume(step, i, out, failed)
+    call = resume = scanned = None  # they refer to each other: free them with the loop
+    if any(step.out is _RUNNING for step in first):
         raise RuntimeError("the waiting steps wait for each other")
-    return [call.out for call in started]
-
-
-def _scan(space: FiniteMetricMeasureSpace, batch: list) -> None:
-    """Put the outputs of one scan of the steps' reducers at their yields.
-
-    An exception that escapes the scan fails a lone step; a batch scans
-    again step by step.
-    """
-    try:
-        outs = iter(space.ball_family.scan([step.got[i] for step in batch for i in step.reducers]))
-    except Exception as exc:
-        if len(batch) > 1:
-            for step in batch:
-                _scan(space, [step])
-            return
-        outs = iter([exc] * len(batch[0].reducers))
-        batch[0].failed = True
-    for step in batch:  # zip takes from outs only while the step has reducers left
-        for i, out in zip(step.reducers, outs):
-            step.got[i] = out
+    return [step.out for step in first]
 
 
 def evaluate(space: FiniteMetricMeasureSpace, calls: list) -> list:

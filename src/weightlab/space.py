@@ -317,8 +317,9 @@ class BallFamily:
         return pos
 
     def ball_at(self, center: int, rank: int) -> Ball:
-        if not 1 <= rank <= self.ball_key[center, -1] // self.n:
-            raise InvalidParams(f"rank {rank} out of range for center {center}")
+        if not (isinstance(center, numbers.Integral) and isinstance(rank, numbers.Integral)
+                and 0 <= center < self.n and 1 <= rank <= self.ball_key[center, -1] // self.n):
+            raise InvalidParams(f"no ball of rank {rank!r} at center {center!r}")
         return self.ball_at_pos(center, self.end_of_key(rank * self.n + center)[0])
 
     def ball_at_pos(self, center: int, pos: int) -> Ball:

@@ -88,6 +88,10 @@ W = [1.0, 2.0]
      (InvalidParams, "exponent p")),
     (lambda sp: annular_decay_constant(sp, "1", 1.0), InvalidParams),
     (lambda sp: annular_decay_constant(sp, 1.0, "1"), InvalidParams),
+    (lambda sp: sp.ball_family.ball_at(-1, 1), (InvalidParams, "center -1")),
+    (lambda sp: sp.ball_family.ball_at(2, 1), (InvalidParams, "center 2")),
+    (lambda sp: sp.ball_family.ball_at(1.5, 1), (InvalidParams, "center 1.5")),
+    (lambda sp: sp.ball_family.ball_at(0, 1.5), (InvalidParams, "rank 1.5")),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
         "maximal", "blo", "blo-ragged", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
         "scalar-coords", "weight-family", "sample-max-n", "tolerance-nan",
@@ -98,7 +102,8 @@ W = [1.0, 2.0]
         "jones-q-str", "jones-q-inf", "harnack-p-str", "duality-p-1", "power-props-s-nan",
         "multistarts-float", "multistarts-str", "seed-negative", "transform-nan",
         "transform-inf", "transform-lengths", "transform-ragged", "verify-pair-length",
-        "verify-pair-p-str", "annular-alpha-str", "annular-r_min-str"])
+        "verify-pair-p-str", "annular-alpha-str", "annular-r_min-str", "ball-center-negative",
+        "ball-center-n", "ball-center-float", "ball-rank-float"])
 def test_bad_input_raises_its_weightlab_error(two_point, call, error):
     error, match = error if isinstance(error, tuple) else (error, None)  # match: the message
     with warnings.catch_warnings():

@@ -438,6 +438,18 @@ class TestRounds:
         space = sample_space(np.random.default_rng(seed), 20)
         return space, np.random.default_rng(seed + 1).normal(size=space.n)
 
+    class Fails:
+        """A reducer whose every block raises, as a numpy warning raised as an error would."""
+
+        def __init__(self, f):
+            self.tables = ((f, "avg"),)
+
+        def add(self, rows, layout, avg):
+            raise FloatingPointError("in the scan")
+
+        def result(self):
+            return None
+
     def test_a_step_that_yields_twice_runs_two_rounds_and_is_kept_once(self, monkeypatch):
         space, f = self._instance(13)
         want = blo_norm(space, natural_maximal(space, f).values)
@@ -531,22 +543,10 @@ class TestRounds:
         space, f = self._instance(23)
         caught = []
 
-        class Fails:
-            """A reducer whose every block raises, as a numpy warning raised as an error would."""
-
-            def __init__(self, f):
-                self.tables = ((f, "avg"),)
-
-            def add(self, rows, layout, avg):
-                raise FloatingPointError("in the scan")
-
-            def result(self):
-                return None
-
         @operators._memoized
         def scanned(space, f):
             try:
-                yield [Fails(f)]
+                yield [self.Fails(f)]
             except FloatingPointError as exc:
                 caught.append(exc)
                 raise
@@ -555,6 +555,33 @@ class TestRounds:
         assert isinstance(out, FloatingPointError) and caught == [out]
         # the round's other step scans again alone and still returns
         assert np.array_equal(up.values, natural_maximal(space, f).values)
+
+    def test_a_raising_reducer_among_several_is_thrown_at_its_own_steps_yield(self, monkeypatch):
+        space, f = self._instance(25)
+        g = np.random.default_rng(26).normal(size=space.n)
+        caught = []
+
+        @operators._memoized
+        def two(space, f):
+            try:
+                yield [operators._MaxFold(space.ball_family, f), self.Fails(f)]
+            except FloatingPointError as exc:
+                caught.append(exc)
+                raise
+
+        @operators._memoized
+        def lone(space, f):
+            yield [self.Fails(f)]
+
+        want = natural_maximal(space, g).values
+        scans, _ = self._count(monkeypatch)
+        out, up = operators._outcomes(space, [(two, f), (natural_maximal, g)])
+        assert isinstance(out, FloatingPointError) and caught == [out]
+        assert np.array_equal(up.values, want)  # the round's other step still returns
+        assert scans == [3, 1, 1, 1]  # the round, then each reducer alone
+        scans.clear()
+        assert isinstance(operators._outcomes(space, [(lone, f)])[0], FloatingPointError)
+        assert scans == [1]  # a lone reducer is not scanned again
 
     def test_steps_that_wait_for_each_other_raise(self):
         space, f = self._instance(19)

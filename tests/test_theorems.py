@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import tracemalloc
 import warnings
@@ -675,6 +676,30 @@ class TestCallsByName:
             entries = len(memo)
             assert check_harnack(space, w, 2.0) is not first
             assert len(memo) == entries  # the second call reads the functionals, adds nothing
+
+
+class TestNoGarbage:
+    """The round loop leaves no reference cycle: what a call made is freed when it returns."""
+
+    def test_suites_and_calls_by_name_leave_nothing_for_the_collector(self):
+        rng = np.random.default_rng(5)
+        instances = [sample_instance(rng, 40) for _ in range(3)]
+        run_suite(*instances[0])  # the first suite imports parts of numpy, which leave cycles
+        gc.collect()
+        gc.disable()
+        try:
+            for space, weights in instances:
+                run_suite(space, weights)
+            suites = gc.collect()
+            for space, weights in instances:
+                w = next(iter(weights.values()))
+                a1_constant(space, w)
+                maximal(space, w).witness_center
+                check_harnack(space, w, 2.0, inputs="x")
+            calls = gc.collect()
+        finally:
+            gc.enable()
+        assert (suites, calls) == (0, 0)
 
 
 class TestDigest:
