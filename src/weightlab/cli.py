@@ -221,9 +221,7 @@ def cmd_factor(args) -> int:
         print(f"factor: weight {args.weight!r} not in document", file=sys.stderr)
         return 2
     w = _valid_weight(space, args.weight, weights[args.weight])
-    options = factorization.FactorOptions(multistarts=args.multistarts,
-                                          seed=args.seed or 0)
-    pair = factorization.refined_jones(space, w, args.p, args.s, options)
+    pair = factorization.refined_jones(space, w, args.p, args.s)
     reports = factorization.verify_factorization(space, w, pair, _tolerances(args))
     payload = pair.to_dict()
     payload["verification"] = [r.to_dict() for r in reports]
@@ -234,7 +232,8 @@ def cmd_factor(args) -> int:
     else:
         print(text)
     ok = aggregate_verdict(reports)
-    print(f"objective={pair.search.objective:.6g} certificates="
+    print(f"objective={pair.search.objective:.9g} lower_bound={pair.search.lower_bound:.9g} "
+          f"converged={pair.search.converged} certificates="
           f"{ {k: round(v, 6) for k, v in pair.certificates.items()} } "
           f"verdict={'pass' if ok else 'FAIL'}")
     return 0 if ok else 1
@@ -351,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--weight", default="w")
     f.add_argument("--p", type=float, default=2.0)
     f.add_argument("--s", type=float, default=2.0)
-    f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--multistarts", type=int, default=8)
     f.add_argument("--tolerance", type=float, default=None)
     f.add_argument("--out", default=None)
     f.set_defaults(fn=cmd_factor)

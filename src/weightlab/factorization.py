@@ -6,22 +6,27 @@ A_1 constants small, then transform w1 = v1**(1/s), w2 = v2**(1-p). The
 split is structural (v1 is defined as u * v2**(q-1), so any positive v2
 yields an exact factorization); the search only shrinks the certificates.
 
-Search. max(A_1(v1), A_1(v2)) is minimized over x = log v2 by golden-section
-line searches that move x only if the objective falls, so it never exceeds
-its value at v2 = 1. The zero start first searches the power split
-x = t log u / (1-q), t in [0, 1], where v1 = u**(1-t), w1 = w**(1-t) and
-w2 = w**t. The objective is scale free (invariant under constant shifts of
-x) and convex in x, so one golden section finds the best split. Coordinate
-sweeps follow, from there and from seeded random restarts; the max is
-nonsmooth, so pure coordinate sweeps can stall off the minimum, and each
-sweep ends with a few seeded random-direction searches. No global
-optimality is claimed; grid oracles pin the quality at small n.
+Search. In x = log v2 the objective log max(A_1(v1), A_1(v2)) is the max,
+over the balls B and both factors, of log avg_B e^a - min_B a, with
+a = log u + (q-1) x for v1 and a = x for v2. Each term is convex in x, so
+one active-set (Kelley) loop minimizes the max and certifies the result.
+Each round scans v1 and v2 once, each with a witness `Sup`, adds both
+witness balls to a model of the balls seen so far, and minimizes the
+model's max of those few terms by direct sums over the balls. The model's
+minimum is a lower bound on the objective's, so the search stops, certified,
+once a scanned objective is within GAP_RTOL of it, or when no new ball
+enters. It never returns an objective above its value at v2 = 1.
+
+There are two search spaces. On the power-split line x = t log u / (1-q),
+t in [0, 1], where v1 = u**(1-t), log A_1 on a ball of w**alpha rises with
+alpha >= 0, so the model's v1 terms fall in t and its v2 terms rise: its
+minimum is their crossing, found by bisection. Over all of x, from the
+line's optimum and with its balls, the model is solved by a log barrier
+with Newton steps (Boyd-Vandenberghe, Convex Optimization, 2004, 11.3).
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,57 +34,45 @@ import numpy as np
 from .errors import InconsistentPair, InvalidParams, NonpositiveWeight
 from .operators import _stepped, evaluate
 from .report import CheckReport, Tolerances, inequality_report
-from .space import BallFamily, FiniteMetricMeasureSpace, Sup, _float_array
+from .space import FiniteMetricMeasureSpace, Sup, _float_array
 from .weights import (_as_weight, _exponents, a1_constant, ap_constant, blo_norm,
                       rhinf_constant, rhs_constant)
 
 RECONSTRUCTION_RTOL = 1e-12
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_ITERS = 28  # golden-section steps per line search
-RANDOM_DIRS = 4  # seeded random-direction searches appended per sweep
-SWEEP_TOL = 1e-6  # stop when a full sweep improves less than this, relatively
-BRACKET = 1.0  # half-width of the coordinate and random-direction searches
-INIT_SCALE = 0.75  # stddev of the random restart offsets
+GAP_RTOL = 1e-9  # certified: the objective is within this of the lower bound, relatively
+BARRIER_GROWTH = 4.0  # factor of the barrier weight t between centrings
 
 
 @dataclass(frozen=True)
 class FactorOptions:
-    """Starts and sweeps per start of the A_1-certificate search.
+    """Search space of the A_1-certificate search: the power-split line, or all of log v2."""
 
-    Start 0 searches the power split before its sweeps, so max_sweeps=0
-    runs that line alone. The defaults are the precise preset.
-    """
-
-    multistarts: int = 8
-    max_sweeps: int = 40
-    seed: int = 0
-
-    def __post_init__(self):
-        for name, low in (("multistarts", 1), ("max_sweeps", 0), ("seed", 0)):
-            x = getattr(self, name)
-            if not (isinstance(x, numbers.Integral) and x >= low):
-                raise InvalidParams(f"FactorOptions needs an integer {name} >= {low}, got {x!r}")
+    line_only: bool = False
 
 
-# cheap preset used inside randomized suites, where the certificate bounds
-# hold for any positive v2 and only runtime matters: the power split alone,
-# GOLDEN_ITERS + 3 evaluations; the objective is convex, so one golden
-# section finds the best split w = w**(1-t) * w**t, never worse than v2 = 1
-SUITE_OPTIONS = FactorOptions(multistarts=1, max_sweeps=0)
+# preset used inside randomized suites, where the certificate bounds hold
+# for any positive v2: the best power split w = w**(1-t) * w**t alone,
+# certified in a few scans
+SUITE_OPTIONS = FactorOptions(line_only=True)
 
 
 @dataclass(frozen=True, eq=False)
 class FactorSearch:
-    """Outcome of one jones_factor call."""
+    """Outcome of one jones_factor call.
+
+    lower_bound is at most the objective's minimum over the search space,
+    converged means the objective is within GAP_RTOL of it, and
+    evaluations counts the scans (each of v1 and v2 together).
+    """
 
     v1: np.ndarray
     v2: np.ndarray
     objective: float
+    lower_bound: float
     a1_v1: float
     a1_v2: float
     converged: bool
-    start_index: int
     evaluations: int
 
 
@@ -104,101 +97,151 @@ class FactorPair:
             "w1": self.w1.tolist(), "w2": self.w2.tolist(),
             "certificates": dict(self.certificates),
             "converged": None if self.search is None else self.search.converged,
+            "lower_bound": None if self.search is None else self.search.lower_bound,
         }
-
-
-def _a1_value(fam: BallFamily, values: np.ndarray) -> float:
-    """A_1 constant alone, without the cross-check or a witness; the optimizer's inner loop."""
-    return fam.scan([Sup(fam, ((values, "avg"), (values, "min")),
-                         lambda rows, avg, low: avg / low, witness=False)])[0]
-
-
-def _golden_min(g, lo: float, hi: float):
-    """Golden-section scan of g on [lo, hi]; returns the best probed point."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    gc, gd = g(c), g(d)
-    for _ in range(GOLDEN_ITERS):
-        if gc < gd:
-            hi, d, gd = d, c, gc
-            c = hi - _INVPHI * (hi - lo)
-            gc = g(c)
-        else:
-            lo, c, gc = c, d, gd
-            d = lo + _INVPHI * (hi - lo)
-            gd = g(d)
-    return (c, gc) if gc < gd else (d, gd)
 
 
 def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
                  options: FactorOptions | None = None) -> FactorSearch:
-    """Split u = v1 * v2**(1-q) with both A_1 certificates minimized.
+    """Split u = v1 * v2**(1-q) with max(A_1(v1), A_1(v2)) minimized, and a lower bound.
 
     v1 is defined from v2 as u * v2**(q-1), so the reconstruction identity
-    is structural. Deterministic for a fixed option set.
+    is structural. The search space is the power-split line with
+    SUITE_OPTIONS, all of log v2 by default. Deterministic.
     """
     _exponents(q=q)
     u = _as_weight(space, u)
-    opts = options or FactorOptions()
-    fam = space.ball_family
+    fam, n, mu = space.ball_family, space.n, space.measure
     log_u = np.log(u)
-    n = space.n
-    probe = np.empty(n)
-    evals = 0
+    d = log_u / (1.0 - q)  # the power split: log v2 = t d, v1 = u**(1-t)
+    # the model: one row per witness ball, its members, and whether it is a ball of v2
+    member, of_v2 = np.zeros((0, n), dtype=bool), np.zeros((0, 1), dtype=bool)
+    best, scans = (np.inf,), 0  # best: objective, log v2, v1, v2, A_1(v1), A_1(v2)
 
-    def objective(x: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        v2 = np.exp(x)
-        v1 = np.exp(log_u + (q - 1.0) * x)
-        a1_v1, a1_v2 = _a1_value(fam, v1), _a1_value(fam, v2)
-        # max(1.0, nan) is 1.0, so an overflowed (NaN) certificate must read +inf
-        return np.inf if math.isnan(a1_v1 + a1_v2) else max(a1_v1, a1_v2)
+    def scan(x1, x2) -> bool:
+        """A_1 of v1 at log v2 = x1 and of v2 at x2, in one scan; True if a witness ball is new."""
+        nonlocal best, scans, member, of_v2
+        scans += 1
+        v1 = u * np.power(np.exp(x1), q - 1.0)
+        (a1_v1, ref1), (a1_v2, ref2) = fam.scan([
+            Sup(fam, ((v, "avg"), (v, "min")), lambda rows, avg, low: avg / low)
+            for v in (v1, np.exp(x2))])
+        # the line's first scan is of v2 at the other end; at x1 = 0, v2 = 1 and A_1(1) = 1
+        a1_v2 = a1_v2 if x1 is x2 else 1.0
+        objective = float(np.maximum(a1_v1, a1_v2))  # NaN, from an overflow, is never best
+        if objective < best[0]:
+            best = objective, x1, v1, np.exp(x1), a1_v1, a1_v2
+        size = len(member)
+        for side, ref in enumerate((ref1, ref2)):
+            row = np.isin(np.arange(n), fam.ball_at(ref.center, ref.rank).members)
+            if not np.any(np.all(member == row, axis=1) & (of_v2[:, 0] == side)):
+                member, of_v2 = np.vstack([member, row]), np.vstack([of_v2, [[bool(side)]]])
+        return len(member) > size
 
-    def descend(x: np.ndarray, cur: float, d: np.ndarray, lo: float, hi: float):
-        """Golden-section objective(x + t d) over t in [lo, hi]; move only if it falls."""
-        def along(t: float) -> float:  # x + t d, probed in a reused buffer
-            return objective(np.add(np.multiply(d, t, out=probe), x, out=probe))
+    def certified(lower: float) -> bool:
+        return best[0] <= float(np.exp(lower)) * (1.0 + GAP_RTOL)
 
-        t, val = _golden_min(along, lo, hi)
-        return (x + t * d, val) if val < cur else (x, cur)
+    def kelley(solve, new: bool) -> float:
+        """Kelley rounds: scan at the model's minimum until certified or no ball is new."""
+        lower = -np.inf
+        while new:
+            x, bound = solve()
+            lower = max(lower, bound)
+            new = not certified(lower) and scan(x, x)
+        return lower
 
-    best_x, best_val, best_start, best_conv = None, np.inf, -1, False
-    # a weight whose dynamic range overflows the certificates gives inf
-    # objectives; that is reported below, not warned about once per process
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(opts.multistarts):
-            if start == 0:
-                x = np.zeros(n)
-                x, cur = descend(x, objective(x), log_u / (1.0 - q), 0.0, 1.0)
-            else:
-                rng = np.random.default_rng(opts.seed + start)
-                x = rng.normal(0.0, INIT_SCALE, size=n)
-                cur = objective(x)
-            converged = False
-            for sweep in range(opts.max_sweeps):
-                before = cur
-                for i in range(n):
-                    x, cur = descend(x, cur, np.eye(1, n, i)[0], -BRACKET, BRACKET)
-                if n > 1:  # seeded random directions restore descent at kinks
-                    dir_rng = np.random.default_rng((opts.seed, start, sweep))
-                    for _ in range(RANDOM_DIRS):
-                        d = dir_rng.normal(size=n)
-                        d /= float(np.linalg.norm(d))
-                        x, cur = descend(x, cur, d, -BRACKET, BRACKET)
-                # an objective stuck at +inf has converged too: inf - inf is NaN
-                if cur == before or (before - cur) / max(before, 1.0) < SWEEP_TOL:
-                    converged = True
+    def line_min():
+        """The crossing of the model's falling v1 and rising v2 terms, by bisection in t."""
+        # on the line a = beta l on each ball, with beta = 1 - t and l = log u for
+        # v1, beta = t / (q-1) and l = -log u for v2; its log A_1 is
+        # log avg e^(beta (l - max l)) + beta (max l - min l)
+        ell = np.where(of_v2, -log_u, log_u)
+        top = np.where(member, ell, -np.inf).max(1, keepdims=True)
+        spread = top + np.where(member, -ell, -np.inf).max(1, keepdims=True)
+        below, weight = np.where(member, ell - top, 0.0), member * mu / (member @ mu)[:, None]
+
+        def sides(t: float):
+            beta = np.where(of_v2, t / (q - 1.0), 1.0 - t)
+            terms = np.log((np.exp(beta * below) * weight).sum(1, keepdims=True)) + beta * spread
+            return terms[~of_v2].max(), terms[of_v2].max()
+
+        lo, hi = (0.0, *sides(0.0)), (1.0, *sides(1.0))  # (t, v1 side, v2 side)
+        while hi[0] - lo[0] > 2.0 ** -52:
+            mid = ((lo[0] + hi[0]) / 2, *sides((lo[0] + hi[0]) / 2))
+            lo, hi = (mid, hi) if mid[1] > mid[2] else (lo, mid)
+        t = min(lo, hi, key=lambda end: max(end[1:]))[0]
+        # v1 terms fall and v2 terms rise: left of lo, right of hi, and between
+        return t * d, min(lo[1], hi[2], max(hi[1], lo[2]))
+
+    def full_min():
+        """The model's minimum over all of log v2, by a log barrier from the best point.
+
+        Minimizes tau subject to log avg_B e^a - a(y) <= tau for every model
+        ball B and y in B. Shifting log v2 by a constant on a connected
+        component of the balls' members moves no term, so the Newton matrix
+        is singular: each step is its least-norm solution.
+        """
+        ball, point = np.nonzero(member)  # one constraint per (ball, member)
+        slope = np.where(of_v2[:, 0], 1.0, q - 1.0)[ball]
+
+        def slack(z, t):
+            """Each point's share of its ball's avg e^a, the slacks, and the barrier objective / t.
+
+            The objective is +inf where a slack is not positive.
+            """
+            a = np.where(of_v2, z[:-1], log_u + (q - 1.0) * z[:-1])
+            top = np.where(member, a, -np.inf).max(1, keepdims=True)
+            e = np.exp(np.where(member, a - top, -np.inf)) * mu
+            total = e.sum(1, keepdims=True)
+            s = z[-1] - (np.log(total / (member @ mu)[:, None]) + top)[ball, 0] + a[ball, point]
+            return e / total, s, z[-1] - np.log(s).sum() / t if np.all(s > 0.0) else np.inf
+
+        z = np.append(best[1], 0.0)
+        z[-1] = 1.0 - slack(z, 1.0)[1].min()
+        t, centred = float(ball.size), (best[1], -np.inf)
+        while True:
+            for _ in range(50):  # Newton steps; 50 without centring is a numerical failure
+                share, s, now = slack(z, t)
+                w = 1.0 / s
+                jac = np.hstack([slope[:, None] * (share[ball] - np.eye(n)[point]),
+                                 -np.ones((ball.size, 1))])
+                # a ball's log-avg-exp Hessian, slope^2 (diag(share) - share share^T),
+                # is the sum over its members of share * (their row of jac, without
+                # tau)^2: a sum of squares stays definite in rounding, a difference not
+                curv = np.bincount(ball, w)[ball] * share[ball, point]
+                rows = np.vstack([jac * w[:, None],
+                                  jac * np.sqrt(curv)[:, None] * np.r_[np.ones(n), 0.0]])
+                grad = jac.T @ w + np.r_[np.zeros(n), t]
+                step = -np.linalg.lstsq(rows.T @ rows, grad)[0]
+                decrement = -grad @ step  # a NaN fails the Armijo test below
+                if decrement <= 1e-6:  # centred; at large t rounding stalls it near 1e-9
                     break
-            if cur < best_val:
-                best_x, best_val, best_start, best_conv = x, cur, start, converged
-    if best_x is None:
-        raise InvalidParams(f"factor search objective is non-finite ({cur!r}) at every start; "
+                # backtracking, with the Armijo test on the barrier objective over t
+                alpha = next((alpha for alpha in 0.5 ** np.arange(34) if slack(
+                    z + alpha * step, t)[2] <= now - 0.25 * alpha * decrement / t), None)
+                if alpha is None:
+                    return centred
+                z = z + alpha * step
+            else:
+                return centred
+            # a lower bound on the model's minimum at a centred point only
+            centred = z[:-1], z[-1] - ball.size / t
+            if ball.size / t <= GAP_RTOL / 2.0:
+                return centred
+            t *= BARRIER_GROWTH
+
+    # a weight whose dynamic range overflows the certificates gives inf or
+    # NaN objectives; that is reported below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lower = kelley(line_min, scan(np.zeros(n), d))
+        if not (options or FactorOptions()).line_only and best[0] < np.inf:
+            lower = kelley(full_min, True)
+    if not best[0] < np.inf:
+        raise InvalidParams("factor search objective is non-finite at every probed point; "
                             "the weight's dynamic range overflows the A_1 certificates")
-    v2 = np.exp(best_x)
-    v1 = u * np.power(v2, q - 1.0)
-    return FactorSearch(v1, v2, best_val, _a1_value(fam, v1), _a1_value(fam, v2),
-                        best_conv, best_start, evals)
+    objective, _, v1, v2, a1_v1, a1_v2 = best
+    return FactorSearch(v1, v2, objective, min(float(np.exp(lower)), objective),
+                        a1_v1, a1_v2, certified(lower), scans)
 
 
 def refined_transform(v1, v2, p: float, s: float,

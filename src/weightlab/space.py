@@ -26,6 +26,7 @@ import json
 import math
 import numbers
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -147,7 +148,10 @@ class BallFamily:
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
-        self.space = space
+        # the space caches its family: a strong reference back would make a
+        # cycle, which keeps both alive after the space is dropped until the
+        # cyclic collector runs
+        self._space = weakref.ref(space)
         n = space.n
         # int32 indices halve the memory traffic of the operator sweeps
         self.index_dtype = np.int32 if n <= 30_000 else np.int64
@@ -179,8 +183,13 @@ class BallFamily:
             key += np.arange(rows.start, rows.stop, dtype=self.index_dtype)[:, None]
 
     @property
+    def space(self) -> FiniteMetricMeasureSpace:
+        """The indexed space; None once it is dropped, so only the index itself stays usable."""
+        return self._space()
+
+    @property
     def n(self) -> int:
-        return self.space.n
+        return self.order.shape[0]
 
     def row_blocks(self):
         """Slices of consecutive centers that cover 0..n-1, CHUNK_CELLS cells per slice."""

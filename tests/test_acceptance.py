@@ -196,8 +196,7 @@ def test_criterion_5_factorization():
         w = sample_weight(rng, space)
         p = float(rng.uniform(1.3, 3.0))
         s = float(rng.uniform(1.3, 3.0))
-        pair = refined_jones(space, w, p, s,
-                             FactorOptions(multistarts=2, max_sweeps=3))
+        pair = refined_jones(space, w, p, s, FactorOptions())
         worst_recon = max(worst_recon,
                           float(np.abs(pair.w1 * pair.w2 / w - 1.0).max()))
         all_bounds &= aggregate_verdict(verify_factorization(space, w, pair))

@@ -144,15 +144,15 @@ def test_bad_tolerance_is_an_input_error(argv, env, two_point_doc, monkeypatch, 
     ["verify", "--random", "--seed", "1", "--max-n", "1"],
     ["verify", "--random", "--seed", "1", "--count", "0"],
     ["verify", "--random", "--seed", "1", "--count", "-3"],
-    ["factor", "--multistarts", "-2"],
-    ["factor", "--multistarts", "0"],
+    ["factor", "--p", "nan"],
+    ["factor", "--s", "inf"],
     ["verify", "--random", "--seed", "1", "--count", "1", "--p", "nan"],
     ["verify", "--random", "--seed", "1", "--count", "1", "--s", "nan"],
     ["verify", "--random", "--seed", "1", "--count", "1", "--p", "inf"],
     ["verify", "--random", "--seed", "1", "--count", "1", "--s", "inf"],
     ["analyze", "--p", "inf"],
 ], ids=["bench-repeats-0", "bench-sizes-not-int", "verify-max-n-1", "verify-count-0",
-        "verify-count-negative", "factor-multistarts-negative", "factor-multistarts-0",
+        "verify-count-negative", "factor-p-nan", "factor-s-inf",
         "verify-p-nan", "verify-s-nan", "verify-p-inf", "verify-s-inf", "analyze-p-inf"])
 def test_bad_option_is_an_input_error(argv, two_point_doc, capsys):
     if argv[0] in ("factor", "analyze"):
@@ -231,6 +231,21 @@ class TestFactor:
 
     def test_p_out_of_range_is_exit_2(self, two_point_doc):
         assert main(["factor", "--input", two_point_doc, "--p", "1"]) == 2
+
+    def test_grid_reaches_the_optimum_certified(self, tmp_path, capsys):
+        # the 36-point grid's optimum is 2.7431845257910, by a dense barrier
+        # over every ball; the search's model holds a few of the balls
+        grid, out = str(tmp_path / "g36.json"), tmp_path / "pair.json"
+        assert main(["gen", "--kind", "grid", "--n", "36", "--seed", "1",
+                     "--weight-family", "uniform-log", "--out", grid]) == 0
+        assert main(["factor", "--input", grid, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        objective = max(payload["certificates"]["a1_v1"], payload["certificates"]["a1_v2"])
+        assert payload["lower_bound"] <= objective <= 2.743186
+        assert objective - payload["lower_bound"] <= 1e-5 * objective
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith(f"objective={objective:.9g} "
+                                  f"lower_bound={payload['lower_bound']:.9g} ")
 
     def test_missing_weight_is_exit_2(self, two_point_doc):
         assert main(["factor", "--input", two_point_doc,

@@ -17,12 +17,22 @@ from weightlab import (
     refined_transform,
     verify_factorization,
 )
-from weightlab import factorization
-from weightlab.factorization import GOLDEN_ITERS, RANDOM_DIRS, SUITE_OPTIONS, FactorPair
+from weightlab import a1_constant
+from weightlab.factorization import GAP_RTOL, SUITE_OPTIONS, FactorPair
 from weightlab.families import sample_space, sample_weight
 
 E = np.e
-FAST = FactorOptions(multistarts=2, max_sweeps=4)
+FULL = FactorOptions()
+
+
+def line_objective_naive(space, u, q, ts):
+    """max(A_1(v1), A_1(v2)) at v1 = u**(1-t), v2 = u**(-t/(q-1)) for each t, by enumeration."""
+    best = np.ones(ts.size)
+    for m in oracles.balls_naive(space):
+        mu = space.measure[m]
+        for v in (u[m] ** (1.0 - ts[:, None]), u[m] ** (-ts[:, None] / (q - 1.0))):
+            np.maximum(best, (v @ mu) / mu.sum() / v.min(axis=1), out=best)
+    return best
 
 
 class TestRefinedTransform:
@@ -58,7 +68,7 @@ class TestRefinedTransform:
 
 class TestJonesFactor:
     def test_constant_weight_finds_constant_split(self, three_path):
-        res = jones_factor(three_path, np.full(3, 4.0), 3.0, FAST)
+        res = jones_factor(three_path, np.full(3, 4.0), 3.0, FULL)
         assert res.objective == pytest.approx(1.0, rel=1e-12)
         assert res.a1_v1 == pytest.approx(1.0, rel=1e-12)
         assert res.a1_v2 == pytest.approx(1.0, rel=1e-12)
@@ -80,10 +90,39 @@ class TestJonesFactor:
 
     def test_suite_preset_finds_the_best_power_split(self, two_point):
         # on two points every split is a power split up to the constant
-        # gauge, so the one golden section reaches the analytic optimum
+        # gauge, so the line reaches the analytic optimum, certified: one
+        # scan at the line's two ends, one at the crossing of their balls
         res = jones_factor(two_point, np.array([1.0, E ** 2]), 3.0, SUITE_OPTIONS)
-        assert res.objective == pytest.approx((1 + np.exp(2.0 / 3.0)) / 2, abs=1e-6)
-        assert res.evaluations <= GOLDEN_ITERS + 3
+        assert res.objective == pytest.approx((1 + np.exp(2.0 / 3.0)) / 2, abs=1e-12)
+        assert res.converged and res.lower_bound <= res.objective
+        assert res.evaluations <= 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_line_reaches_the_naive_line_minimum(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        space = sample_space(rng, 32)
+        u = sample_weight(rng, space)
+        q = float(rng.uniform(1.5, 4.0))
+        best = line_objective_naive(space, u, q, np.linspace(0.0, 1.0, 2001)).min()
+        res = jones_factor(space, u, q, SUITE_OPTIONS)
+        assert res.objective <= best * (1.0 + 1e-12)
+        assert res.lower_bound <= best
+        assert res.converged and res.evaluations <= 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_full_search_is_certified(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        space = sample_space(rng, 24)
+        u = sample_weight(rng, space)
+        q = float(rng.uniform(1.5, 4.0))
+        res = jones_factor(space, u, q, FULL)
+        assert res.lower_bound <= res.objective
+        assert res.objective - res.lower_bound <= 1e-5 * res.objective
+        for v, a1 in ((res.v1, res.a1_v1), (res.v2, res.a1_v2)):
+            assert a1_constant(space, v).value == pytest.approx(a1, rel=1e-12)
+        assert max(res.a1_v1, res.a1_v2) == pytest.approx(res.objective, rel=1e-12)
+        # the whole space contains the line
+        assert res.objective <= jones_factor(space, u, q, SUITE_OPTIONS).objective
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_small_instances_match_refined_grid(self, n):
@@ -98,7 +137,7 @@ class TestJonesFactor:
     def test_structural_reconstruction(self, three_path):
         rng = np.random.default_rng(5)
         u = np.exp(rng.uniform(-1.5, 1.5, size=3))
-        res = jones_factor(three_path, u, 2.5, FAST)
+        res = jones_factor(three_path, u, 2.5, FULL)
         assert res.v1 * res.v2 ** (1.0 - 2.5) == pytest.approx(u, rel=1e-12)
 
     def test_certificate_monotonicity(self):
@@ -108,48 +147,47 @@ class TestJonesFactor:
             u = sample_weight(rng, space)
             q = float(rng.uniform(1.5, 4.0))
             at_ones = oracles.jones_objective_naive(space, u, q, np.zeros(space.n))
-            for options in (FAST, SUITE_OPTIONS):
+            for options in (FULL, SUITE_OPTIONS):
                 res = jones_factor(space, u, q, options)
                 assert res.objective <= at_ones + 1e-12 * at_ones
 
     def test_determinism(self, three_path):
         u = np.array([1.0, 3.0, 0.5])
-        a = jones_factor(three_path, u, 2.0, FAST)
-        b = jones_factor(three_path, u, 2.0, FAST)
+        a = jones_factor(three_path, u, 2.0, FULL)
+        b = jones_factor(three_path, u, 2.0, FULL)
         assert np.array_equal(a.v2, b.v2)
         assert a.objective == b.objective
-        assert a.start_index == b.start_index
+        assert (a.lower_bound, a.evaluations) == (b.lower_bound, b.evaluations)
 
-    def test_exhausted_budget_reports_not_converged(self, three_path):
-        res = jones_factor(three_path, np.array([1.0, 3.0, 0.5]), 2.0,
-                           FactorOptions(multistarts=1, max_sweeps=0))
-        assert not res.converged
-        assert np.isfinite(res.objective)
+    @pytest.mark.parametrize("options", [SUITE_OPTIONS, FULL], ids=["line", "full"])
+    def test_search_is_certified(self, three_path, options):
+        res = jones_factor(three_path, np.array([1.0, 3.0, 0.5]), 2.0, options)
+        assert res.converged
+        assert res.lower_bound <= res.objective <= res.lower_bound * (1.0 + GAP_RTOL)
 
-    def test_infinite_objective_stops_after_one_sweep_per_start(self, monkeypatch):
-        # u = w**2 overflows both certificates at every x the search probes;
-        # a start whose objective stays +inf has converged after one sweep
+    def test_infinite_objective_stops_when_no_ball_is_new(self, monkeypatch):
+        # u = w**2 overflows a certificate at every x the search probes; each
+        # scan but the last adds a witness ball, so the scans are finite
         space = generate("path", {"n": 6}, seed=0)
         u = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150]) ** 2
+        fam = space.ball_family
         calls = 0
-        a1_value = factorization._a1_value
+        scan = fam.scan
 
-        def counted(fam, values):
+        def counted(reducers):
             nonlocal calls
             calls += 1
-            return a1_value(fam, values)
+            return scan(reducers)
 
-        monkeypatch.setattr(factorization, "_a1_value", counted)
-        opts = FactorOptions()
-        with pytest.raises(InvalidParams, match="at every start"):
-            jones_factor(space, u, 1.2, opts)
-        per_start = (GOLDEN_ITERS + 3) * (space.n + RANDOM_DIRS + 2)
-        assert calls <= 2 * opts.multistarts * per_start
+        monkeypatch.setattr(fam, "scan", counted)
+        with pytest.raises(InvalidParams, match="at every probed point"):
+            jones_factor(space, u, 1.2, FULL)
+        assert calls <= 2 * np.count_nonzero(fam.is_ball_end) + 1
 
 
 class TestRefinedJones:
     def test_constant_weight(self, three_path):
-        pair = refined_jones(three_path, np.full(3, 2.0), 2.0, 2.0, FAST)
+        pair = refined_jones(three_path, np.full(3, 2.0), 2.0, 2.0, FULL)
         assert pair.w1 * pair.w2 == pytest.approx(np.full(3, 2.0), rel=1e-12)
         for cert in pair.certificates.values():
             assert cert == pytest.approx(1.0, rel=1e-9)
@@ -181,7 +219,7 @@ class TestRefinedJones:
         w = np.array([1e-150, 1.0, 1.0, 1.0, 1.0, 1e150])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(WeightlabError, match="non-finite.*at every start"):
+            with pytest.raises(WeightlabError, match="non-finite.*at every probed point"):
                 refined_jones(space, w, 1.1, 2.0, SUITE_OPTIONS)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -191,7 +229,7 @@ class TestRefinedJones:
         w = sample_weight(rng, space)
         p = float(rng.uniform(1.3, 3.0))
         s = float(rng.uniform(1.3, 3.0))
-        pair = refined_jones(space, w, p, s, FAST)
+        pair = refined_jones(space, w, p, s, FULL)
         reports = verify_factorization(space, w, pair)
         assert aggregate_verdict(reports), [
             (r.check_id, r.lhs, r.rhs) for r in reports if r.verdict != "pass"]
@@ -239,7 +277,7 @@ class TestVerifyFactorization:
         assert not aggregate_verdict(reports)
 
     def test_tampered_pair_raises(self, two_point):
-        pair = refined_jones(two_point, np.array([1.0, E]), 2.0, 2.0, FAST)
+        pair = refined_jones(two_point, np.array([1.0, E]), 2.0, 2.0, FULL)
         bad = FactorPair(pair.v1, pair.v2, pair.w1 * 1.000001, pair.w2,
                          pair.p, pair.s, pair.q, pair.certificates)
         with pytest.raises(InconsistentPair):

@@ -29,7 +29,7 @@ from weightlab import (
     rhs_constant,
     verify_factorization,
 )
-from weightlab.factorization import FactorOptions, refined_transform
+from weightlab.factorization import refined_transform
 from weightlab.families import sample_space, sample_weight
 from weightlab.space import space_document, space_from_document
 
@@ -58,9 +58,6 @@ W = [1.0, 2.0]
     (lambda sp: Tolerances(eq=-1.0), InvalidParams),
     (lambda sp: Tolerances(ineq=float("inf")), InvalidParams),
     (lambda sp: Tolerances(eq="a"), InvalidParams),
-    (lambda sp: FactorOptions(multistarts=0), InvalidParams),
-    (lambda sp: FactorOptions(multistarts=-2), InvalidParams),
-    (lambda sp: FactorOptions(max_sweeps=-1), InvalidParams),
     (lambda sp: ap_constant(sp, [1.0, 2.0], np.inf), InvalidParams),
     (lambda sp: rhs_constant(sp, [1.0, 2.0], np.inf), InvalidParams),
     (lambda sp: refined_jones(sp, [1.0, 2.0], np.inf, 2.0), InvalidParams),
@@ -75,9 +72,6 @@ W = [1.0, 2.0]
     (lambda sp: check_harnack(sp, W, "2"), (InvalidParams, "exponent p")),
     (lambda sp: check_duality(sp, W, 1.0), (InvalidParams, "exponent p")),
     (lambda sp: check_power_props(sp, W, np.nan, 2.0), (InvalidParams, "exponent s")),
-    (lambda sp: FactorOptions(multistarts=1.5), InvalidParams),
-    (lambda sp: FactorOptions(multistarts="2"), InvalidParams),
-    (lambda sp: FactorOptions(seed=-1), InvalidParams),
     (lambda sp: refined_transform([1.0, np.nan], W, 2.0, 2.0), NonpositiveWeight),
     (lambda sp: refined_transform(W, [1.0, np.inf], 2.0, 2.0), NonpositiveWeight),
     (lambda sp: refined_transform(W, [1.0, 2.0, 3.0], 2.0, 2.0), NonpositiveWeight),
@@ -96,11 +90,10 @@ W = [1.0, 2.0]
         "maximal", "blo", "blo-ragged", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
         "scalar-coords", "weight-family", "sample-max-n", "tolerance-nan",
         "tolerance-negative", "tolerance-inf", "tolerance-str",
-        "multistarts-0", "multistarts-negative", "max-sweeps-negative",
         "ap-p-inf", "rhs-s-inf", "refined-jones-p-inf", "refined-transform-s-inf",
         "suite-p-nan", "suite-s-inf", "ap-p-str", "rhs-s-str", "refined-jones-p-str",
         "jones-q-str", "jones-q-inf", "harnack-p-str", "duality-p-1", "power-props-s-nan",
-        "multistarts-float", "multistarts-str", "seed-negative", "transform-nan",
+        "transform-nan",
         "transform-inf", "transform-lengths", "transform-ragged", "verify-pair-length",
         "verify-pair-p-str", "annular-alpha-str", "annular-r_min-str", "ball-center-negative",
         "ball-center-n", "ball-center-float", "ball-rank-float"])

@@ -1,7 +1,9 @@
 import functools
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -23,6 +25,7 @@ from weightlab import (
     enumerate_balls,
     generate,
     load,
+    maximal,
     save,
 )
 from weightlab import space as space_module
@@ -100,6 +103,18 @@ class TestBuildSpace:
     def test_immutability(self, two_point):
         with pytest.raises(ValueError):
             two_point.dist[0, 1] = 3.0
+
+    def test_dropped_space_is_freed_without_the_cyclic_collector(self):
+        # the family holds its space weakly, so no cycle keeps either alive
+        gc.disable()
+        try:
+            space = generate("grid", {"nx": 5, "ny": 6}, seed=0)
+            maximal(space, np.ones(space.n))
+            ref = weakref.ref(space)
+            del space
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_index_holds_at_most_17_bytes_per_cell(self):
         # order and ball_key (int32), prefix_measure, is_ball_end

@@ -22,7 +22,6 @@ from weightlab import (
     rhinf_constant,
     rhs_constant,
 )
-from weightlab.factorization import _a1_value
 from weightlab.families import sample_space, sample_weight
 from weightlab.space import LAYOUT_MIN_N, BallRef, Sup
 from weightlab.theorems import check_harnack
@@ -132,8 +131,10 @@ class TestRowBlocks:
         got = bmo_norm(space, np.log(w))
         _assert_same_sup((got.value, got.witness), oracles.bmo_rowwise(space, np.log(w)))
         fam = space.ball_family
-        assert _a1_value(fam, w) == oracles.sup_over_table(space, self.full_tables(
-            space, w)["a1"][1])[0]
+        # the factor search's reducer: A_1's table alone, with its witness
+        a1_sup = Sup(fam, ((w, "avg"), (w, "min")), lambda rows, avg, low: avg / low)
+        _assert_same_sup(fam.scan([a1_sup])[0], oracles.sup_over_table(
+            space, self.full_tables(space, w)["a1"][1]))
         ratio = fam.running_max_at_pos(w) / fam.running_min_at_pos(w)
         value, ref = oracles.sup_over_table(space, ratio)
         harnack = check_harnack(space, w, 2.0)[0]
@@ -177,7 +178,7 @@ class TestRowBlocks:
         assert got == (-np.inf, BallRef(0, 1, 0.0))
 
     def test_a1_value_is_the_a1_constant_bit_for_bit(self, three_block_grid):
-        # the search's value-only A_1: the same value, NaN included, with no witness
+        # the factor search's A_1 scan: the same value, NaN included
         rng = np.random.default_rng(23)
         cases = [(three_block_grid, rng.uniform(0.1, 5.0, three_block_grid.n))]
         for n in (2, 10, 40):
@@ -188,7 +189,10 @@ class TestRowBlocks:
             huge = build_space(np.arange(5.0), "euclidean", np.full(5, 1e308))
             cases.append((huge, np.array([1.0, 2.0, 3.0, 2.0, 1.0])))
             for space, w in cases:
-                got, want = _a1_value(space.ball_family, w), a1_constant(space, w).value
+                fam = space.ball_family
+                (got, _), = fam.scan([Sup(fam, ((w, "avg"), (w, "min")),
+                                          lambda rows, avg, low: avg / low)])
+                want = a1_constant(space, w).value
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert math.isnan(got)
 
