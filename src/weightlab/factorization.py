@@ -183,6 +183,9 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
         """
         ball, point = np.nonzero(member)  # one constraint per (ball, member)
         slope = np.where(of_v2[:, 0], 1.0, q - 1.0)[ball]
+        # the parts of every Newton step's matrices that the step does not move
+        at_point, tau_column = np.eye(n)[point], -np.ones((ball.size, 1))
+        without_tau = np.r_[np.ones(n), 0.0]
 
         def slack(z, t):
             """Each point's share of its ball's avg e^a, the slacks, and the barrier objective / t.
@@ -203,14 +206,13 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
             for _ in range(50):  # Newton steps; 50 without centring is a numerical failure
                 share, s, now = slack(z, t)
                 w = 1.0 / s
-                jac = np.hstack([slope[:, None] * (share[ball] - np.eye(n)[point]),
-                                 -np.ones((ball.size, 1))])
+                jac = np.hstack([slope[:, None] * (share[ball] - at_point), tau_column])
                 # a ball's log-avg-exp Hessian, slope^2 (diag(share) - share share^T),
                 # is the sum over its members of share * (their row of jac, without
                 # tau)^2: a sum of squares stays definite in rounding, a difference not
                 curv = np.bincount(ball, w)[ball] * share[ball, point]
                 rows = np.vstack([jac * w[:, None],
-                                  jac * np.sqrt(curv)[:, None] * np.r_[np.ones(n), 0.0]])
+                                  jac * np.sqrt(curv)[:, None] * without_tau])
                 grad = jac.T @ w + np.r_[np.zeros(n), t]
                 step = -np.linalg.lstsq(rows.T @ rows, grad)[0]
                 decrement = -grad @ step  # a NaN fails the Armijo test below

@@ -144,14 +144,20 @@ def error_report(check_id: str, exc: Exception, inputs: str = "") -> CheckReport
                        "inequality", 0.0)
 
 
-def digest(*parts) -> str:
-    h = hashlib.sha1()
+def hasher(*parts, start=None):
+    """A sha1 fed with each part in turn, after a copy of `start`, a hasher, where given."""
+    h = hashlib.sha1() if start is None else start.copy()
     for part in parts:
         if isinstance(part, np.ndarray):
             h.update(np.ascontiguousarray(part))  # no copy of a contiguous array
         else:
             h.update(repr(part).encode())
-    return h.hexdigest()[:12]
+    return h
+
+
+def digest(*parts, start=None) -> str:
+    """12 hex digits of the sha1 of the parts, after those of `start` (a `hasher`)."""
+    return hasher(*parts, start=start).hexdigest()[:12]
 
 
 def reports_to_jsonl(reports) -> str:

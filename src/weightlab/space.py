@@ -9,7 +9,7 @@ Provides:
     block by block of centers, over tables with one column per ball where
     the block has a `BallLayout` and one per position elsewhere.
   * Ball enumeration, the doubling constant, and the annular decay constant,
-    each with an extremal witness.
+    each with an extremal witness; both constants scan blocks of centers.
   * Generators for standard space families and a JSON document format.
 
 Radius conventions. Balls are open, B(x, r) = {y : dist(x, y) < r}. On a
@@ -769,32 +769,89 @@ class FunctionalResult:
         return d
 
 
+def _ball_columns(fam: BallFamily, rows: slice):
+    """Per-ball columns of a `row_blocks` slice of centers: (e, cum, m).
+
+    Row r is center rows.start + r. Its first m[r] + 1 columns hold the
+    center's distinct distances e (e[r, 0] == 0) and the masses cum of its
+    closed balls at them; past them e reads +inf and cum repeats the last
+    ball's mass, so a search or a comparison in a row meets only that
+    center's balls. A tie-free block reads its sorted rows, a tied one its
+    ball ends, through the block's `BallLayout` or one built for the call.
+    """
+    space, n = fam.space, fam.n
+    index = fam.block_index(rows)
+    ends = fam.is_ball_end[rows]
+    if ends.all():
+        e = np.take(space.dist[rows], index + np.arange(0, len(index) * n, n)[:, None])
+        return e, fam.prefix_measure[rows], np.full(len(e), n - 1)
+    layout = fam.layout(rows)
+    if layout is None:
+        layout = BallLayout(ends, np.count_nonzero(ends, axis=1))
+    at = layout.ends
+    e = np.take(space.dist[rows], at - at % n + np.take(index, at))
+    m = (layout.last - layout.first).astype(np.intp)
+    e[np.arange(e.shape[1]) > m[:, None]] = np.inf
+    return e, np.take(fam.prefix_measure[rows], at), m
+
+
 def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
     """sup over centers x and radii r of mu(B(x,2r)) / mu(B(x,r)).
 
     Both masses are step functions of r, constant on the intervals cut by
     the breakpoint set D_x union D_x/2 (D_x the distinct distances from x),
     so evaluating one representative per interval makes the sup exact. The
-    representative is the interval's right endpoint.
+    representative is the interval's right endpoint: r = e or r = e/2 for
+    each distance e > 0 in D_x.
+
+    The scan takes one `row_blocks` slice of centers at a time, over the
+    per-ball columns of `_ball_columns`. The open ball B(x, r) is the
+    closed ball of rank #{e in D_x : e < r}, so one search of each center's
+    distinct distances for all its radii 2r and r finds every mass. The
+    witness center is the first center whose maximum beats every earlier
+    one, and r the smallest of its radii that attain it: value, witness and
+    sample radius are those of a scan of each center's sorted samples, bit
+    for bit.
     """
     best = 1.0
     wit_center, wit_radius = None, None
     fam = space.ball_family
-    for c in range(space.n):
-        sd = space.dist[c, fam.order[c]]
-        e = sd[fam.is_ball_end[c]]
-        samples = np.unique(np.concatenate([e, e / 2.0]))
-        samples = samples[samples > 0.0]
-        if samples.size == 0:
+    for rows in fam.row_blocks():
+        e_block, cum_block, _ = _ball_columns(fam, rows)
+        w = e_block.shape[1] - 1
+        if w == 0:
             continue
-        # open-ball mass at radius r: prefix mass of points with dist < r
-        lo = np.searchsorted(sd, samples, side="left")
-        hi = np.searchsorted(sd, 2.0 * samples, side="left")
-        ratios = fam.prefix_measure[c, hi - 1] / fam.prefix_measure[c, lo - 1]
-        i = int(ratios.argmax())
-        if ratios[i] > best:
-            best = float(ratios[i])
-            wit_center, wit_radius = c, float(samples[i])
+        # pieces of rows with at most CHUNK_CELLS radii of both kinds
+        step = max(1, CHUNK_CELLS // (2 * w))
+        for p0 in range(0, len(e_block), step):
+            e, cum = e_block[p0:p0 + step], cum_block[p0:p0 + step]
+            s = e[:, 1:]  # r = e; a pad column reads ratio 1 at both of its radii
+            half = s / 2.0  # r = e/2
+            twice = 2.0 * half  # e, unless the halving rounded a subnormal e
+            exact = np.array_equal(twice, s)
+            radii = np.concatenate((2.0 * s, half) if exact else (2.0 * s, half, twice), axis=1)
+            del twice
+            below = np.empty(radii.shape, dtype=np.intp)
+            for r in range(len(e)):
+                below[r] = e[r].searchsorted(radii[r])
+            del radii
+            # r = e/2 is 0 only at the least subnormal e: no sample, read as ratio 1
+            np.maximum(below, 1, out=below)
+            below += np.arange(-1, len(e) * (w + 1) - 1, w + 1)[:, None]
+            mass = np.take(cum, below)  # of the open balls at the radii
+            del below
+            ratio = mass[:, :w] / cum[:, :-1]
+            ratio_half = (cum[:, :-1] if exact else mass[:, 2 * w:]) / mass[:, w:2 * w]
+            del mass
+            top = np.maximum(ratio.max(axis=1), ratio_half.max(axis=1))
+            # a center with a NaN ratio never beat the best: argmax stopped at the NaN
+            top[np.isnan(top)] = -np.inf
+            r = int(top.argmax())
+            if top[r] > best:
+                best = float(top[r])
+                wit_center = rows.start + p0 + r
+                wit_radius = float(min(s[r, ratio[r] == top[r]].min(initial=np.inf),
+                                       half[r, ratio_half[r] == top[r]].min(initial=np.inf)))
     witness = None
     if wit_center is not None:
         sd = space.dist[wit_center, fam.order[wit_center]]
@@ -840,20 +897,20 @@ def annular_decay_constant(
     r* = max(e[i], r_min), column j = 1..m a distinct distance e[j], and the
     cell is (cum[i] - cum[j-1]) / ((1 - e[j]/r*)**alpha * cum[i]), with cum
     the ball masses; the cells with e[j] >= r* (delta <= 0) are not
-    samples. `_annular_scan` screens before it evaluates. The columns are
-    cut into blocks of ceil(sqrt(m)), and each (row, block) pair gets one
-    bound: the cell formula, with the same float operations, taking the
-    numerator at the block's first column and the denominator at its last
-    column with e[j] < r*. Along a row both fall as j grows, and IEEE
-    rounding is monotone (a <= b implies fl(a op c) <= fl(b op c) for the
-    operations and signs used here), so the bound is >= every computed
-    cell of its block. numpy's pow is not guaranteed monotone; at alpha
-    other than 0 and 1 the bound's power is first lowered by 8 ulps,
-    several times its error. Only the blocks whose bound beats the running
-    maximum and reaches the center's own lower bound (the exact maximum of
-    its top-bound block) are evaluated, cell by cell with exactly the
-    operations of the full table, and the first maximum in (row, column)
-    order is taken. Value and witness are the full table's, bit for bit.
+    samples. `_annular_scan` screens before it evaluates. One block of
+    centers at a time, `_annular_bounds` bounds the whole table of each
+    center, and only the centers whose bound beats the running maximum go
+    on to `_annular_center`, which bounds the center's (row, column block)
+    pairs and evaluates the pairs that may hold the maximum cell by cell,
+    with exactly the operations of the full table. Each bound is the cell
+    formula with the same float operations, its numerator raised and its
+    denominator lowered. IEEE rounding is monotone (a <= b implies
+    fl(a op c) <= fl(b op c) for the operations and signs used here), so a
+    bound is >= every computed cell it covers. numpy's pow is not
+    guaranteed monotone; at alpha other than 0 and 1 a bound's power is
+    first lowered by 8 ulps, several times its error. The first maximum in
+    (center, row, column) order is taken: value and witness are the full
+    table's, bit for bit.
 
     No finite space satisfies the decay inequality uniformly in r: as r
     approaches a realized distance from above the ratio blows up, which is
@@ -871,55 +928,176 @@ def annular_decay_constant(
 
 
 def _annular_scan(space: FiniteMetricMeasureSpace, alpha: float, r_min: float):
-    """(value, (center, r, delta), number of cells evaluated exactly)."""
+    """(value, (center, r, delta), number of cells evaluated exactly).
+
+    One `row_blocks` slice of centers at a time, `_annular_bounds` bounds
+    every cell of each center's table from the block's `_ball_columns`. A
+    center whose bounds are all at most the running maximum has no cell
+    above it, so it is dismissed; every other center runs
+    `_annular_center`, in center order, with the running maximum.
+    """
     best = 0.0
     wit = (None, None, None)
     evaluated = 0
     fam = space.ball_family
     # pow(x, 0) and pow(x, 1) are exact; any other power may be off by an ulp
     pow_slack = 1.0 if alpha in (0.0, 1.0) else 1.0 - 2.0 ** -49
-    for c in range(space.n):
-        ends = fam.is_ball_end[c]
-        e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
-        m = len(e) - 1
-        if m == 0:
-            continue
-        cum = fam.prefix_measure[c, ends]  # mass of {d <= e[i]}
-        # interval i covers r in (e[i], e[i+1]] for i < m, and (e[m], inf);
-        # rows are the intervals reaching r_min, columns the j = 1..m
-        i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)
-        r_star = np.maximum(e[i], r_min)
-        size = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) columns per block
-        first = np.arange(1, m + 1, size)
-        # row k samples the columns 1..valid[k], those with e[j] < r*, which
-        # are exactly those whose computed delta is > 0
-        valid = np.searchsorted(e[1:], r_star)
-        last = np.minimum(first + (size - 1), valid[:, None])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            den = e[last] / r_star[:, None]
-            den = 1.0 - den
-            den **= alpha
-            den *= pow_slack
-            den *= cum[i, None]
-            bound = (cum[i, None] - cum[first - 1]) / den
-        np.copyto(bound, -np.inf, where=first > valid[:, None])
-        # a 0/0 bound reads NaN and is dropped: its numerators, and so its
-        # cells, are all 0, which cannot raise the maximum
-        keep = bound > best
-        if not keep.any():
-            continue
-        top = np.unravel_index(bound.argmax(), bound.shape)
-        low = _annular_cells(e, cum, i, r_star, alpha, size, *top)[0].max()
-        keep &= bound >= low
-        k, b = np.nonzero(keep)  # row-major, so the cells below are in (k, j) order
-        ratios, cols = _annular_cells(e, cum, i, r_star, alpha, size, k, b)
-        evaluated += size * (1 + len(k))
-        f = int(ratios.argmax())  # first maximum, as a row scan finds it
-        if ratios.flat[f] > best:
-            k, j = k[f // size], cols.flat[f]
-            best = float(ratios.flat[f])
-            wit = (c, float(r_star[k]), float(1.0 - e[j] / r_star[k]))
+    for rows in fam.row_blocks():
+        e, cum, m = _ball_columns(fam, rows)
+        top = np.full(len(e), -np.inf)
+        for p0, bounds in _annular_bounds(e, cum, m, alpha, r_min, pow_slack):
+            top[p0:p0 + len(bounds)] = bounds.reshape(len(bounds), -1).max(axis=1)
+        for r in np.flatnonzero(~(top <= best)):  # a NaN bound bounds nothing
+            if top[r] <= best:
+                continue
+            found, cells = _annular_center(e[r, :m[r] + 1], cum[r, :m[r] + 1],
+                                           alpha, r_min, pow_slack, best)
+            evaluated += cells
+            if found is not None:
+                best, r_star, delta = found
+                wit = (rows.start + int(r), r_star, delta)
     return best, wit, evaluated
+
+
+def _annular_bounds(e, cum, m, alpha, r_min, pow_slack):
+    """Bounds on the cells of each center's table, per (row block, column block) pair.
+
+    Each center's (interval i, column j) table is cut into row blocks of
+    ceil(size/2) rows and column blocks of size = ceil(sqrt(widest m))
+    columns, and each (row block, column block) pair gets one bound: the
+    cell formula, with the same float operations, taking the numerator
+    cum[last row] - cum[first column - 1] and the denominator cum[first
+    sampled row] * delta**alpha * pow_slack, with delta the least computed
+    1 - e[j]/r* of a sampled cell of the pair. Rounding is monotone, so the
+    bound is >= every cell of its pair. Along a row delta falls as j grows,
+    and down a column it grows with r*, so the least delta of a pair is the
+    lesser of: each row's own least delta, at its last sampled column,
+    which the pair of that column takes; and, where the row block's first
+    sampled row samples the whole column block, that row's delta at the
+    block's last column. The rows that sample the whole block are those
+    from the first one on, which is the first sampled row of all or the
+    row whose last sampled column ends the block: the first term covers
+    that row. The work is linear in the cells of the block. Yields (first
+    center, bounds[center, row block, column block]) for pieces of centers
+    with at most CHUNK_CELLS pairs; nothing where no center has another
+    point.
+    """
+    n_rows, width = e.shape
+    if width < 2:
+        return
+    size = math.isqrt(width - 2) + 1  # ceil(sqrt(widest m)) columns per block
+    rsize = (size + 1) // 2  # rows per block
+    n_cb, n_rb = -(-(width - 1) // size), -(-width // rsize)
+    first = np.arange(1, width, size)  # first column of each column block
+    row0 = np.arange(0, width, rsize)  # first row of each row block
+    i = np.arange(width)
+    block_of_column = np.maximum(i - 1, 0) // size  # column 0 reads block 0
+    step = max(1, CHUNK_CELLS // (n_rb * n_cb))
+    for p0 in range(0, n_rows, step):
+        ep, cp, mp = e[p0:p0 + step], cum[p0:p0 + step], m[p0:p0 + step, None]
+        k = len(ep)
+        at_row = np.arange(0, k * width, width)[:, None]  # flat offset of each center
+        # row i samples r* = max(e[i], r_min) for i0 <= i <= m, which is
+        # r_min at i0 and e[i] past it, and the columns 1..valid[i] with e[j] < r*
+        i0 = np.count_nonzero(ep[:, 1:] < r_min, axis=1)[:, None]
+        valid = np.maximum(i - 1, i0)
+        np.minimum(valid, mp, out=valid)
+        unsampled = (i < i0) | (i > mp) | (valid == 0)
+        # each row's least delta, at its last sampled column, for that column's pair
+        pair = np.take(block_of_column, valid)
+        pair += i // rsize * n_cb
+        pair += np.arange(0, k * n_rb * n_cb, n_rb * n_cb)[:, None]
+        valid += at_row
+        thin = np.take(ep, valid)
+        del valid
+        thin /= np.maximum(ep, r_min)
+        np.subtract(1.0, thin, out=thin)
+        thin[unsampled] = np.inf
+        # pair ids ascend along the rows: one reduction per run of equal ids
+        pair, thin = pair.ravel(), thin.ravel()
+        runs = np.flatnonzero(pair[1:] != pair[:-1])
+        runs += 1
+        runs = np.concatenate(([0], runs))
+        delta = np.full((k, n_rb, n_cb), np.inf)
+        delta.flat[pair[runs]] = np.minimum.reduceat(thin, runs)
+        del pair, thin, runs
+        # the rows from j1 on sample all of a column block; none where it is past m.
+        # j1 is i0, or else the row whose last sampled column ends the block
+        last = np.minimum(first + (size - 1), mp)
+        j1 = np.where(first > mp, width, np.where(i0 >= last, i0, last + 1))
+        # a row block whose first sampled row is j1 or past it: that row's delta
+        head = np.minimum(np.maximum(row0, i0), width - 1)
+        full = np.take(ep, last + at_row)[:, None, :] / np.maximum(
+            np.take(ep, head + at_row), r_min)[:, :, None]
+        np.subtract(1.0, full, out=full)
+        full[(head[:, :, None] < j1[:, None, :]) | (head > mp)[:, :, None]] = np.inf
+        np.minimum(delta, full, out=delta)
+        outer = np.take(cp, np.minimum(row0 + (rsize - 1), width - 1), axis=1)
+        num = np.subtract(outer[:, :, None], np.take(cp, first - 1, axis=1)[:, None, :], out=full)
+        low = np.take(cp, head + at_row)
+        # a pair with no sampled cell reads 0 at alpha > 0, and 1 / low at alpha = 0
+        empty = delta == np.inf if alpha == 0.0 else None
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            delta **= alpha
+            if pow_slack != 1.0:
+                delta *= pow_slack
+            delta *= low[:, :, None]
+            num /= delta
+        if empty is not None:
+            num[empty] = -np.inf
+        yield p0, num
+
+
+def _annular_center(e, cum, alpha, r_min, pow_slack, best):
+    """One center's table screened and evaluated: (its first maximum above best or None, cells).
+
+    e and cum are the center's distinct distances and ball masses. The
+    columns are cut into blocks of ceil(sqrt(m)), and each (row, block)
+    pair gets one bound: the cell formula, with the same float operations,
+    taking the numerator at the block's first column and the denominator
+    at its last column with e[j] < r*. Only the blocks whose bound beats
+    best and reaches the center's own lower bound (the exact maximum of
+    its top-bound block) are evaluated, cell by cell with exactly the
+    operations of the full table. The maximum found is (value, r*, delta)
+    of the first maximal cell in (row, column) order, if it beats best.
+    """
+    m = len(e) - 1
+    if m == 0:
+        return None, 0
+    # interval i covers r in (e[i], e[i+1]] for i < m, and (e[m], inf);
+    # rows are the intervals reaching r_min, columns the j = 1..m
+    i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)
+    r_star = np.maximum(e[i], r_min)
+    size = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) columns per block
+    first = np.arange(1, m + 1, size)
+    # row k samples the columns 1..valid[k], those with e[j] < r*, which
+    # are exactly those whose computed delta is > 0
+    valid = np.searchsorted(e[1:], r_star)
+    last = np.minimum(first + (size - 1), valid[:, None])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        den = e[last] / r_star[:, None]
+        den = 1.0 - den
+        den **= alpha
+        den *= pow_slack
+        den *= cum[i, None]
+        bound = (cum[i, None] - cum[first - 1]) / den
+    np.copyto(bound, -np.inf, where=first > valid[:, None])
+    # a 0/0 bound reads NaN and is dropped: its numerators, and so its
+    # cells, are all 0, which cannot raise the maximum
+    keep = bound > best
+    if not keep.any():
+        return None, 0
+    top = np.unravel_index(bound.argmax(), bound.shape)
+    low = _annular_cells(e, cum, i, r_star, alpha, size, *top)[0].max()
+    keep &= bound >= low
+    k, b = np.nonzero(keep)  # row-major, so the cells below are in (k, j) order
+    ratios, cols = _annular_cells(e, cum, i, r_star, alpha, size, k, b)
+    cells = size * (1 + len(k))
+    f = int(ratios.argmax())  # first maximum, as a row scan finds it
+    if ratios.flat[f] > best:
+        k, j = k[f // size], cols.flat[f]
+        return (float(ratios.flat[f]), float(r_star[k]), float(1.0 - e[j] / r_star[k])), cells
+    return None, cells
 
 
 def _annular_cells(e, cum, i, r_star, alpha, size, k, b):

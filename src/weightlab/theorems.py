@@ -35,6 +35,7 @@ from .report import (
     digest,
     equality_report,
     error_report,
+    hasher,
     inequality_report,
     soft_report,
 )
@@ -412,10 +413,12 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
     """
     names = list(weights)
     p, s, tol = params.p, params.s, params.tol
+    # the space is hashed once; each weight's digest goes on from a copy
+    space_hash = hasher(space.dist, space.measure)
     suites = []  # (tag, inputs, {check name: its call}), run in this order
     for name in names:
         w = np.asarray(weights[name], dtype=np.float64)
-        inp = digest(space.dist, space.measure, w, p, s)
+        inp = digest(w, p, s, start=space_hash)
         checks = {
             "commutation": (check_commutation, w, tol, inp),
             "oscillation": (_oscillation_of_log, w, tol, inp),
@@ -434,7 +437,7 @@ def run_suite(space: FiniteMetricMeasureSpace, weights: dict[str, np.ndarray],
     if names:
         phi_name, w_name = names[0], names[1 % len(names)]
         phi, w = weights[phi_name], weights[w_name]
-        inp = digest(space.dist, space.measure, phi, w)
+        inp = digest(phi, w, start=space_hash)
         suites.append((f"{label}{phi_name}*{w_name}", inp,
                        {"multiplier": (check_multiplier, phi, w, tol, inp)}))
     reports: list[CheckReport] = []

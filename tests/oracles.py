@@ -207,6 +207,40 @@ def doubling_naive(space):
     return best
 
 
+def doubling_rowwise(space):
+    """Doubling as (value, BallRef or None, sample radius), one center at a time.
+
+    The per-center loop `space.doubling_constant` ran before it scanned
+    blocks of centers, kept verbatim: it is the bit-level reference for the
+    block scan.
+    """
+    best = 1.0
+    wit_center, wit_radius = None, None
+    fam = space.ball_family
+    for c in range(space.n):
+        sd = space.dist[c, fam.order[c]]
+        e = sd[fam.is_ball_end[c]]
+        samples = np.unique(np.concatenate([e, e / 2.0]))
+        samples = samples[samples > 0.0]
+        if samples.size == 0:
+            continue
+        # open-ball mass at radius r: prefix mass of points with dist < r
+        lo = np.searchsorted(sd, samples, side="left")
+        hi = np.searchsorted(sd, 2.0 * samples, side="left")
+        ratios = fam.prefix_measure[c, hi - 1] / fam.prefix_measure[c, lo - 1]
+        i = int(ratios.argmax())
+        if ratios[i] > best:
+            best = float(ratios[i])
+            wit_center, wit_radius = c, float(samples[i])
+    witness = None
+    if wit_center is not None:
+        sd = space.dist[wit_center, fam.order[wit_center]]
+        pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
+        witness = BallRef(wit_center, int(fam.ball_key[wit_center, pos]) // space.n,
+                          float(sd[pos]))
+    return best, witness, wit_radius
+
+
 def annular_naive(space, alpha, r_min):
     """Direct scan of the critical (x, r, delta) triples."""
     best = 0.0
@@ -240,6 +274,21 @@ def annular_rowwise(space, alpha, r_min):
     """
     best = 0.0
     wit = (None, None, None)
+    for c, e, r_star, ratios in annular_tables(space, alpha, r_min):
+        m = len(e) - 1
+        k, j = divmod(int(ratios.argmax()), m)  # first maximum, as a row scan finds it
+        if ratios[k, j] > best:
+            best = float(ratios[k, j])
+            wit = (c, float(r_star[k]), float(1.0 - e[j + 1] / r_star[k]))
+    return best, wit[0], wit[1], wit[2]
+
+
+def annular_tables(space, alpha, r_min):
+    """Each center's full (interval, j) table of computed cells: (c, e, r*, table).
+
+    Non-samples read -inf; a center with no other point is skipped. The
+    table is a view of a buffer that the next center overwrites.
+    """
     fam = space.ball_family
     # one set of (interval, j) buffers per call, viewed at each center's size:
     # fresh per-center temporaries made the speed depend on the allocator
@@ -268,11 +317,7 @@ def annular_rowwise(space, alpha, r_min):
             deltas *= cum[i, None]
             np.divide(ratios, deltas, out=ratios)
         np.copyto(ratios, -np.inf, where=bad)
-        k, j = divmod(int(ratios.argmax()), m)  # first maximum, as a row scan finds it
-        if ratios[k, j] > best:
-            best = float(ratios[k, j])
-            wit = (c, float(r_star[k]), float(1.0 - e[j + 1] / r_star[k]))
-    return best, wit[0], wit[1], wit[2]
+        yield c, e, r_star, ratios
 
 
 def annular_ratio(space, alpha, x, r, delta):

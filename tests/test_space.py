@@ -34,7 +34,9 @@ from weightlab.space import (
     GENERATOR_KINDS,
     BallLayout,
     TRIANGLE_TOL_FACTOR,
+    _annular_bounds,
     _annular_scan,
+    _ball_columns,
     _validate_matrix,
 )
 
@@ -442,6 +444,56 @@ class TestDoubling:
             assert doubling_constant(space).value > 1.0
 
 
+def _assert_doubling_matches_rowwise(space):
+    res = doubling_constant(space)
+    assert (res.value, res.witness, res.sample_radius) == oracles.doubling_rowwise(space), space.n
+
+
+class TestDoublingBlocks:
+    """The doubling scan by blocks of centers is bit-identical to the per-center loop."""
+
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_sampled_spaces(self, kind):
+        rng = np.random.default_rng(800 + GENERATOR_KINDS.index(kind))
+        for _ in range(8):
+            _assert_doubling_matches_rowwise(sample_space(rng, 90, kind))
+
+    def test_tie_heavy_linf_grid(self):
+        _assert_doubling_matches_rowwise(
+            generate("grid", {"nx": 12, "ny": 15, "metric": "linf"}, seed=3))
+
+    @pytest.mark.parametrize("kind,params", [
+        ("grid", {"nx": 20, "ny": 20, "metric": "l1"}),
+        ("path", {"n": 300}),
+    ])
+    def test_spaces_of_several_blocks(self, kind, params):
+        space = generate(kind, params, seed=1)
+        assert len(list(space.ball_family.row_blocks())) > 1
+        _assert_doubling_matches_rowwise(space)
+
+    def test_subnormal_distances(self):
+        # halving the least subnormal gives 0, and 2 * (e / 2) != e at odd multiples of it
+        for coords in ([0.0, 5e-324, 1e-323, 3e-323], [0.0, 5e-324, 1.5e-323, 1e-300]):
+            _assert_doubling_matches_rowwise(
+                build_space(np.array(coords), "l1", np.array([1.0, 2.0, 3.0, 4.0])))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_analyze_inputs(self, seed):
+        _assert_doubling_matches_rowwise(_analyze_points(seed)[0])
+        _assert_doubling_matches_rowwise(
+            generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed))
+
+    def test_peak_memory_below_one_table(self):
+        space = _analyze_points(1)[0]
+        tracemalloc.start()
+        try:
+            doubling_constant(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * space.n ** 2
+
+
 class TestAnnularDecay:
     def test_one_point_zero(self, one_point):
         assert annular_decay_constant(one_point, 1.0, 1.0).value == 0.0
@@ -557,6 +609,16 @@ class TestAnnularScreen:
             for r_min in (0.5, 1.0, 2.0, 2.5, 10.0, 40.0):
                 _assert_annular_matches_rowwise(space, alpha, r_min)
 
+    def test_l1_grid_of_several_blocks(self):
+        # several row blocks, and centers with different numbers of balls
+        space = generate("grid", {"nx": 20, "ny": 20, "metric": "l1"}, seed=1)
+        fam = space.ball_family
+        assert len(list(fam.row_blocks())) > 1
+        assert len(set(np.count_nonzero(fam.is_ball_end, axis=1))) > 1
+        for alpha in (0.0, 0.5, 1.0):
+            for r_min in (0.5, 2.0, 7.0):
+                _assert_annular_matches_rowwise(space, alpha, r_min)
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_analyze_points_input(self, seed):
         space, r_min = _analyze_points(seed)
@@ -572,6 +634,39 @@ class TestAnnularScreen:
         # the cells stay below one block (at most ceil(sqrt(n-1)) columns)
         # per center
         assert evaluated < space.n * (math.isqrt(space.n - 2) + 1)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_pair_bounds_cover_every_cell_of_their_pair(self, alpha):
+        rng = np.random.default_rng(750)
+        spaces = [sample_space(rng, 90, kind) for kind in GENERATOR_KINDS]
+        spaces += [generate("grid", {"nx": 20, "ny": 20, "metric": "l1"}, seed=1),
+                   generate("path", {"n": 200}, seed=1)]
+        pow_slack = 1.0 if alpha in (0.0, 1.0) else 1.0 - 2.0 ** -49
+        for space in spaces:
+            fam = space.ball_family
+            for scale in (0.5, 2.0, 7.0):
+                r_min = scale * _min_distance(space)
+                bounds = {}  # center -> its pair bounds and columns per block
+                for rows in fam.row_blocks():
+                    e, cum, m = _ball_columns(fam, rows)
+                    size = math.isqrt(e.shape[1] - 2) + 1
+                    for p0, pairs in _annular_bounds(e, cum, m, alpha, r_min, pow_slack):
+                        bounds.update((rows.start + p0 + r, (b, size)) for r, b in enumerate(pairs))
+                for c, e, r_star, table in oracles.annular_tables(space, alpha, r_min):
+                    pairs, size = bounds[c]
+                    (n_rb, n_cb), rsize = pairs.shape, (size + 1) // 2
+                    # row i of the table is interval i, column j - 1 distance j
+                    cells = np.full((n_rb * rsize, n_cb * size), -np.inf)
+                    cells[len(e) - len(r_star):len(e), :len(e) - 1] = np.where(
+                        np.isnan(table), -np.inf, table)  # a NaN cell is never a maximum
+                    most = cells.reshape(n_rb, rsize, n_cb, size).max(axis=(1, 3))
+                    assert not np.any(pairs < most), (space.n, r_min, c)
+
+    @pytest.mark.parametrize("seed,before", [(1, 1909), (2, 2415)])
+    def test_screen_evaluates_no_more_cells_than_the_per_center_loop(self, seed, before):
+        # before: the cells the scan evaluated when every center ran its own screen
+        space, r_min = _analyze_points(seed)
+        assert _annular_scan(space, 1.0, r_min)[2] <= before
 
     def test_peak_memory_below_one_table(self):
         space, r_min = _analyze_points(1)

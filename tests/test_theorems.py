@@ -323,6 +323,19 @@ class TestRunSuite:
         assert all(r.verdict == "error" for r in reports if r.hard)
         assert not aggregate_verdict(reports)
 
+    def test_inputs_digest_the_space_and_each_weight(self):
+        rng = np.random.default_rng(5)
+        space, weights = sample_instance(rng, 24)
+        weights["v"] = sample_weight(rng, space)
+        p, s = 3.0, 1.5
+        reports = run_suite(space, weights, SuiteParams(p=p, s=s))
+        want = {name: digest(space.dist, space.measure, w, p, s) for name, w in weights.items()}
+        phi, w = list(weights.values())[:2]
+        want["w*phi"] = digest(space.dist, space.measure, phi, w)
+        assert len(set(want.values())) == len(want)
+        for r in reports:
+            assert r.inputs == want[r.check_id.split(".")[0]], r.check_id
+
     def test_determinism_byte_for_byte(self):
         def one_run():
             rng = np.random.default_rng(77)
