@@ -133,7 +133,7 @@ def jones_factor(space: FiniteMetricMeasureSpace, u, q: float,
             best = objective, x1, v1, np.exp(x1), a1_v1, a1_v2
         size = len(member)
         for side, ref in enumerate((ref1, ref2)):
-            row = np.isin(np.arange(n), fam.ball_at(ref.center, ref.rank).members)
+            row = space.dist[ref.center] <= ref.radius  # the closed ball at a realized distance
             if not np.any(np.all(member == row, axis=1) & (of_v2[:, 0] == side)):
                 member, of_v2 = np.vstack([member, row]), np.vstack([of_v2, [[bool(side)]]])
         return len(member) > size

@@ -24,12 +24,13 @@ one length-n vector by np.maximum.at, at the point that position holds;
 no n x n table is held, and a batch that also asks for other reductions
 of f shares its average table. Where the block has a ``BallLayout`` the
 table and the sweep have one column per ball, and each ball's best is
-spread over the positions of its tie group before the fold. It computes values only. The witnesses
+spread over the positions of its tie group before the fold. The witnesses
 are resolved on the first read of ``witness_center``, ``witness_rank``,
 ``witness_radius`` or ``witness()``, once per kernel run (and so once per
-memo entry): the same block sweep again, carrying keys, folded by
-np.minimum.at into a running minimum of the key of each point's best
-ball. mnat f shares the resolution of Mnat(-f).
+memo entry): one more scan of the same reducer, given the values, which
+carries keys through the sweep and folds them by np.minimum.at into the
+smallest key of each point's best ball. mnat f shares the resolution of
+Mnat(-f).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
 tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
@@ -63,8 +64,8 @@ from .space import Ball, BallRef, FiniteMetricMeasureSpace, _float_array
 class OperatorOutput:
     """Operator values plus, per point, the ball attaining the extremum.
 
-    The witness arrays are resolved on first read, by the keyed sweep of
-    `_witness_keys`, and kept; `dataclasses.replace` shares that resolution
+    The witness arrays are resolved on first read, by a `_MaxFold` given
+    the values, and kept; `dataclasses.replace` shares that resolution
     with the copy. All arrays are read-only.
     """
 
@@ -109,7 +110,7 @@ class _WitnessSweep:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(center, rank, radius) per point, computed once."""
         fam = self.space.ball_family
-        key = _witness_keys(self.space, self.f, self.values).astype(np.int64)
+        key = fam.scan([_MaxFold(fam, self.f, self.values)])[0].astype(np.int64)
         rank, center = np.divmod(key, self.space.n)
         radius = fam.radius_at_pos(center, fam.end_positions(key))
         out = (center, rank, radius)
@@ -283,34 +284,59 @@ def _as_function(space: FiniteMetricMeasureSpace, f) -> np.ndarray:
 
 
 class _MaxFold:
-    """A `BallFamily.scan` reducer: Mnat f, one max sweep per block of centers.
+    """A `BallFamily.scan` reducer: Mnat f by one max sweep per block of centers, or its witnesses.
 
-    Each block's per-position best folds straight into one length-n
-    maximum, at the points its positions hold.
+    Each block's per-position best folds into one length-n vector, at the
+    points its positions hold. Without `values` the fold is a maximum.
+    Given the values, the sweep carries keys, and the fold is a minimum
+    over the centers whose best equals the point's value: each point's
+    smallest ball_key of an attaining ball. A NaN attains as in `Sup`: a
+    NaN value's witness is the NaN ball of smallest key that contains it.
     """
 
-    def __init__(self, fam, f: np.ndarray):
-        self.fam, self.tables = fam, ((f, "avg"),)
-        self.values = np.full(fam.n, -np.inf)
+    def __init__(self, fam, f: np.ndarray, values: np.ndarray | None = None):
+        self.fam, self.tables, self.want = fam, ((f, "avg"),), values
+        self.none = np.iinfo(fam.index_dtype).max  # no key yet
+        self.out = (np.full(fam.n, -np.inf) if values is None
+                    else np.full(fam.n, self.none, dtype=fam.index_dtype))
 
     def add(self, rows, layout, avg: np.ndarray) -> None:
-        fam = self.fam
+        fam, want = self.fam, self.want
         # sweep each center's order from the far end: position i then holds
         # the best ball ending at a position >= i, i.e. the best ball
         # containing the point at position i; a per-ball table (with its
-        # layout) sweeps its balls and spreads each over its tie group
+        # layout) sweeps its balls and spreads each over its tie group.
+        # avg is shared: the mask makes a new table, swept in place
         if layout is None:
-            best = np.where(fam.is_ball_end[rows], avg, -np.inf)
-            np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
+            ends = fam.is_ball_end[rows]
+            swept = best = np.where(ends, avg, -np.inf)
         else:
-            best = np.empty_like(avg)  # avg is shared: not written to
-            np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
-            best = layout.to_positions(best)
+            swept, best = avg, np.empty_like(avg)
+        np.maximum.accumulate(swept[:, ::-1], axis=1, out=best[:, ::-1])
+        spread = np.ravel if layout is None else layout.to_positions
         # the index of ufunc.at must be 1-D: a 2-D one runs about 8x slower
-        np.maximum.at(self.values, fam.block_index(rows).ravel(), best.ravel())
+        points = fam.block_index(rows).ravel()
+        if want is None:
+            np.maximum.at(self.out, points, spread(best))
+            return
+        # a ball attains the running max where its average is that max or NaN;
+        # a position that ends no ball attains nothing
+        hit = (avg == best) | (avg != avg)
+        if layout is None:
+            hit &= ends
+            keys = fam.ball_key[rows]
+        else:
+            keys = np.take(fam.ball_key[rows], layout.ends)
+        # keys fall along the sweep, so the latest step attaining the running
+        # max holds the smallest key of all the steps attaining it
+        key = np.where(hit, keys, self.none)
+        np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
+        want, best = np.take(want, points), spread(best)
+        hit = (best == want) | (best != best) & (want != want)
+        np.minimum.at(self.out, points, np.where(hit, spread(key), self.none))
 
     def result(self) -> np.ndarray:
-        return self.values
+        return self.out
 
 
 @_memoized
@@ -318,46 +344,6 @@ def _natural_extremal(space: FiniteMetricMeasureSpace, f: np.ndarray):
     """Mnat f: values from one `_MaxFold`; witnesses wait for a read."""
     (values,) = yield [_MaxFold(space.ball_family, f)]
     return OperatorOutput(values, _WitnessSweep(space, f.copy(), values))
-
-
-def _witness_keys(space: FiniteMetricMeasureSpace, f: np.ndarray,
-                  values: np.ndarray) -> np.ndarray:
-    """Per point, the smallest ball_key of a ball containing it with average values[point].
-
-    The kernel's sweep again, carrying keys: per center, the smallest key
-    among the balls that attain each position's best, then a running
-    minimum, at the points the positions hold, over the centers whose best
-    equals the known value. A NaN attains as in `Sup`: a NaN value's
-    witness is the NaN ball of smallest key that contains the point. A
-    block with a layout sweeps one column per ball and spreads the best and
-    its key over each ball's tie group.
-    """
-    fam = space.ball_family
-    none = np.iinfo(fam.index_dtype).max
-    wit_key = np.full(space.n, none, dtype=fam.index_dtype)
-    for rows in fam.row_blocks():
-        layout = fam.layout(rows)
-        if layout is None:  # -inf where no ball ends
-            avg = fam.averages_at_pos(f, rows)
-            np.copyto(avg, -np.inf, where=~fam.is_ball_end[rows])
-            keys = fam.ball_key[rows]
-        else:
-            avg = fam.averages_at_pos(f, rows, layout=layout)
-            keys = np.take(fam.ball_key[rows], layout.ends)
-        best = np.empty_like(avg)
-        np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
-        # keys fall along the sweep, so the latest step attaining the running
-        # max holds the smallest key of all the steps attaining it
-        key = np.where((avg == best) | (avg != avg), keys, none)
-        np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
-        if layout is not None:
-            best, key = layout.to_positions(best), layout.to_positions(key)
-        points = fam.block_index(rows).ravel()
-        want = np.take(values, points)
-        best = best.ravel()
-        hit = (best == want) | (best != best) & (want != want)
-        np.minimum.at(wit_key, points, np.where(hit, key.ravel(), none))
-    return wit_key
 
 
 @_memoized

@@ -349,13 +349,10 @@ class BallFamily:
         tables have one column per ball and `add` gets that `BallLayout`;
         elsewhere, and for a reducer that names no table (it builds its own,
         one column per position), `layout` is None. The reducers take each
-        block in an order that holds few tables, `_reducer_order`: greedily,
-        next the one after which the fewest more tables are held, the
-        earliest on a tie.
-        Reducers that name the same vector share its table and must not
-        write to it. A table is keyed by a digest of its vector's bytes: -f
-        has its own, since reading avg(-f) as -avg(f) would flip the sign of
-        an average that is exactly zero.
+        block in the order given. Reducers that name the same vector share
+        its table and must not write to it. A table is keyed by a digest of
+        its vector's bytes: -f has its own, since reading avg(-f) as -avg(f)
+        would flip the sign of an average that is exactly zero.
         """
         build = {"avg": self.averages_at_pos, "min": self.running_min_at_pos,
                  "max": self.running_max_at_pos}
@@ -370,12 +367,10 @@ class BallFamily:
                         np.ascontiguousarray(vec), digest_size=16).digest()
                 keys.append((kind, digests[id(vec)]))
             reads.append(keys)
-        order = _reducer_order(reads)
-        last = {k: i for i in order for k in reads[i]}
+        last = {k: i for i, keys in enumerate(reads) for k in keys}
         for rows in self.row_blocks():
             layout, held = self.layout(rows), {}
-            for i in order:
-                r, keys = reducers[i], reads[i]
+            for i, (r, keys) in enumerate(zip(reducers, reads)):
                 for key, (vec, kind) in zip(keys, r.tables):
                     if key not in held:
                         held[key] = build[kind](vec, rows, layout=layout)
@@ -411,12 +406,11 @@ class Sup:
     propagates to the value, and the witness is then the NaN ball of
     smallest key. Blocks merge by a running (value, smallest key) pair,
     with a NaN ranked above every number, so value and witness are those of
-    one reduction over the full table. With witness=False the result is the
-    value alone, merged the same way without the key minimum.
+    one reduction over the full table.
     """
 
-    def __init__(self, fam: BallFamily, tables, table, witness: bool = True):
-        self.fam, self.tables, self.table, self.witness = fam, tables, table, witness
+    def __init__(self, fam: BallFamily, tables, table):
+        self.fam, self.tables, self.table = fam, tables, table
         self.value, self.key = -np.inf, None
 
     def add(self, rows, layout, *tables) -> None:
@@ -429,20 +423,17 @@ class Sup:
             top = float(vals.max())
         if _above(self.value, top):
             return
-        if self.witness:
-            hits = vals == top if top == top else np.isnan(vals)
-            # never empty: top is the value of a ball of the block
-            if layout is None:
-                hits &= ends
-                k = int(fam.ball_key[rows][hits].min())
-            else:
-                k = int(np.take(fam.ball_key[rows], layout.ends[hits]).min())
-            self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
+        hits = vals == top if top == top else np.isnan(vals)
+        # never empty: top is the value of a ball of the block
+        if layout is None:
+            hits &= ends
+            k = int(fam.ball_key[rows][hits].min())
+        else:
+            k = int(np.take(fam.ball_key[rows], layout.ends[hits]).min())
+        self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
         self.value = top
 
     def result(self):
-        if not self.witness:
-            return self.value
         rank, center = divmod(self.key, self.fam.n)
         return self.value, BallRef(center, rank, self.fam.end_of_key(self.key)[1])
 
@@ -514,39 +505,6 @@ class BallLayout:
         out = self.to_columns(groups)
         ufunc.accumulate(out, axis=1, out=out)
         return out
-
-
-def _reducer_order(reads) -> list[int]:
-    """The order in which `BallFamily.scan` feeds its reducers, given the table keys each reads.
-
-    Greedily, next the reducer after which the fewest more tables are held,
-    the earliest on a tie. A reducer's score sums one term per table it
-    reads: 1 while the table is not yet held, less 1 while that reducer is
-    its last reader. Taking a reducer changes the terms of its own tables
-    only, so only the scores of the reducers that share one of them move.
-    """
-    uniq = [set(keys) for keys in reads]
-    readers = {}
-    for i, u in enumerate(uniq):
-        for k in u:
-            readers.setdefault(k, []).append(i)
-    left = {k: len(r) for k, r in readers.items()}  # readers still to come
-    scores = [len(u) - sum(left[k] == 1 for k in u) for u in uniq]
-    order, rest = [], list(range(len(uniq)))
-    while rest:
-        i = min(rest, key=scores.__getitem__)  # the first minimum: earliest on a tie
-        rest.remove(i)
-        order.append(i)
-        for k in uniq[i]:
-            # held once built, until its last reader; readers[k] taken so far
-            # are out of `rest`, so their scores no longer matter
-            before = (left[k] == len(readers[k])) - (left[k] == 1)
-            left[k] -= 1
-            delta = (left[k] == 0) - (left[k] == 1) - before
-            if delta:
-                for j in readers[k]:
-                    scores[j] += delta
-    return order
 
 
 def _row_blocks(n: int):
@@ -717,6 +675,8 @@ def _owned_space(dist: np.ndarray, metric_kind: str, measure, check_triangle: bo
     dist is not copied: the caller hands over a matrix no one else holds.
     """
     n = dist.shape[0]
+    if n == 0:
+        raise InvalidParams("a space needs at least one point")
     _validate_matrix(dist, check_triangle=check_triangle)
     mu = _float_array(measure, NonpositiveMeasure, "measure").copy()
     if mu.shape != (n,):

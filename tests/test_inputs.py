@@ -52,6 +52,8 @@ W = [1.0, 2.0]
     (lambda sp: build_space(5.0, "explicit-matrix", [1.0]), AsymmetricDistance),
     (lambda sp: build_space(5.0, "graph-shortest-path", [1.0]), AsymmetricDistance),
     (lambda sp: build_space(5.0, "euclidean", [1.0]), InvalidParams),
+    (lambda sp: build_space(np.zeros((0, 0)), "explicit-matrix", []),
+     (InvalidParams, "at least one point")),
     (lambda sp: sample_weight(np.random.default_rng(0), sp, "bogus"), InvalidParams),
     (lambda sp: sample_space(np.random.default_rng(0), 1), InvalidParams),
     (lambda sp: Tolerances(ineq=float("nan")), InvalidParams),
@@ -88,7 +90,7 @@ W = [1.0, 2.0]
     (lambda sp: sp.ball_family.ball_at(0, 1.5), (InvalidParams, "rank 1.5")),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
         "maximal", "blo", "blo-ragged", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
-        "scalar-coords", "weight-family", "sample-max-n", "tolerance-nan",
+        "scalar-coords", "empty-space", "weight-family", "sample-max-n", "tolerance-nan",
         "tolerance-negative", "tolerance-inf", "tolerance-str",
         "ap-p-inf", "rhs-s-inf", "refined-jones-p-inf", "refined-transform-s-inf",
         "suite-p-nan", "suite-s-inf", "ap-p-str", "rhs-s-str", "refined-jones-p-str",

@@ -339,14 +339,16 @@ class TestNaNWitnesses:
 class TestLazyWitnesses:
     @staticmethod
     def _count_sweeps(monkeypatch):
-        raw = operators._witness_keys
+        """Record the input bytes of every `_MaxFold` given values: one per witness resolution."""
+        raw = operators._MaxFold
         calls = []
 
-        def counted(space, f, values):
-            calls.append(f.tobytes())
-            return raw(space, f, values)
+        def counted(fam, f, values=None):
+            if values is not None:
+                calls.append(f.tobytes())
+            return raw(fam, f, values)
 
-        monkeypatch.setattr(operators, "_witness_keys", counted)
+        monkeypatch.setattr(operators, "_MaxFold", counted)
         return calls
 
     def test_values_only_read_never_sweeps(self, monkeypatch):
@@ -382,6 +384,23 @@ class TestLazyWitnesses:
             assert low.witness_center is up.witness_center
             assert low.witness_radius is up.witness_radius
         assert calls == [(-f).tobytes()]
+
+    def test_a_witness_read_is_one_scan_of_the_values_reducer(self, monkeypatch):
+        space = sample_space(np.random.default_rng(3), 30)
+        f = np.random.default_rng(4).normal(size=space.n)
+        out = maximal(space, f)
+        scans = []
+        raw = BallFamily.scan
+
+        def scan(fam, reducers):
+            scans.append(reducers)
+            return raw(fam, reducers)
+
+        monkeypatch.setattr(BallFamily, "scan", scan)
+        out.witness_center
+        assert len(scans) == 1 and len(scans[0]) == 1
+        (fold,) = scans[0]
+        assert isinstance(fold, operators._MaxFold) and fold.want is out.values
 
     def test_resolved_witnesses_are_read_only(self):
         space = sample_space(np.random.default_rng(7), 20)
@@ -687,8 +706,6 @@ class TestBallIndexedTables:
                     top, want_ref = _full_sup(fam, named, table)
                     assert np.float64(value).tobytes() == np.float64(top).tobytes(), (name, sup)
                     assert ref == want_ref, (name, sup)
-                    alone = fam.scan([Sup(fam, named, table, witness=False)])[0]
-                    assert np.float64(alone).tobytes() == np.float64(top).tobytes(), (name, sup)
                 for rows in fam.row_blocks():
                     layout = fam.layout(rows)
                     if layout is None:

@@ -3,7 +3,6 @@ import gc
 import hashlib
 import tracemalloc
 import warnings
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -592,41 +591,6 @@ class TestSuiteBatches:
             builds.clear()
             assert_all_pass(check())
             assert builds and len(builds) == len(set(builds))
-
-    @staticmethod
-    def _rescored_order(reads):
-        """The greedy reducer order with every remaining reducer scored at each step."""
-        uniq = [set(keys) for keys in reads]
-        left = Counter(k for u in uniq for k in u)
-        ahead, lonely = set(), {k for k, c in left.items() if c == 1}
-        order, rest = [], list(range(len(reads)))
-        while rest:
-            i = min(rest, key=lambda i: len(uniq[i] - ahead) - len(uniq[i] & lonely))
-            rest.remove(i)
-            order.append(i)
-            for k in uniq[i]:
-                left[k] -= 1
-                (ahead.add if left[k] else ahead.discard)(k)
-                (lonely.add if left[k] == 1 else lonely.discard)(k)
-        return order
-
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_reducer_order_equals_rescoring_every_reducer(self, monkeypatch, p):
-        space, weights = TestRunSuite._tied_instance()
-        rounds = []
-        raw = space_module._reducer_order
-
-        def recorded(reads):
-            rounds.append((reads, raw(reads)))
-            return rounds[-1][1]
-
-        monkeypatch.setattr(space_module, "_reducer_order", recorded)
-        assert_all_pass(run_suite(space, weights, SuiteParams(p=p, include_soft=False)))
-        assert max(len(reads) for reads, _ in rounds) >= 20
-        # the greedy moves reducers in some rounds: the order is not the identity
-        assert any(order != sorted(order) for _, order in rounds)
-        for reads, order in rounds:
-            assert order == self._rescored_order(reads)
 
 
 class TestTracedWrappers:

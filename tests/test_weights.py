@@ -168,8 +168,6 @@ class TestRowBlocks:
         assert math.isnan(got[0]) and got[1].rank == 3
         assert got[1].center == blocks[nan_blocks[0]].start + 4
         _assert_same_sup(got, oracles.sup_over_table(space, table))
-        # the value-only merge of the factor search keeps the NaN too
-        assert math.isnan(fam.scan([Sup(fam, (), lambda rows: table[rows], witness=False)])[0])
 
     def test_all_minus_inf_gives_the_smallest_key(self, three_block_grid):
         space = three_block_grid
