@@ -31,14 +31,17 @@ each (space, input, exponent) is computed once; outside it every call
 computes.
 
 bmo is the one functional that sums over each ball's members rather than
-reading a prefix table, O(n) per ball; it reads avg f from the scan, so a
-batch shares that table with blo. A block of centers with few balls per
-center (a `BallLayout` at most BMO_EXACT_MAX_WIDTH ceil(sqrt n) wide) sums
-every ball, into its per-ball table. In every other block a closed form
-first estimates every ball's value, with a bound on the rounding of both
-computations; only the balls that may reach the sup are summed exactly.
+reading a prefix table, O(n) per ball. Its `Sup` reads avg f (so a batch
+shares that table with blo) and avg x**2, x = f - (max f + min f) / 2.
+From them each ball's value is bounded by its standard deviation
+(Cauchy-Schwarz) plus e1, which bounds the rounding of the exact sum;
+delta bounds the rounding of the variance. Only the balls whose bound can
+reach the largest exact value so far are summed exactly (the first
+block's ball of largest variance first); no other ball can tie the sup.
 Each summed ball is one full-length masked row, so values and witnesses
-equal those of summing every row of every center, bit for bit.
+equal those of summing every row of every center, bit for bit. |f| or a
+mass outside SCREEN_RANGE, where the table of x**2 could overflow, sums
+every ball.
 """
 
 from __future__ import annotations
@@ -56,18 +59,8 @@ from .space import CHUNK_CELLS, FiniteMetricMeasureSpace, FunctionalResult, Sup,
 # beyond this dynamic range exp/log round-off dominates the comparisons
 CONDITIONING_RANGE = 1e12
 CROSS_FORM_RTOL = 1e-12
-# below this many points the BMO screen costs more than it saves (measured)
-BMO_SCREEN_MIN_N = 32
-# the screen's error bound assumes |f| and the measure within these powers of two
-SCREEN_RANGE = 2.0 ** 400
-# a block of centers with a layout whose widest center has at most this many
-# times ceil(sqrt n) balls sums every ball and skips the screen. Time of that
-# path over the screen's, per layout block, by width / ceil(sqrt n) (median
-# and range; linf, l1 and Euclidean grids of 500-2000 points, f = log w):
-#   <1.25: 0.27 (0.18-0.36)  1.25-1.75: 0.45 (0.26-0.69)  1.75-2.25: 0.53 (0.35-0.74)
-#   2.25-2.75: 0.64 (0.52-0.94)  2.75-3.25: 0.77 (0.64-0.97)  3.25-4: 0.96 (0.74-1.32)
-#   4-5: 1.22 (0.87-1.56)  5-6: 1.54 (1.09-2.19)  6-30 (Euclidean): 2-4 (1.37-6.59)
-BMO_EXACT_MAX_WIDTH = 3.0
+# |f| and the measure within these powers of two keep BMO's table of x*x finite
+SCREEN_RANGE = 2.0 ** 300
 
 
 def _as_weight(space: FiniteMetricMeasureSpace, w, positive: bool = True) -> np.ndarray:
@@ -212,154 +205,127 @@ def _cross_checked(kind: str, w: np.ndarray, value: float, ref,
 
 @_memoized
 def bmo_norm(space: FiniteMetricMeasureSpace, f):
-    """sup over balls of avg |f - f_B|, over the table of `_bmo_table`."""
-    f = _as_function(space, f)
-    table, _ = _bmo_table(space, f)
-    (sup,) = yield [Sup(space.ball_family, ((f, "avg"),), table)]
+    """sup over balls of avg |f - f_B|, by the screen of `_bmo_sup`."""
+    (sup,) = yield [_bmo_sup(space, _as_function(space, f))[0]]
     return FunctionalResult("BMO", *sup)
 
 
-def _bmo_table(space: FiniteMetricMeasureSpace, f: np.ndarray):
-    """The BMO norm's `table(rows, avg)` for a `Sup` of avg(f), and a count of the balls summed.
+def _bmo_sup(space: FiniteMetricMeasureSpace, f: np.ndarray):
+    """The BMO norm's `Sup`, and a count of the balls it sums exactly.
 
     Exact sums. A ball's value is summed as one full-length masked row:
     mu |f - f_B| over the center's order, times 1 at the members'
     positions and 0 after, summed with numpy's pairwise sum over the row
-    and divided by the ball's mass. Every ball summed is summed so, and
-    a singleton reads exactly zero.
+    and divided by the ball's mass, with f_B the scan's avg f. Every ball
+    summed is summed so, and a singleton reads exactly zero.
 
-    Which balls. A row block with a `BallLayout` whose widest center has
-    at most BMO_EXACT_MAX_WIDTH * ceil(sqrt n) balls sums every ball, one
-    row per ball and none per pad, into its per-ball table: R_b n per
-    center against the screen's ~n^1.5 (the constant's comment has the
-    measured crossover). Every other block runs the screen below, and a
-    block with a layout reads its result at the ball ends. Both give the
-    bytes of summing every ball of every center.
+    Bound. Let x = f - mid with mid = (max f + min f) / 2 as rounded, F =
+    max|f|, u = 2**-53 and V the variance of f over a ball. For any a,
+    Cauchy-Schwarz gives avg_B |f - a| <= sqrt(V + (a - f_B)**2), so a
+    ball's exact value t is at most sqrt(V) + e1 with
 
-    Screen. Let x = f - (max f + min f) / 2. With M the mass of a ball, S
-    the sum of mu x over it, a = S / M and M_le, S_le the same two sums
-    over the members with x <= a,
+        e1 = 16 (n + 1) u F + (n + 1) 2**-470.
 
-        sum_B mu |x - a| = a (2 M_le - M) - (2 S_le - S),
+    A first-order count gives (2n + 1) u F for the rounding of the scan's
+    f_B (both cumsums, the division) and (2n + 1) u 2F for the sum itself
+    (two roundings per term, a sum of nonnegative terms in any order, the
+    mass and the division): (6n + 3) u F. The table reads v = A - (a -
+    mid)**2, with A the scan's avg of x*x and a its avg f, and |v - V| <=
+    delta with
 
-    so one estimate per ball costs two sums over a sub-level set. Per
-    center they come from sweeping its positions in blocks of ceil(sqrt n):
-    a cumulative sum over the rank of x gives the earlier blocks' share,
-    and a pairwise compare the block's own, O(n^1.5) per center in all.
+        delta = 16 (n + 1) u F**2 + (n + 1) 2**-470.
 
-    Bound. On every ball the estimate v and the exact value t differ by at
-    most err = 80 (n + 1) u max|f| + (n + 8) 2**-600, with u = 2**-53. A
-    first-order count of the rounding in both gives (36 n + 49) u max|f|,
-    of which the exact f_B, summed in f and not in x, is a large share;
-    err doubles it for the higher-order terms. The second term covers
-    underflow, which SCREEN_RANGE keeps small: the measure and |f| lie
-    within it, so nothing overflows either.
+    A first-order count gives (2n + 3) u F**2 for A (x, its square, the
+    product with mu, the cumsum of nonnegative terms, the mass, the
+    division; |x| <= F (1 + 2u)), (4n + 3) u F**2 for (a - mid)**2 (the
+    error of a times |a - mid| + |f_B - mid| <= 2F (1 + u), and two roundings)
+    and u F**2 for the difference: (6n + 7) u F**2. Both constants more
+    than double their counts; the slack also covers the higher-order terms
+    and the rounding of the keep test below, 4.01 u (L - e1)**2 <= 16.3 u
+    F**2. The second terms cover underflow, at most 2**-1075 an operation
+    and divided by a mass of at least 1 / SCREEN_RANGE.
 
-    Scan. In each screened block the balls with v >= max(L - err, V - 2 err)
-    are summed exactly, with L the earlier blocks' largest exact value and
-    V the block's largest estimate; every other ball reads -inf. A ball
-    that ties or beats the sup t* has t >= t* >= L, and
-    t* >= (t of the block's top-estimate ball) >= V - err, so its v clears
-    both terms: value and tie-rule witness are those of summing every
-    ball. A NaN keeps every ball. Small spaces and inputs out of range do
-    not screen: every ball is summed, by the per-ball path where the block
-    has a layout.
+    Screen. Let L be the largest exact value so far. Where L - e1 > 0, a
+    ball with v + delta < (L - e1)**2 has sqrt(V) < L - e1, so t < L:
+    it can neither tie nor beat the sup, and reads -inf. Every other ball
+    is summed exactly, so the sup and its tie-rule witness are those of
+    summing every ball. So that L is set before the first test, the first
+    block first sums its ball of largest v (a seed in every block measured
+    4-9% slower). A NaN keeps every ball.
+
+    Range gate. With |f| <= SCREEN_RANGE = 2**300 and every mass in
+    [2**-300, 2**300], mu x**2 <= 4 * 2**900 and n such terms stay far
+    below 2**1024: the table of x*x and its cumsum are finite. Inputs
+    outside the gate name no table of x*x and sum every ball.
     """
     n = space.n
     fam = space.ball_family
     mu = space.measure
     top = float(np.abs(f).max())
-    screen = (n >= BMO_SCREEN_MIN_N and top <= SCREEN_RANGE
-              and 1.0 / SCREEN_RANGE <= mu.min() and mu.max() <= SCREEN_RANGE)
-    width = math.isqrt(n - 1) + 1  # the screen's block of positions
-    if screen:
-        x = f - (0.5 * f.max() + 0.5 * f.min())
-        by_rank = np.argsort(x, kind="stable")
-        x_sorted = x[by_rank]
-        rank1 = np.empty(n, dtype=np.intp)  # 1 + rank of x: column 0 of seen stays 0
-        rank1[by_rank] = np.arange(1, n + 1)
-        in_block = np.tri(width, dtype=bool)  # row j: block members at positions <= j
-        err = 80.0 * (n + 1) * 2.0 ** -53 * top + (n + 8) * 2.0 ** -600
+    tables = ((f, "avg"),)
+    if top <= SCREEN_RANGE and 1.0 / SCREEN_RANGE <= mu.min() and mu.max() <= SCREEN_RANGE:
+        mid = 0.5 * f.max() + 0.5 * f.min()
+        x = f - mid
+        tables += ((x * x, "avg"),)
+        e1 = 16.0 * (n + 1) * 2.0 ** -53 * top + (n + 1) * 2.0 ** -470
+        delta = 16.0 * (n + 1) * 2.0 ** -53 * top * top + (n + 1) * 2.0 ** -470
     chunk = max(1, CHUNK_CELLS // n)  # rows of n summed at once
     # row j: 1.0 at the positions <= j, the members, and 0.0 after, as
     # windows of one vector; a float mask multiplies 10% faster than a bool
     members = np.lib.stride_tricks.sliding_window_view(
         (np.arange(2 * n - 1) < n).astype(float), n)[::-1]
-    best, evaluated = -np.inf, 0  # largest exact value so far, balls summed
+    best, summed = -np.inf, 0  # largest exact value so far, balls summed
 
-    def estimates(order, mass):
-        """The screen's estimate of every ball of one row block."""
-        line = np.arange(order.shape[0])[:, None]
-        mo, xo = mu[order], x[order]
-        terms = np.stack([mo, mo * xo], axis=-1)  # mu and mu x
-        total = np.cumsum(terms[..., 1], axis=1)
-        avg = total / mass
-        cut = np.searchsorted(x_sorted, avg, side="right")  # x <= avg iff rank1 <= cut
-        seen = np.zeros((order.shape[0], n + 1, 2))  # per rank1, blocks so far
-        below = np.empty_like(seen)
-        low = np.empty_like(terms)  # the two sums over members with x <= avg
-        # the same arrays with each pair as one complex number: cumsum and
-        # fancy indexing run 2-3x faster on them than over a trailing axis
-        seen_z, below_z, low_z, terms_z = (
-            a.view(complex)[..., 0] for a in (seen, below, low, terms))
-        for p0 in range(0, n, width):
-            p = slice(p0, min(p0 + width, n))
-            m = p.stop - p0
-            np.cumsum(seen_z, axis=1, out=below_z)
-            le = xo[:, None, p] <= avg[:, p, None]
-            le &= in_block[:m, :m]
-            low[:, p] = np.matmul(le, terms[:, p], dtype=float)
-            low_z[:, p] += below_z[line, cut[:, p]]
-            seen_z[line, rank1[order[:, p]]] = terms_z[:, p]
-        del seen, below, seen_z, below_z  # before the temporaries below
-        est = avg * (2.0 * low[..., 0] - mass)
-        est -= 2.0 * low[..., 1] - total
-        est /= mass
-        est[:, 0] = 0.0
-        return est
-
-    def exact(rows, r, j, a):
-        """The values of the balls ending at positions j of rows r of a block, of averages a."""
-        index = fam.block_index(rows)
-        fo, mo = np.take(f, index), np.take(mu, index)
-        out = np.empty(r.size)
-        for k in range(0, r.size, chunk):
-            rk, jk = r[k:k + chunk], j[k:k + chunk]
-            dev = fo[rk]  # whole rows: a gather per entry is 3x slower
-            dev -= a[k:k + chunk, None]
-            np.abs(dev, out=dev)
-            dev *= mo[rk]
-            dev *= members[jk]  # gathered rows: 2x faster than a compare
-            out[k:k + chunk] = dev.sum(axis=1)
-        out /= fam.prefix_measure[rows][r, j]
-        return out
-
-    def table(rows, avg):
-        nonlocal best, evaluated
+    def table(rows, avg, avg_xx=None):
+        nonlocal best
         layout = fam.layout(rows)
-        if layout is not None and (not screen or avg.shape[1] <= BMO_EXACT_MAX_WIDTH * width):
-            real = np.arange(avg.shape[1]) < (layout.last - layout.first + 1)[:, None]  # no pad
-            r, j = np.divmod(layout.ends[real], n)  # ball order: row by row, then by position
-            vals = layout.to_columns(exact(rows, r, j, avg[real]))
-        else:
-            if layout is not None:  # each ball's average at every position of its tie group
-                avg = layout.to_positions(avg).reshape(-1, n)
-            marked = fam.is_ball_end[rows].copy()
-            if screen:
-                est = estimates(fam.block_index(rows), fam.prefix_measure[rows])
-                thr = np.maximum(best - err, est.max(where=marked, initial=-np.inf) - 2.0 * err)
-                marked &= ~(est < thr)  # a NaN keeps every ball
-            r, j = np.nonzero(marked)
-            vals = np.full(marked.shape, -np.inf)
-            vals[r, j] = exact(rows, r, j, avg[r, j])
-            if layout is not None:
-                vals = np.take(vals, layout.ends)
-        vals[:, 0] = 0.0  # singletons oscillate exactly zero
-        evaluated += r.size
+        if layout is None:  # one column per position: the ball ends
+            keep = fam.is_ball_end[rows].copy()
+        else:  # one column per ball: no pad
+            keep = np.arange(avg.shape[1]) < (layout.last - layout.first + 1)[:, None]
+        keep[:, 0] = False  # singletons oscillate exactly zero
+        vals = np.full(avg.shape, -np.inf)
+        vals[:, 0] = 0.0
+
+        def add(r, j):
+            """Sum the balls in columns j of rows r exactly, into vals."""
+            nonlocal summed
+            a = avg[r, j]
+            pos = j if layout is None else layout.ends[r, j] - r * n
+            # f and mu on the rows that hold a summed ball, each gathered once
+            at, r_at = np.unique(r, return_inverse=True)
+            at = fam.block_index(rows)[at]
+            fo, mo = np.take(f, at), np.take(mu, at)
+            out = np.empty(r.size)
+            for k in range(0, r.size, chunk):
+                rk = r_at[k:k + chunk]
+                dev = fo[rk]  # whole rows: a gather per entry is 3x slower
+                dev -= a[k:k + chunk, None]
+                np.abs(dev, out=dev)
+                dev *= mo[rk]
+                dev *= members[pos[k:k + chunk]]  # gathered rows: 2x faster than a compare
+                out[k:k + chunk] = dev.sum(axis=1)
+            vals[r, j] = out / fam.prefix_measure[rows][r, pos]
+            summed += r.size
+
+        if avg_xx is not None:
+            bound = avg - mid  # v + delta, each ball's bound on its variance
+            bound *= bound
+            np.subtract(avg_xx, bound, out=bound)
+            bound += delta
+            if best == -np.inf:  # the first block: sum its ball of largest bound first
+                seed = np.where(keep, bound, -np.inf).argmax()
+                if keep.flat[seed]:
+                    add(*np.divmod([seed], keep.shape[1]))
+                    keep.flat[seed] = False
+            lim = np.maximum(best, vals.max()) - e1
+            if lim > 0.0:
+                keep &= ~(bound < lim * lim)  # a NaN keeps every ball
+        add(*np.nonzero(keep))
         best = np.maximum(best, vals.max())
         return vals
 
-    return table, lambda: evaluated
+    return Sup(fam, tables, table), lambda: summed
 
 
 @_memoized

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from weightlab.families import sample_space, sample_weight
 from weightlab.space import LAYOUT_MIN_N, BallRef, Sup
 from weightlab.theorems import check_harnack
 from weightlab import weights
-from weightlab.weights import BMO_EXACT_MAX_WIDTH, BMO_SCREEN_MIN_N, SCREEN_RANGE, _bmo_table
+from weightlab.weights import SCREEN_RANGE, _bmo_sup
 
 E = np.e
 W2 = np.array([1.0, E])
@@ -238,23 +239,32 @@ def _bmo_inputs(rng, space):
 
 def _balls_summed(space, f) -> int:
     """How many balls the BMO scan of f sums exactly."""
-    table, summed = _bmo_table(space, f)
-    fam = space.ball_family
-    fam.scan([Sup(fam, ((f, "avg"),), table)])
+    sup, summed = _bmo_sup(space, f)
+    space.ball_family.scan([sup])
     return summed()
 
 
-def _bmo_paths(space) -> list[str]:
-    """Per row block, the path of an input the screen accepts: "balls" (every
-    ball, per-ball table), "screen" (with a layout) or "positions" (no layout)."""
+def _every_ball(space) -> int:
+    """The balls of a space other than the singletons, which read zero unsummed."""
+    return int(np.count_nonzero(space.ball_family.is_ball_end)) - space.n
+
+
+def _table_shapes(space) -> set[str]:
+    """The shapes of the row blocks' tables: "balls" (a layout) or "positions"."""
     fam = space.ball_family
-    cutoff = BMO_EXACT_MAX_WIDTH * (math.isqrt(space.n - 1) + 1)
-    paths = []
-    for rows in fam.row_blocks():
-        layout = fam.layout(rows)
-        paths.append("positions" if layout is None
-                     else "balls" if layout.ends.shape[1] <= cutoff else "screen")
-    return paths
+    return {"positions" if fam.layout(rows) is None else "balls" for rows in fam.row_blocks()}
+
+
+def _analyze_inputs(seed):
+    """The spaces and log-weights of perfbench's analyze workload at this seed."""
+    grid = generate("grid", {"nx": 25, "ny": 40, "metric": "linf"}, seed)
+    points = generate("random-points", {"n": 500, "dim": 2, "measure": "random"}, seed)
+    rng = np.random.default_rng(seed)
+    out = []
+    for space in (grid, points):
+        out.append((space, np.log(rng.uniform(0.1, 5.0, size=space.n))))
+        rng.choice(space.n, size=8, replace=False)  # the workload's sampled centers
+    return out
 
 
 def _assert_bmo_matches_rowwise(space, f, label, reference=oracles.bmo_rowwise):
@@ -271,13 +281,10 @@ class TestBmoScreen:
     @pytest.mark.parametrize("seed", range(4))
     def test_sampled_spaces(self, seed):
         rng = np.random.default_rng(600 + seed)
-        sizes = []
         for _ in range(10):
             space = sample_space(rng, 60)
-            sizes.append(space.n)
             for name, f in _bmo_inputs(rng, space).items():
                 _assert_bmo_matches_rowwise(space, f, (space.n, name))
-        assert min(sizes) < BMO_SCREEN_MIN_N <= max(sizes)  # both sides of the crossover
 
     def test_linf_grid(self):
         space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
@@ -286,33 +293,61 @@ class TestBmoScreen:
 
     def test_monotone_path(self):
         # the whole path attains the sup from every center; tie-free, so no
-        # block has a layout and every block screens
+        # block has a layout
         space = generate("path", {"n": 300}, seed=3)
-        assert set(_bmo_paths(space)) == {"positions"}
+        assert _table_shapes(space) == {"positions"}
         f = np.arange(space.n, dtype=float)
         _assert_bmo_matches_rowwise(space, f, "arange")
         assert _balls_summed(space, f) >= space.n
 
     def test_screen_keeps_few_balls(self):
-        # a Euclidean grid: every block's widest center is above the cutoff
+        # a Euclidean grid, 51 148 balls besides the singletons
         space = generate("grid", {"nx": 20, "ny": 20, "metric": "euclidean"}, seed=3)
-        assert set(_bmo_paths(space)) == {"screen"}
+        assert _table_shapes(space) == {"balls"}
         f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
-        assert _balls_summed(space, f) <= 4
-        # a coordinate ties across many centers, yet a ball per center or so
+        assert _balls_summed(space, f) <= 40  # 34 measured
+        # a coordinate ties across many centers, and its balls' standard
+        # deviations lie close to their mean deviations: 21 152 measured
         kept = _balls_summed(space, space.coords[:, 1])
-        assert space.n <= kept <= 3 * space.n
+        assert space.n <= kept <= _every_ball(space) // 2
 
     def test_degenerate_inputs_keep_every_ball(self):
         # tie-free points above the layout gate: no layout, the screen runs
         space = generate("random-points", {"n": 100}, seed=3)
-        assert space.n >= LAYOUT_MIN_N and set(_bmo_paths(space)) == {"positions"}
-        every = np.count_nonzero(space.ball_family.is_ball_end)
+        assert space.n >= LAYOUT_MIN_N and _table_shapes(space) == {"positions"}
         for f in (np.full(space.n, 3.7), np.linspace(-2.0, 2.0, space.n) * SCREEN_RANGE):
-            assert _balls_summed(space, f) == every
-        small = generate("path", {"n": BMO_SCREEN_MIN_N - 1}, seed=3)
-        kept = _balls_summed(small, np.arange(small.n, dtype=float))
-        assert kept == np.count_nonzero(small.ball_family.is_ball_end)
+            assert _balls_summed(space, f) == _every_ball(space)
+
+    @pytest.mark.parametrize("scale", ["f", "heavy", "light"])
+    def test_range_gate(self, scale):
+        # at the edge of SCREEN_RANGE, in |f| or in the measure, the screen
+        # runs; one step outside, every ball is summed; neither warns
+        grid = generate("grid", {"nx": 10, "ny": 10, "metric": "linf"}, seed=2)
+        g = np.log(np.random.default_rng(2).uniform(0.1, 5.0, grid.n))
+        g /= np.abs(g).max()  # one entry is exactly +-1
+        mass = {"f": 1.0, "heavy": SCREEN_RANGE, "light": 1.0 / SCREEN_RANGE}[scale]
+        for outside in (False, True):
+            f, mu = g * SCREEN_RANGE, np.full(grid.n, mass)
+            if outside and scale == "f":
+                top = int(np.abs(g).argmax())
+                f[top] = np.copysign(np.nextafter(SCREEN_RANGE, np.inf), f[top])
+            elif outside:
+                mu[0] = np.nextafter(mass, np.inf if scale == "heavy" else 0.0)
+            space = build_space(grid.coords, "linf", mu)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                summed = _balls_summed(space, f)
+                got = bmo_norm(space, f)
+            value, ref = oracles.bmo_ball_rows(space, f)
+            assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+            assert got.witness == ref
+            assert (summed == _every_ball(space)) == outside, (summed, outside)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_analyze_inputs_sum_few_balls(self, seed):
+        # 30 580 and 250 000 balls; 32-73 and 1-17 summed exactly (measured)
+        for space, f in _analyze_inputs(seed):
+            assert _balls_summed(space, f) <= 100
 
     def test_peak_memory_below_one_table(self):
         # the screen and the exact sums stream by row blocks: no n x n table
@@ -329,7 +364,7 @@ class TestBmoScreen:
 
 
 class TestBmoEveryBall:
-    """Blocks with few balls sum every ball into a per-ball table, bit-identical to every row."""
+    """Screened per-ball tables (blocks with a layout) are bit-identical to every row."""
 
     def test_reference_rows_at_ball_ends(self):
         # the fast reference below sums bmo_rowwise's rows at the ball ends only
@@ -347,7 +382,7 @@ class TestBmoEveryBall:
     @pytest.mark.parametrize("metric", ["linf", "l1"])
     def test_grid_1000(self, metric):
         space = generate("grid", {"nx": 25, "ny": 40, "metric": metric}, seed=1)
-        assert set(_bmo_paths(space)) == {"balls"}
+        assert _table_shapes(space) == {"balls"}
         for name, f in _bmo_inputs(np.random.default_rng(8), space).items():
             _assert_bmo_matches_rowwise(space, f, name, oracles.bmo_ball_rows)
 
@@ -356,25 +391,24 @@ class TestBmoEveryBall:
         f = np.log(np.random.default_rng(1).uniform(0.1, 5.0, space.n))
         _assert_bmo_matches_rowwise(space, f, "log-weight")
 
-    @pytest.mark.parametrize("make, paths", [
-        # the ends of each grid row screen, its middle sums every ball
-        (lambda: generate("grid", {"nx": 8, "ny": 100, "metric": "linf"}, seed=2),
-         {"balls", "screen"}),
-        # blocks with and without a layout, all screened at the default cutoff
+    @pytest.mark.parametrize("make, shapes", [
+        # wide and narrow layout blocks
+        (lambda: generate("grid", {"nx": 8, "ny": 100, "metric": "linf"}, seed=2), {"balls"}),
+        # blocks with and without a layout
         (lambda: generate("grid", {"nx": 16, "ny": 25, "metric": "euclidean"}, seed=2),
-         {"positions", "screen"}),
+         {"positions", "balls"}),
     ], ids=["linf-8x100", "euclidean-16x25"])
-    def test_cutoff_leaves_the_bytes(self, make, paths, monkeypatch):
+    def test_cutoff_leaves_the_bytes(self, make, shapes, monkeypatch):
         space = make()
-        assert set(_bmo_paths(space)) == paths
+        assert _table_shapes(space) == shapes
         inputs = _bmo_inputs(np.random.default_rng(9), space)
         for name in ("log-weight", "linear", "constant", "extreme"):
             f = inputs[name]
             with np.errstate(all="ignore"):
                 value, ref = oracles.bmo_ball_rows(space, f)
-            # every layout block screens, as chosen, or sums every ball
-            for cutoff in (0.0, BMO_EXACT_MAX_WIDTH, math.inf):
-                monkeypatch.setattr(weights, "BMO_EXACT_MAX_WIDTH", cutoff)
+            # the range gate open (the screen) or closed (every ball summed)
+            for cutoff in (SCREEN_RANGE, 0.5):
+                monkeypatch.setattr(weights, "SCREEN_RANGE", cutoff)
                 with np.errstate(all="ignore"):
                     got = bmo_norm(space, f)
                 assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), name
@@ -383,14 +417,18 @@ class TestBmoEveryBall:
     def test_just_above_the_layout_gate(self):
         space = generate("grid", {"nx": 9, "ny": 9, "metric": "linf", "measure": "random"},
                          seed=4)
-        assert space.n == LAYOUT_MIN_N + 1 and set(_bmo_paths(space)) == {"balls"}
+        assert space.n == LAYOUT_MIN_N + 1 and _table_shapes(space) == {"balls"}
         for name, f in _bmo_inputs(np.random.default_rng(4), space).items():
             _assert_bmo_matches_rowwise(space, f, name)
 
-    def test_sums_every_ball(self):
+    def test_sums_every_ball(self, monkeypatch):
+        # the screen sums 67 of 6 460 balls (measured); with the range gate
+        # closed (no measure lies in [2, 0.5]) every ball is summed
         space = generate("grid", {"nx": 20, "ny": 20, "metric": "linf"}, seed=3)
         f = np.log(np.random.default_rng(4).uniform(0.1, 5.0, space.n))
-        assert _balls_summed(space, f) == np.count_nonzero(space.ball_family.is_ball_end)
+        assert _table_shapes(space) == {"balls"} and _balls_summed(space, f) <= 80
+        monkeypatch.setattr(weights, "SCREEN_RANGE", 0.5)
+        assert _balls_summed(space, f) == _every_ball(space)
 
     @pytest.mark.parametrize("pattern", ["stripes", "diagonals"])
     def test_sup_tied_across_blocks(self, pattern):
@@ -406,7 +444,7 @@ class TestBmoEveryBall:
         attaining = np.flatnonzero(((table == value) & fam.is_ball_end).any(axis=1))
         blocks = [rows for rows in fam.row_blocks()
                   if np.any((attaining >= rows.start) & (attaining < rows.stop))]
-        assert len(blocks) >= 2 and set(_bmo_paths(space)) == {"balls"}
+        assert len(blocks) >= 2 and _table_shapes(space) == {"balls"}
         got = bmo_norm(space, f)
         assert got.value == value and got.witness == ref
 
