@@ -22,9 +22,9 @@ Values first, by blocks of centers. The kernel is a `_MaxFold` reducer of
 prefix averages of f, sweeps them, and folds each position's best into
 one length-n vector by np.maximum.at, at the point that position holds;
 no n x n table is held, and a batch that also asks for other reductions
-of f shares its average table. Where the block has a ``BallLayout`` the
-table and the sweep have one column per ball, and each ball's best is
-spread over the positions of its tie group before the fold. The witnesses
+of f shares its average table. The table and the sweep have one column
+per ball, through the block's layout, and each ball's best is spread
+over the positions of its tie group before the fold. The witnesses
 are resolved on the first read of ``witness_center``, ``witness_rank``,
 ``witness_radius`` or ``witness()``, once per kernel run (and so once per
 memo entry): one more scan of the same reducer, given the values, which
@@ -302,38 +302,25 @@ class _MaxFold:
 
     def add(self, rows, layout, avg: np.ndarray) -> None:
         fam, want = self.fam, self.want
-        # sweep each center's order from the far end: position i then holds
-        # the best ball ending at a position >= i, i.e. the best ball
-        # containing the point at position i; a per-ball table (with its
-        # layout) sweeps its balls and spreads each over its tie group.
-        # avg is shared: the mask makes a new table, swept in place
-        if layout is None:
-            ends = fam.is_ball_end[rows]
-            swept = best = np.where(ends, avg, -np.inf)
-        else:
-            swept, best = avg, np.empty_like(avg)
-        np.maximum.accumulate(swept[:, ::-1], axis=1, out=best[:, ::-1])
-        spread = np.ravel if layout is None else layout.to_positions
+        # sweep each center's balls from the far end: column j then holds
+        # the best ball ending at or after ball j's end, i.e. the best ball
+        # containing every point of ball j's tie group, over which it is
+        # spread. avg is shared: the sweep writes a new table
+        best = np.empty_like(avg)
+        np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
         # the index of ufunc.at must be 1-D: a 2-D one runs about 8x slower
         points = fam.block_index(rows).ravel()
         if want is None:
-            np.maximum.at(self.out, points, spread(best))
+            np.maximum.at(self.out, points, layout.to_positions(best))
             return
         # a ball attains the running max where its average is that max or NaN;
-        # a position that ends no ball attains nothing
-        hit = (avg == best) | (avg != avg)
-        if layout is None:
-            hit &= ends
-            keys = fam.ball_key[rows]
-        else:
-            keys = np.take(fam.ball_key[rows], layout.ends)
         # keys fall along the sweep, so the latest step attaining the running
         # max holds the smallest key of all the steps attaining it
-        key = np.where(hit, keys, self.none)
+        key = np.where((avg == best) | (avg != avg), layout.take(fam.ball_key[rows]), self.none)
         np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
-        want, best = np.take(want, points), spread(best)
+        want, best = np.take(want, points), layout.to_positions(best)
         hit = (best == want) | (best != best) & (want != want)
-        np.minimum.at(self.out, points, np.where(hit, spread(key), self.none))
+        np.minimum.at(self.out, points, np.where(hit, layout.to_positions(key), self.none))
 
     def result(self) -> np.ndarray:
         return self.out

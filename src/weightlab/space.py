@@ -6,8 +6,9 @@ Provides:
     Every ball of the space is a closed sub-level set of dist(center, .) at
     one of the center's distinct distances, so the family is a complete,
     finite realization of all balls. Its `scan` feeds every ball reduction
-    block by block of centers, over tables with one column per ball where
-    the block has a `BallLayout` and one per position elsewhere.
+    block by block of centers, over tables with one column per ball: each
+    block reads its tables through its layout, a `BallLayout` or, where
+    every position ends a ball, the `IdentityLayout`.
   * Ball enumeration, the doubling constant, and the annular decay constant,
     each with an extremal witness; both constants scan blocks of centers.
   * Generators for standard space families and a JSON document format.
@@ -47,15 +48,6 @@ TRIANGLE_TOL_FACTOR = 1e-9  # tolerance = factor * max distance
 # reduction over the n x n ball tables, and the construction of the
 # distances and the index, works in pieces of this size
 CHUNK_CELLS = 1 << 15
-# below this many points every table keeps one column per position: on the
-# hard suite, tied grids of 49 and 64 points took 0.72-1.18 of the time with
-# layouts, of 81 points 0.65-0.95, of 100 and 121 points 0.73-0.81
-LAYOUT_MIN_N = 80
-# a block whose widest center has more balls than this share of n keeps one
-# column per position: per block, a suite's mix of table builds and
-# reductions took 0.76-0.99 of the time with a layout at shares 0.33-0.55,
-# and 1.0-1.7 at shares above 0.7 (Euclidean grids, n = 1000)
-LAYOUT_MAX_SHARE = 0.5
 
 METRIC_KINDS = ("euclidean", "l1", "linf", "graph-shortest-path", "explicit-matrix")
 
@@ -119,6 +111,34 @@ class Ball:
         return self.members.tobytes()
 
 
+class IdentityLayout:
+    """The layout of a tie-free `row_blocks` slice, where every position ends a ball.
+
+    Its per-ball tables are the per-position tables themselves: a gather
+    returns its input, ball j of a row ends at position j, and each tie
+    group is a single position. It holds nothing, so the class itself is
+    the layout, shared by every tie-free block; it answers the questions
+    of `BallLayout` with the same names.
+    """
+
+    @staticmethod
+    def take(table: np.ndarray) -> np.ndarray:
+        return table
+
+    @staticmethod
+    def end(r, j):
+        return j
+
+    @staticmethod
+    def to_positions(table: np.ndarray) -> np.ndarray:
+        return table.ravel()
+
+    @staticmethod
+    def running(ufunc, fs: np.ndarray) -> np.ndarray:
+        ufunc.accumulate(fs, axis=1, out=fs)
+        return fs
+
+
 class BallFamily:
     """Per-center nearest-first index with prefix sums.
 
@@ -142,9 +162,8 @@ class BallFamily:
     `row_blocks`, and reduced before the next block is built: no row needs
     another, and every row holds the same bytes as in a full table. `scan`
     makes that pass once for many reductions, building each table block
-    once for all of them. Where a block has a `BallLayout`, built on its
-    first scan, its tables hold one column per ball instead of one per
-    position.
+    once for all of them. Each block's tables hold one column per ball, read
+    through the block's layout, which its first scan builds.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -159,7 +178,7 @@ class BallFamily:
         self.prefix_measure = np.empty((n, n))
         self.is_ball_end = np.empty((n, n), dtype=bool)
         self.ball_key = np.empty((n, n), dtype=self.index_dtype)
-        self._layouts = {}  # (start, stop) of a row block -> its BallLayout or None
+        self._layouts = {}  # (start, stop) of a row block -> its layout
         self._kept = _KeptBlock()  # per thread: the block cast by `block_index`
         # rows are independent: each block of centers is built straight into
         # its rows of the four arrays, which hold the bytes of a full build
@@ -195,22 +214,18 @@ class BallFamily:
         """Slices of consecutive centers that cover 0..n-1, CHUNK_CELLS cells per slice."""
         return _row_blocks(self.n)
 
-    def layout(self, rows) -> "BallLayout | None":
+    def layout(self, rows):
         """The layout of a `row_blocks` slice, built on first use and kept.
 
-        None where the block's tables keep one column per position: below
-        LAYOUT_MIN_N points, and where a center has more balls than
-        LAYOUT_MAX_SHARE of n (a tie-free block has n). Threads that race
-        to build one build equal layouts.
+        A tie-free block, where every position ends a ball, gets the
+        `IdentityLayout`, which every such block shares; any other block
+        its own `BallLayout`. Threads that race to build one build equal
+        layouts.
         """
-        if self.n < LAYOUT_MIN_N:
-            return None
         key = rows.start, rows.stop
         if key not in self._layouts:
             ends = self.is_ball_end[rows]
-            counts = np.count_nonzero(ends, axis=1)
-            self._layouts[key] = (BallLayout(ends, counts)
-                                  if counts.max() <= LAYOUT_MAX_SHARE * self.n else None)
+            self._layouts[key] = IdentityLayout if ends.all() else BallLayout(ends)
         return self._layouts[key]
 
     def block_index(self, rows) -> np.ndarray:
@@ -247,7 +262,7 @@ class BallFamily:
         return self.order[rows].astype(np.intp)
 
     def averages_at_pos(self, f: np.ndarray, rows=slice(None), *,
-                        layout: "BallLayout | None" = None) -> np.ndarray:
+                        layout=IdentityLayout) -> np.ndarray:
         """Average of f over each prefix, in fixed ascending order.
 
         Entry (c, i) is the measure-weighted average of f over the first
@@ -258,35 +273,25 @@ class BallFamily:
         slice or an index array of centers) limits the table to those
         centers; each row holds the same bytes as in the full table. With
         the `layout` of a `row_blocks` slice the table has one column per
-        ball, the full table's entries at the ball ends.
+        ball, the full table's entries at the ball ends; the default, the
+        `IdentityLayout`, keeps every position.
         """
         fs = np.take(f * self.space.measure, self.block_index(rows))
         np.cumsum(fs, axis=1, out=fs)
-        if layout is not None:
-            fs = np.take(fs, layout.ends)
-            fs /= np.take(self.prefix_measure[rows], layout.ends)
-        else:
-            np.divide(fs, self.prefix_measure[rows], out=fs)
+        fs = layout.take(fs)
+        fs /= layout.take(self.prefix_measure[rows])
         fs[:, 0] = f[rows]
         return fs
 
     def running_min_at_pos(self, f: np.ndarray, rows=slice(None), *,
-                           layout: "BallLayout | None" = None) -> np.ndarray:
+                           layout=IdentityLayout) -> np.ndarray:
         """Minimum of f over each prefix; per ball with a `layout`, as `averages_at_pos`."""
-        fs = np.take(f, self.block_index(rows))
-        if layout is not None:
-            return layout.running(np.minimum, fs)
-        np.minimum.accumulate(fs, axis=1, out=fs)
-        return fs
+        return layout.running(np.minimum, np.take(f, self.block_index(rows)))
 
     def running_max_at_pos(self, f: np.ndarray, rows=slice(None), *,
-                           layout: "BallLayout | None" = None) -> np.ndarray:
+                           layout=IdentityLayout) -> np.ndarray:
         """Maximum of f over each prefix; per ball with a `layout`, as `averages_at_pos`."""
-        fs = np.take(f, self.block_index(rows))
-        if layout is not None:
-            return layout.running(np.maximum, fs)
-        np.maximum.accumulate(fs, axis=1, out=fs)
-        return fs
+        return layout.running(np.maximum, np.take(f, self.block_index(rows)))
 
     def radius_at_pos(self, center, pos):
         """Distance from the center(s) to the point at position(s) pos of its order."""
@@ -305,24 +310,13 @@ class BallFamily:
     def end_positions(self, keys: np.ndarray) -> np.ndarray:
         """End position of the ball of each key, as `end_of_key`, for an int64 array of keys.
 
-        A block with a layout reads them from it. Elsewhere each is the
-        number of entries below the key in its center's row of ball_key,
-        counted for one block's worth of rows at a time.
+        Each is read from the layout of its center's block.
         """
-        n = self.n
-        rank, center = np.divmod(keys, n)
+        rank, center = np.divmod(keys, self.n)
         pos = np.empty_like(keys)
         for rows in self.row_blocks():
             at = np.flatnonzero((center >= rows.start) & (center < rows.stop))
-            layout = self.layout(rows)
-            if layout is not None:
-                r = center[at] - rows.start
-                pos[at] = layout.ends[r, rank[at] - 1] - r * n
-                continue
-            step = rows.stop - rows.start
-            for i in range(0, at.size, step):
-                part = at[i:i + step]
-                pos[part] = np.count_nonzero(self.ball_key[center[part]] < keys[part, None], axis=1)
+            pos[at] = self.layout(rows).end(center[at] - rows.start, rank[at] - 1)
         return pos
 
     def ball_at(self, center: int, rank: int) -> Ball:
@@ -345,14 +339,13 @@ class BallFamily:
         through `result()`. In each block every named table is built once,
         by its first reader, through `averages_at_pos`, `running_min_at_pos`
         or `running_max_at_pos`, and dropped after its last reader, so only
-        the tables still to be read are held. In a block with a layout the
-        tables have one column per ball and `add` gets that `BallLayout`;
-        elsewhere, and for a reducer that names no table (it builds its own,
-        one column per position), `layout` is None. The reducers take each
-        block in the order given. Reducers that name the same vector share
-        its table and must not write to it. A table is keyed by a digest of
-        its vector's bytes: -f has its own, since reading avg(-f) as -avg(f)
-        would flip the sign of an average that is exactly zero.
+        the tables still to be read are held. Every table has one column per
+        ball, through the block's `layout`, which `add` gets too. The
+        reducers take each block in the order given. Reducers that name the
+        same vector share its table and must not write to it. A table is
+        keyed by a digest of its vector's bytes: -f has its own, since
+        reading avg(-f) as -avg(f) would flip the sign of an average that is
+        exactly zero.
         """
         build = {"avg": self.averages_at_pos, "min": self.running_min_at_pos,
                  "max": self.running_max_at_pos}
@@ -374,7 +367,7 @@ class BallFamily:
                 for key, (vec, kind) in zip(keys, r.tables):
                     if key not in held:
                         held[key] = build[kind](vec, rows, layout=layout)
-                r.add(rows, layout if keys else None, *[held[key] for key in keys])
+                r.add(rows, layout, *[held[key] for key in keys])
                 for key in keys:
                     if last[key] == i:
                         held.pop(key, None)
@@ -384,9 +377,11 @@ class BallFamily:
         """Max of a per-prefix table over realized balls, with witness: a one-`Sup` scan.
 
         `table(rows)` returns the table's rows for the centers of one
-        `row_blocks` slice. Returns (value, BallRef), as `Sup.result`.
+        `row_blocks` slice, one column per position, which are read at the
+        ball ends through the block's layout. Returns (value, BallRef), as
+        `Sup.result`.
         """
-        return self.scan([Sup(self, (), table)])[0]
+        return self.scan([Sup(self, (), lambda rows: self.layout(rows).take(table(rows)))])[0]
 
 
 class _KeptBlock(threading.local):
@@ -399,14 +394,14 @@ class Sup:
     """A `BallFamily.scan` reducer: the sup of a per-prefix table over realized balls.
 
     `table(rows, *tables)` returns the table's rows for one block of
-    centers, from the built tables named in `tables`, entry by entry: in a
-    block with a layout they have one column per ball, and so has its
-    result. `result()` is (value, BallRef). The witness is the attaining
-    ball of smallest ball_key, as in the operators. A NaN on a ball
-    propagates to the value, and the witness is then the NaN ball of
-    smallest key. Blocks merge by a running (value, smallest key) pair,
-    with a NaN ranked above every number, so value and witness are those of
-    one reduction over the full table.
+    centers, from the built tables named in `tables`, entry by entry: they
+    have one column per ball, and so has its result; a pad repeats its
+    row's last ball, so no column needs a mask. `result()` is (value,
+    BallRef). The witness is the attaining ball of smallest ball_key, as
+    in the operators. A NaN on a ball propagates to the value, and the
+    witness is then the NaN ball of smallest key. Blocks merge by a running
+    (value, smallest key) pair, with a NaN ranked above every number, so
+    value and witness are those of one reduction over the full table.
     """
 
     def __init__(self, fam: BallFamily, tables, table):
@@ -414,22 +409,13 @@ class Sup:
         self.value, self.key = -np.inf, None
 
     def add(self, rows, layout, *tables) -> None:
-        fam = self.fam
         vals = self.table(rows, *tables)
-        if layout is None:  # one column per position: only the ball ends count
-            ends = fam.is_ball_end[rows]
-            top = float(vals.max(where=ends, initial=-np.inf))
-        else:  # one column per ball; a pad repeats its row's last ball
-            top = float(vals.max())
+        top = float(vals.max())
         if _above(self.value, top):
             return
         hits = vals == top if top == top else np.isnan(vals)
         # never empty: top is the value of a ball of the block
-        if layout is None:
-            hits &= ends
-            k = int(fam.ball_key[rows][hits].min())
-        else:
-            k = int(np.take(fam.ball_key[rows], layout.ends[hits]).min())
+        k = int(layout.take(self.fam.ball_key[rows])[hits].min())
         self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
         self.value = top
 
@@ -461,8 +447,9 @@ class BallLayout:
 
     __slots__ = ("ends", "starts", "first", "last")
 
-    def __init__(self, is_ball_end: np.ndarray, counts: np.ndarray):
-        """The layout of a block's rows of `BallFamily.is_ball_end`, with their ball counts."""
+    def __init__(self, is_ball_end: np.ndarray):
+        """The layout of a block's rows of `BallFamily.is_ball_end`."""
+        counts = np.count_nonzero(is_ball_end, axis=1)
         real = np.flatnonzero(is_ball_end)  # ascending: row by row, then by position
         self.starts = np.concatenate(([0], real[:-1] + 1)).astype(np.int32)
         self.last = (np.cumsum(counts) - 1).astype(np.int32)
@@ -473,6 +460,15 @@ class BallLayout:
         """The number of the ball in every column."""
         balls = np.add.outer(self.first, np.arange(width))
         return np.minimum(balls, self.last[:, None], out=balls)
+
+    def take(self, table: np.ndarray) -> np.ndarray:
+        """A per-position table of the block's rows, read at the ball ends: one column per ball."""
+        return np.take(table, self.ends)
+
+    def end(self, r, j):
+        """The end position, in its center's order, of the ball in row(s) r and column(s) j."""
+        # column 0 is the singleton, which ends at its row's first position
+        return self.ends[r, j] - self.ends[r, 0]
 
     def to_columns(self, per_ball: np.ndarray) -> np.ndarray:
         """One entry per ball, in ball order, as a per-ball table: a pad repeats its row's last."""
@@ -736,23 +732,19 @@ def _ball_columns(fam: BallFamily, rows: slice):
     center's distinct distances e (e[r, 0] == 0) and the masses cum of its
     closed balls at them; past them e reads +inf and cum repeats the last
     ball's mass, so a search or a comparison in a row meets only that
-    center's balls. A tie-free block reads its sorted rows, a tied one its
-    ball ends, through the block's `BallLayout` or one built for the call.
+    center's balls. Both are read at the ball ends through the block's
+    layout.
     """
     space, n = fam.space, fam.n
-    index = fam.block_index(rows)
-    ends = fam.is_ball_end[rows]
-    if ends.all():
-        e = np.take(space.dist[rows], index + np.arange(0, len(index) * n, n)[:, None])
-        return e, fam.prefix_measure[rows], np.full(len(e), n - 1)
     layout = fam.layout(rows)
-    if layout is None:
-        layout = BallLayout(ends, np.count_nonzero(ends, axis=1))
-    at = layout.ends
-    e = np.take(space.dist[rows], at - at % n + np.take(index, at))
-    m = (layout.last - layout.first).astype(np.intp)
+    index = fam.block_index(rows)
+    # the point ending each ball, as a flat index into the block's rows of dist
+    at = layout.take(index) + np.arange(0, len(index) * n, n)[:, None]
+    e = np.take(space.dist[rows], at)
+    # a row's last ball key holds its number of balls, m + 1
+    m = (fam.ball_key[rows, -1] // n - 1).astype(np.intp)
     e[np.arange(e.shape[1]) > m[:, None]] = np.inf
-    return e, np.take(fam.prefix_measure[rows], at), m
+    return e, layout.take(fam.prefix_measure[rows]), m
 
 
 def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:

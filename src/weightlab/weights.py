@@ -279,10 +279,8 @@ def _bmo_sup(space: FiniteMetricMeasureSpace, f: np.ndarray):
     def table(rows, avg, avg_xx=None):
         nonlocal best
         layout = fam.layout(rows)
-        if layout is None:  # one column per position: the ball ends
-            keep = fam.is_ball_end[rows].copy()
-        else:  # one column per ball: no pad
-            keep = np.arange(avg.shape[1]) < (layout.last - layout.first + 1)[:, None]
+        # one column per ball: no pad (a row's last ball key holds its number of balls)
+        keep = np.arange(avg.shape[1]) < (fam.ball_key[rows, -1] // n)[:, None]
         keep[:, 0] = False  # singletons oscillate exactly zero
         vals = np.full(avg.shape, -np.inf)
         vals[:, 0] = 0.0
@@ -291,7 +289,7 @@ def _bmo_sup(space: FiniteMetricMeasureSpace, f: np.ndarray):
             """Sum the balls in columns j of rows r exactly, into vals."""
             nonlocal summed
             a = avg[r, j]
-            pos = j if layout is None else layout.ends[r, j] - r * n
+            pos = layout.end(r, j)
             # f and mu on the rows that hold a summed ball, each gathered once
             at, r_at = np.unique(r, return_inverse=True)
             at = fam.block_index(rows)[at]

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 import oracles
 from weightlab import operators
-from weightlab import space as space_module
 from weightlab import (
     generate,
     maximal,
@@ -21,7 +20,7 @@ from weightlab import (
 )
 from weightlab.errors import InvalidFunction
 from weightlab.families import sample_space
-from weightlab.space import BallFamily, BallRef, Sup
+from weightlab.space import BallFamily, BallLayout, BallRef, IdentityLayout, Sup
 from weightlab.weights import blo_norm
 
 E = np.e
@@ -648,12 +647,6 @@ def _full_operator(space, f):
     return values, center, rank, radius
 
 
-def _no_gates(monkeypatch):
-    """A layout for every block of every space built from here on."""
-    monkeypatch.setattr(space_module, "LAYOUT_MIN_N", 1)
-    monkeypatch.setattr(space_module, "LAYOUT_MAX_SHARE", 1.0)
-
-
 class TestBallIndexedTables:
     """Tables with one column per ball give the bytes of the per-position formulas."""
 
@@ -664,9 +657,13 @@ class TestBallIndexedTables:
         "points": lambda: generate("random-points", {"n": 200, "measure": "random"}, seed=3),
         "n=1": lambda: generate("random-points", {"n": 1}, seed=0),
         "n=2": lambda: generate("grid", {"nx": 1, "ny": 2, "metric": "l1"}, seed=0),
-        "above-size-gate": lambda: generate(
-            "grid", {"nx": 3, "ny": space_module.LAYOUT_MIN_N // 3 + 1, "metric": "linf"}, seed=4),
+        # tied, 64 points
+        "linf-8x8": lambda: generate("grid", {"nx": 8, "ny": 8, "metric": "linf"}, seed=4),
+        # tied; in 14 of its 32 blocks a center has more than n / 2 balls
+        "euclidean-25x40": lambda: generate(
+            "grid", {"nx": 25, "ny": 40, "metric": "euclidean"}, seed=1),
     }
+    TIE_FREE = ("points", "n=1", "n=2")
 
     @staticmethod
     def functions(n, seed):
@@ -708,37 +705,25 @@ class TestBallIndexedTables:
                     assert ref == want_ref, (name, sup)
                 for rows in fam.row_blocks():
                     layout = fam.layout(rows)
-                    if layout is None:
-                        continue
                     for build in (fam.averages_at_pos, fam.running_min_at_pos,
                                   fam.running_max_at_pos):
-                        full = np.take(build(f, rows), layout.ends)
+                        full = layout.take(build(f, rows))
                         assert build(f, rows, layout=layout).tobytes() == full.tobytes(), name
 
-    @staticmethod
-    def with_layout(space):
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_every_block_with_a_layout(self, name):
+        # the identity exactly where every position ends a ball, and a
+        # BallLayout elsewhere, whatever n and the block's width
+        space = self.SPACES[name]()
         fam = space.ball_family
-        return [fam.layout(rows) is not None for rows in fam.row_blocks()]
-
-    @pytest.mark.parametrize("name", list(SPACES))
-    def test_default_gates(self, name):
-        space = self.SPACES[name]()
-        with_layout = self.with_layout(space)
-        if name in ("linf-grid", "above-size-gate"):
-            assert all(with_layout) and len(with_layout) >= (3 if name == "linf-grid" else 1)
-        elif name == "euclidean-grid":  # two blocks over the gate, one under it
-            assert with_layout == [False, True, False]
-        else:  # below the size gate, or tie-free
-            assert not any(with_layout)
+        blocks = list(fam.row_blocks())
+        assert len(blocks) >= (3 if name in ("linf-grid", "euclidean-grid") else 1)
+        for rows in blocks:
+            layout = fam.layout(rows)
+            tie_free = bool(fam.is_ball_end[rows].all())
+            assert tie_free == (name in self.TIE_FREE)
+            assert layout is IdentityLayout if tie_free else isinstance(layout, BallLayout)
         self.assert_bytes(space)
-
-    @pytest.mark.parametrize("name", list(SPACES))
-    def test_every_block_with_a_layout(self, monkeypatch, name):
-        # random points get the identity layout, n = 1 and 2 theirs
-        _no_gates(monkeypatch)
-        space = self.SPACES[name]()
-        assert all(self.with_layout(space))
-        self.assert_bytes(space, seed=6)
 
     def test_pads_repeat_the_last_ball(self):
         space = self.SPACES["linf-grid"]()

@@ -1,3 +1,4 @@
+import ast
 import functools
 import gc
 import json
@@ -5,6 +6,7 @@ import math
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,9 @@ from weightlab import space as space_module
 from weightlab.families import sample_space
 from weightlab.space import (
     GENERATOR_KINDS,
+    BallFamily,
     BallLayout,
+    IdentityLayout,
     TRIANGLE_TOL_FACTOR,
     _annular_bounds,
     _annular_scan,
@@ -259,7 +263,8 @@ class TestStreamedBuild:
         ("random-points", {"n": 3000}),
     ])
     def test_layouts_stay_within_the_held_bytes(self, kind, params):
-        # the tied grid gets a layout in every block, the points none
+        # the tied grid gets a BallLayout in every block, the tie-free points
+        # the identity, which holds no array
         tracemalloc.start()
         try:
             space = generate(kind, params, seed=1)
@@ -268,27 +273,31 @@ class TestStreamedBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert all(layouts) if kind == "grid" else not any(layouts)
+        if kind == "grid":
+            assert all(isinstance(layout, BallLayout) for layout in layouts)
+        else:
+            assert all(layout is IdentityLayout for layout in layouts)
+            assert not any(isinstance(v, np.ndarray) for v in vars(IdentityLayout).values())
         assert peak <= 27 * space.n ** 2
 
-    def test_layout_bytes_per_cell_just_under_the_width_gate(self):
-        # distances 1 + ((i + j) mod k) / k, all in [1, 2], so a metric:
-        # every center has k + 1 = n / 2 balls, the widest a layout takes
+    def test_layout_bytes_per_cell_at_the_widest(self):
+        # distances 1 + ((i + j) mod k) / k, all in [1, 2], so a metric: with
+        # k = n - 2 every center has k + 1 = n - 1 balls, one tie short of
+        # the identity: the widest a BallLayout gets
         n = 256
-        k = n // 2 - 1
+        k = n - 2
         i = np.arange(n)
         dist = 1.0 + (np.add.outer(i, i) % k) / k
         np.fill_diagonal(dist, 0.0)
         fam = build_space(dist, "explicit-matrix", np.ones(n)).ball_family
         layouts = [fam.layout(rows) for rows in fam.row_blocks()]
-        assert all(layout.ends.shape[1] == n // 2 == space_module.LAYOUT_MAX_SHARE * n
-                   for layout in layouts)
+        assert all(layout.ends.shape[1] == n - 1 for layout in layouts)
         held = sum(getattr(layout, name).nbytes for layout in layouts
                    for name in BallLayout.__slots__)
-        # ends and starts 2 bytes per cell each, first and last 8 per row; with
+        # ends and starts 4 bytes per cell each, first and last 8 per row; with
         # the 25 of distances and index and a suite's 1.8, n = 15 000 needs
-        # 30.9 n^2 = 6.95 GB
-        assert held <= 4.1 * n ** 2
+        # 34.9 n^2 = 7.85 GB
+        assert held <= 8.1 * n ** 2
 
     @pytest.mark.parametrize("source", ["snowflake", "document"])
     def test_a_fresh_matrix_is_kept_not_copied(self, source):
@@ -787,3 +796,16 @@ class TestBlockIndex:
             other = pool.submit(lambda: fam.block_index(last).copy()).result()
         assert np.array_equal(other, fam.order[last])
         assert fam.block_index(first) is index and np.array_equal(index, fam.order[first])
+
+
+class TestTracerContract:
+    def test_traced_methods_are_defined_on_ball_family(self):
+        # perfbench's tracer patches BallFamily.__dict__[attr] for each of its
+        # METHOD_SPANS, so a renamed or inherited method fails every traced run
+        source = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spans = next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["METHOD_SPANS"])
+        assert len(spans) >= 5
+        for _, attr in spans:
+            assert attr in BallFamily.__dict__, attr

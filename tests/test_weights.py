@@ -24,7 +24,7 @@ from weightlab import (
     rhs_constant,
 )
 from weightlab.families import sample_space, sample_weight
-from weightlab.space import LAYOUT_MIN_N, BallRef, Sup
+from weightlab.space import BallRef, IdentityLayout, Sup
 from weightlab.theorems import check_harnack
 from weightlab import weights
 from weightlab.weights import SCREEN_RANGE, _bmo_sup
@@ -250,9 +250,10 @@ def _every_ball(space) -> int:
 
 
 def _table_shapes(space) -> set[str]:
-    """The shapes of the row blocks' tables: "balls" (a layout) or "positions"."""
+    """The layouts of the row blocks: "identity" (tie-free) or "balls" (a `BallLayout`)."""
     fam = space.ball_family
-    return {"positions" if fam.layout(rows) is None else "balls" for rows in fam.row_blocks()}
+    return {"identity" if fam.layout(rows) is IdentityLayout else "balls"
+            for rows in fam.row_blocks()}
 
 
 def _analyze_inputs(seed):
@@ -292,10 +293,10 @@ class TestBmoScreen:
             _assert_bmo_matches_rowwise(space, f, name)
 
     def test_monotone_path(self):
-        # the whole path attains the sup from every center; tie-free, so no
-        # block has a layout
+        # the whole path attains the sup from every center; tie-free, so
+        # every block has the identity layout
         space = generate("path", {"n": 300}, seed=3)
-        assert _table_shapes(space) == {"positions"}
+        assert _table_shapes(space) == {"identity"}
         f = np.arange(space.n, dtype=float)
         _assert_bmo_matches_rowwise(space, f, "arange")
         assert _balls_summed(space, f) >= space.n
@@ -312,9 +313,9 @@ class TestBmoScreen:
         assert space.n <= kept <= _every_ball(space) // 2
 
     def test_degenerate_inputs_keep_every_ball(self):
-        # tie-free points above the layout gate: no layout, the screen runs
+        # tie-free points: the identity layout, the screen runs
         space = generate("random-points", {"n": 100}, seed=3)
-        assert space.n >= LAYOUT_MIN_N and _table_shapes(space) == {"positions"}
+        assert _table_shapes(space) == {"identity"}
         for f in (np.full(space.n, 3.7), np.linspace(-2.0, 2.0, space.n) * SCREEN_RANGE):
             assert _balls_summed(space, f) == _every_ball(space)
 
@@ -364,7 +365,7 @@ class TestBmoScreen:
 
 
 class TestBmoEveryBall:
-    """Screened per-ball tables (blocks with a layout) are bit-identical to every row."""
+    """Screened per-ball tables of tied blocks are bit-identical to every row."""
 
     def test_reference_rows_at_ball_ends(self):
         # the fast reference below sums bmo_rowwise's rows at the ball ends only
@@ -394,9 +395,9 @@ class TestBmoEveryBall:
     @pytest.mark.parametrize("make, shapes", [
         # wide and narrow layout blocks
         (lambda: generate("grid", {"nx": 8, "ny": 100, "metric": "linf"}, seed=2), {"balls"}),
-        # blocks with and without a layout
+        # blocks where a center has more than n / 2 balls, and blocks where none has
         (lambda: generate("grid", {"nx": 16, "ny": 25, "metric": "euclidean"}, seed=2),
-         {"positions", "balls"}),
+         {"balls"}),
     ], ids=["linf-8x100", "euclidean-16x25"])
     def test_cutoff_leaves_the_bytes(self, make, shapes, monkeypatch):
         space = make()
@@ -414,10 +415,10 @@ class TestBmoEveryBall:
                 assert np.float64(got.value).tobytes() == np.float64(value).tobytes(), name
                 assert got.witness == ref, (name, cutoff)
 
-    def test_just_above_the_layout_gate(self):
-        space = generate("grid", {"nx": 9, "ny": 9, "metric": "linf", "measure": "random"},
+    def test_small_tied_grid(self):
+        space = generate("grid", {"nx": 8, "ny": 8, "metric": "linf", "measure": "random"},
                          seed=4)
-        assert space.n == LAYOUT_MIN_N + 1 and _table_shapes(space) == {"balls"}
+        assert space.n == 64 and _table_shapes(space) == {"balls"}
         for name, f in _bmo_inputs(np.random.default_rng(4), space).items():
             _assert_bmo_matches_rowwise(space, f, name)
 
