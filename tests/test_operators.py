@@ -711,9 +711,9 @@ class TestBallIndexedTables:
                         assert build(f, rows, layout=layout).tobytes() == full.tobytes(), name
 
     @pytest.mark.parametrize("name", list(SPACES))
-    def test_every_block_with_a_layout(self, name):
-        # the identity exactly where every position ends a ball, and a
-        # BallLayout elsewhere, whatever n and the block's width
+    def test_default_gates(self, name):
+        # the default layout rule: the identity exactly where every position
+        # ends a ball, and a BallLayout elsewhere, whatever n and the block's width
         space = self.SPACES[name]()
         fam = space.ball_family
         blocks = list(fam.row_blocks())
@@ -724,6 +724,21 @@ class TestBallIndexedTables:
             assert tie_free == (name in self.TIE_FREE)
             assert layout is IdentityLayout if tie_free else isinstance(layout, BallLayout)
         self.assert_bytes(space)
+
+    @pytest.mark.parametrize("name", list(SPACES))
+    def test_every_block_with_a_layout(self, name):
+        # every block has a layout, and it reads back each ball of each row
+        # in order: random points get the identity layout, n = 1 and 2 theirs
+        space = self.SPACES[name]()
+        fam = space.ball_family
+        for rows in fam.row_blocks():
+            layout = fam.layout(rows)
+            assert layout is not None
+            for r in range(rows.stop - rows.start):
+                ends = np.flatnonzero(fam.is_ball_end[rows.start + r])
+                got = [layout.end(r, j) for j in range(len(ends))]
+                assert np.array_equal(got, ends), (name, rows.start + r)
+        self.assert_bytes(space, seed=6)
 
     def test_pads_repeat_the_last_ball(self):
         space = self.SPACES["linf-grid"]()
