@@ -120,10 +120,10 @@ def cmd_analyze(args) -> int:
     add("blo(log w)", blo_norm(space, logw))
     add("buo(log w)", buo_norm(space, logw))
     add("doubling", doubling_constant(space))
-    # one ball per (center, rank) is one ball end of the index; only the
+    # one ball per (center, rank), counted by the index; only the
     # deduplicated count needs the member sets
     balls = (len(enumerate_balls(space)) if args.dedupe_balls
-             else int(space.ball_family.is_ball_end.sum()))
+             else int(space.ball_family.ball_count.sum()))
     rows.append({"quantity": "balls", "value": balls})
     r_min = args.r_min
     if r_min is None:

@@ -33,7 +33,7 @@ smallest key of each point's best ball. mnat f shares the resolution of
 Mnat(-f).
 
 Determinism: averages accumulate in ascending (distance, id) order, and a
-tie resolves to the attaining ball of smallest ``BallFamily.ball_key``.
+tie resolves to the attaining ball of smallest key (``BallFamily.keys``).
 Max and min are exact and associative, so values and witnesses do not
 depend on how the centers are cut into blocks.
 
@@ -290,7 +290,7 @@ class _MaxFold:
     points its positions hold. Without `values` the fold is a maximum.
     Given the values, the sweep carries keys, and the fold is a minimum
     over the centers whose best equals the point's value: each point's
-    smallest ball_key of an attaining ball. A NaN attains as in `Sup`: a
+    smallest key of an attaining ball. A NaN attains as in `Sup`: a
     NaN value's witness is the NaN ball of smallest key that contains it.
     """
 
@@ -316,7 +316,7 @@ class _MaxFold:
         # a ball attains the running max where its average is that max or NaN;
         # keys fall along the sweep, so the latest step attaining the running
         # max holds the smallest key of all the steps attaining it
-        key = np.where((avg == best) | (avg != avg), layout.take(fam.ball_key[rows]), self.none)
+        key = np.where((avg == best) | (avg != avg), fam.keys(rows, avg.shape[1]), self.none)
         np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
         want, best = np.take(want, points), layout.to_positions(best)
         hit = (best == want) | (best != best) & (want != want)

@@ -2,10 +2,11 @@
 
 Provides:
   * FiniteMetricMeasureSpace: n points, pairwise distances, positive masses.
-  * BallFamily: per-center sorted-distance index with measure prefix sums.
-    Every ball of the space is a closed sub-level set of dist(center, .) at
-    one of the center's distinct distances, so the family is a complete,
-    finite realization of all balls. Its `scan` feeds every ball reduction
+  * BallFamily: per-center sorted-distance index with measure prefix sums,
+    two n x n arrays (12 bytes per cell) built with the layouts of its blocks
+    of centers. Every ball of the space is a closed sub-level set of
+    dist(center, .) at one of the center's distinct distances, so the family
+    is a complete, finite realization of all balls. Its `scan` feeds every ball reduction
     block by block of centers, over tables with one column per ball: each
     block reads its tables through its layout, a `BallLayout` or, where
     every position ends a ball, the `IdentityLayout`.
@@ -148,14 +149,14 @@ class BallFamily:
     boundary positions, in a fixed summation order (ascending distance, then
     id), which makes every downstream constant reproducible bit for bit.
 
-    The index is the only source of ball structure and holds four n x n
-    arrays: order, prefix_measure, is_ball_end and ball_key, 17 bytes per
-    cell with int32 indices. Radii are read from the space's distances
-    through order. ball_key[c, i] = rank * n + c at each ball end, and is
-    undefined elsewhere. It is the package's one tie rule: a witness is the
-    attaining ball of smallest key, i.e. smallest rank, then smallest center.
-    The four arrays are built one `row_blocks` slice of centers at a time,
-    straight into their rows, so the build holds no n x n temporary.
+    The index is the only source of ball structure. It holds two n x n
+    arrays, order and prefix_measure (12 bytes per cell with int32
+    indices), ball_count (each center's number of balls) and the layout of
+    each `row_blocks` slice of centers. Radii are read from the space's
+    distances through order. All are built one slice at a time, straight
+    into their rows, so the build holds no n x n temporary. Where the balls
+    end, and the key of each (`keys`, the package's one tie rule), are read
+    from the layouts and the counts.
 
     A per-ball table (averages, running extrema and what is computed from
     them) is built one block of centers at a time, over the row slices of
@@ -163,7 +164,7 @@ class BallFamily:
     another, and every row holds the same bytes as in a full table. `scan`
     makes that pass once for many reductions, building each table block
     once for all of them. Each block's tables hold one column per ball, read
-    through the block's layout, which its first scan builds.
+    through the block's layout.
     """
 
     def __init__(self, space: FiniteMetricMeasureSpace):
@@ -176,30 +177,28 @@ class BallFamily:
         self.index_dtype = np.int32 if n <= 30_000 else np.int64
         self.order = np.empty((n, n), dtype=self.index_dtype)
         self.prefix_measure = np.empty((n, n))
-        self.is_ball_end = np.empty((n, n), dtype=bool)
-        self.ball_key = np.empty((n, n), dtype=self.index_dtype)
-        self._layouts = {}  # (start, stop) of a row block -> its layout
+        self.ball_count = np.empty(n, dtype=self.index_dtype)
+        self._layouts = []  # (rows, layout) of each `row_blocks` slice, in order
         self._kept = _KeptBlock()  # per thread: the block cast by `block_index`
         # rows are independent: each block of centers is built straight into
-        # its rows of the four arrays, which hold the bytes of a full build
+        # its rows of the arrays, which hold the bytes of a full build
         for rows in self.row_blocks():
-            dist, order = space.dist[rows], self.order[rows]
             # stable sort: ties in distance resolve to ascending point id, so
             # order[c, 0] == c on a validated space
-            order[...] = np.argsort(dist, axis=1, kind="stable")
-            prefix = self.prefix_measure[rows]
-            np.take(space.measure, order, out=prefix)
-            np.cumsum(prefix, axis=1, out=prefix)
-            # prefix ending at position i is a ball iff the next distance differs
-            sorted_dist = np.take_along_axis(dist, order, axis=1)
-            ends = self.is_ball_end[rows]
-            np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=ends[:, :-1])
-            ends[:, -1] = True
-            # rank (1-based) * n + center at each ball end
-            key = self.ball_key[rows]
-            np.cumsum(ends, axis=1, dtype=self.index_dtype, out=key)
-            key *= self.index_dtype(n)
-            key += np.arange(rows.start, rows.stop, dtype=self.index_dtype)[:, None]
+            self.order[rows] = np.argsort(space.dist[rows], axis=1, kind="stable")
+            prefix = np.take(space.measure, self.order[rows])
+            np.cumsum(prefix, axis=1, out=self.prefix_measure[rows])
+            layout, self.ball_count[rows] = self._block_layout(rows)
+            self._layouts.append((rows, layout))
+
+    def _block_layout(self, rows):
+        """The layout of a slice of centers and each one's number of balls, from the index."""
+        sorted_dist = np.take_along_axis(self.space.dist[rows], self.order[rows], axis=1)
+        # prefix ending at position i is a ball iff the next distance is
+        # larger (a difference of finite floats is 0 only between equals)
+        ends = np.diff(sorted_dist, axis=1, append=np.inf) > 0.0
+        counts = np.count_nonzero(ends, axis=1)
+        return (IdentityLayout if ends.all() else BallLayout(ends, counts)), counts
 
     @property
     def space(self) -> FiniteMetricMeasureSpace:
@@ -215,18 +214,20 @@ class BallFamily:
         return _row_blocks(self.n)
 
     def layout(self, rows):
-        """The layout of a `row_blocks` slice, built on first use and kept.
+        """The layout of a `row_blocks` slice, built with the index.
 
-        A tie-free block, where every position ends a ball, gets the
+        A tie-free block, where every position ends a ball, has the
         `IdentityLayout`, which every such block shares; any other block
-        its own `BallLayout`. Threads that race to build one build equal
-        layouts.
+        its own `BallLayout`. A slice the index was not built by (CHUNK_CELLS
+        changed since) gets its layout afresh.
         """
-        key = rows.start, rows.stop
-        if key not in self._layouts:
-            ends = self.is_ball_end[rows]
-            self._layouts[key] = IdentityLayout if ends.all() else BallLayout(ends)
-        return self._layouts[key]
+        built, layout = self._block(rows.start)
+        return layout if built == rows else self._block_layout(rows)[0]
+
+    def _block(self, center: int):
+        """(rows, layout) of the block of the index's build that holds a center."""
+        # the first block's stop is the build's rows per block
+        return self._layouts[center // self._layouts[0][0].stop]
 
     def block_index(self, rows) -> np.ndarray:
         """order[rows], as intp where a space has several blocks: one block's gather index.
@@ -297,38 +298,47 @@ class BallFamily:
         """Distance from the center(s) to the point at position(s) pos of its order."""
         return self.space.dist[center, self.order[center, pos]]
 
-    def end_of_key(self, key: int) -> tuple[int, float]:
-        """End position and radius of the ball with key `key`.
+    def keys(self, rows, width: int) -> np.ndarray:
+        """The key of the ball in every column of a per-ball table of a `row_blocks` slice.
 
-        A row of ball_key is nondecreasing and first reaches a ball's key at
-        that ball's end, so one search in the center's row finds it.
+        This is the package's one tie rule. Column j of row r holds the ball
+        of rank min(j, count_r - 1) + 1, count_r the center's number of
+        balls (a pad repeats its row's last ball), and a ball's key is
+        rank * n + center: a witness is the attaining ball of smallest key,
+        i.e. smallest rank, then smallest center.
         """
-        center = key % self.n
-        pos = int(self.ball_key[center].searchsorted(key))
+        dtype = self.index_dtype
+        rank = np.minimum(np.arange(1, width + 1, dtype=dtype), self.ball_count[rows, None])
+        return rank * dtype(self.n) + np.arange(rows.start, rows.stop, dtype=dtype)[:, None]
+
+    def end_of_key(self, key: int) -> tuple[int, float]:
+        """End position and radius of the ball with key `key`, read from its block's layout."""
+        rank, center = divmod(key, self.n)
+        rows, layout = self._block(center)
+        pos = int(layout.end(center - rows.start, rank - 1))
         return pos, float(self.radius_at_pos(center, pos))
 
     def end_positions(self, keys: np.ndarray) -> np.ndarray:
-        """End position of the ball of each key, as `end_of_key`, for an int64 array of keys.
-
-        Each is read from the layout of its center's block.
-        """
+        """End position of the ball of each key, as `end_of_key`, for an int64 array of keys."""
         rank, center = np.divmod(keys, self.n)
         pos = np.empty_like(keys)
-        for rows in self.row_blocks():
+        for rows, layout in self._layouts:
             at = np.flatnonzero((center >= rows.start) & (center < rows.stop))
-            pos[at] = self.layout(rows).end(center[at] - rows.start, rank[at] - 1)
+            pos[at] = layout.end(center[at] - rows.start, rank[at] - 1)
         return pos
 
     def ball_at(self, center: int, rank: int) -> Ball:
         if not (isinstance(center, numbers.Integral) and isinstance(rank, numbers.Integral)
-                and 0 <= center < self.n and 1 <= rank <= self.ball_key[center, -1] // self.n):
+                and 0 <= center < self.n and 1 <= rank <= self.ball_count[center]):
             raise InvalidParams(f"no ball of rank {rank!r} at center {center!r}")
         return self.ball_at_pos(center, self.end_of_key(rank * self.n + center)[0])
 
     def ball_at_pos(self, center: int, pos: int) -> Ball:
-        rank = int(self.ball_key[center, pos]) // self.n
+        """The ball of a center that ends at position pos of its order."""
+        sd = self.radius_at_pos(center, slice(pos + 1))
         members = np.sort(self.order[center, : pos + 1])
-        return Ball(center, rank, float(self.radius_at_pos(center, pos)), members)
+        # its rank counts the center's distinct distances up to it
+        return Ball(center, int(np.count_nonzero(np.diff(sd))) + 1, float(sd[-1]), members)
 
     def scan(self, reducers) -> list:
         """One pass over `row_blocks` that feeds every reducer; their results, in order.
@@ -397,9 +407,9 @@ class Sup:
     centers, from the built tables named in `tables`, entry by entry: they
     have one column per ball, and so has its result; a pad repeats its
     row's last ball, so no column needs a mask. `result()` is (value,
-    BallRef). The witness is the attaining ball of smallest ball_key, as
-    in the operators. A NaN on a ball propagates to the value, and the
-    witness is then the NaN ball of smallest key. Blocks merge by a running
+    BallRef). The witness is the attaining ball of smallest key
+    (`BallFamily.keys`), as in the operators. A NaN on a ball propagates to
+    the value, and the witness is then the NaN ball of smallest key. Blocks merge by a running
     (value, smallest key) pair, with a NaN ranked above every number, so
     value and witness are those of one reduction over the full table.
     """
@@ -414,8 +424,15 @@ class Sup:
         if _above(self.value, top):
             return
         hits = vals == top if top == top else np.isnan(vals)
-        # never empty: top is the value of a ball of the block
-        k = int(layout.take(self.fam.ball_key[rows])[hits].min())
+        # the smallest key of a hit (`BallFamily.keys`), with no key table:
+        # hits is never empty, as top is the value of a ball of the block.
+        # In the first column with a hit, every row that hits holds a ball,
+        # not a pad: a pad repeats its row's last ball, which would hit in
+        # an earlier column (or, in `weights._bmo_sup`, reads -inf, never
+        # top). So those hits have that column's rank, the smallest of any
+        # hit, and the first of them the smallest center.
+        col = int(hits.any(axis=0).argmax())
+        k = (col + 1) * self.fam.n + rows.start + int(hits[:, col].argmax())
         self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
         self.value = top
 
@@ -447,10 +464,9 @@ class BallLayout:
 
     __slots__ = ("ends", "starts", "first", "last")
 
-    def __init__(self, is_ball_end: np.ndarray):
-        """The layout of a block's rows of `BallFamily.is_ball_end`."""
-        counts = np.count_nonzero(is_ball_end, axis=1)
-        real = np.flatnonzero(is_ball_end)  # ascending: row by row, then by position
+    def __init__(self, ends: np.ndarray, counts: np.ndarray):
+        """The layout of a block whose balls end where `ends` is True, `counts` in each row."""
+        real = np.flatnonzero(ends)  # ascending: row by row, then by position
         self.starts = np.concatenate(([0], real[:-1] + 1)).astype(np.int32)
         self.last = (np.cumsum(counts) - 1).astype(np.int32)
         self.first = self.last - counts.astype(np.int32) + 1
@@ -692,8 +708,9 @@ def enumerate_balls(space: FiniteMetricMeasureSpace, dedupe: bool = True) -> lis
     out: list[Ball] = []
     seen: set[bytes] = set()
     for c in range(space.n):
-        for end in np.flatnonzero(fam.is_ball_end[c]):
-            ball = fam.ball_at_pos(c, int(end))
+        rows, layout = fam._block(c)
+        for end in layout.end(c - rows.start, np.arange(fam.ball_count[c])).tolist():
+            ball = fam.ball_at_pos(c, end)
             if dedupe:
                 k = ball.key()
                 if k in seen:
@@ -741,8 +758,7 @@ def _ball_columns(fam: BallFamily, rows: slice):
     # the point ending each ball, as a flat index into the block's rows of dist
     at = layout.take(index) + np.arange(0, len(index) * n, n)[:, None]
     e = np.take(space.dist[rows], at)
-    # a row's last ball key holds its number of balls, m + 1
-    m = (fam.ball_key[rows, -1] // n - 1).astype(np.intp)
+    m = (fam.ball_count[rows] - 1).astype(np.intp)
     e[np.arange(e.shape[1]) > m[:, None]] = np.inf
     return e, layout.take(fam.prefix_measure[rows]), m
 
@@ -807,9 +823,8 @@ def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
     witness = None
     if wit_center is not None:
         sd = space.dist[wit_center, fam.order[wit_center]]
-        pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
-        witness = BallRef(wit_center, int(fam.ball_key[wit_center, pos]) // space.n,
-                          float(sd[pos]))
+        ball = fam.ball_at_pos(wit_center, int(np.searchsorted(sd, wit_radius, side="left")) - 1)
+        witness = BallRef(wit_center, ball.rank, ball.radius)
     return FunctionalResult("doubling", best, witness, sample_radius=wit_radius)
 
 

@@ -279,8 +279,7 @@ def _bmo_sup(space: FiniteMetricMeasureSpace, f: np.ndarray):
     def table(rows, avg, avg_xx=None):
         nonlocal best
         layout = fam.layout(rows)
-        # one column per ball: no pad (a row's last ball key holds its number of balls)
-        keep = np.arange(avg.shape[1]) < (fam.ball_key[rows, -1] // n)[:, None]
+        keep = np.arange(avg.shape[1]) < fam.ball_count[rows, None]  # a ball, not a pad
         keep[:, 0] = False  # singletons oscillate exactly zero
         vals = np.full(avg.shape, -np.inf)
         vals[:, 0] = 0.0

@@ -5,11 +5,54 @@ lists with plain numpy reductions, sharing no code path with the package's
 prefix-sum machinery.
 """
 
+import functools
 import math
+import weakref
 
 import numpy as np
 
 from weightlab.space import BallRef
+
+
+def _once_per_space(table):
+    """Compute table(space) once per space, kept read-only while the space lives."""
+    kept = weakref.WeakKeyDictionary()
+
+    @functools.wraps(table)
+    def read(space):
+        if space not in kept:
+            kept[space] = table(space)
+            kept[space].flags.writeable = False
+        return kept[space]
+
+    return read
+
+
+@_once_per_space
+def ball_ends(space):
+    """Which (center, position) cells end a ball, by the full-array formula.
+
+    Position i of a center's order ends a ball iff the next point is
+    farther, or i is the last position.
+    """
+    fam = space.ball_family
+    sorted_dist = np.take_along_axis(space.dist, fam.order, axis=1)
+    ends = np.empty((space.n, space.n), dtype=bool)
+    np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=ends[:, :-1])
+    ends[:, -1] = True
+    return ends
+
+
+@_once_per_space
+def ball_keys(space):
+    """rank * n + center at every (center, position), by the full-array formula.
+
+    rank counts the ball ends up to the position, so at a ball end the
+    entry is that ball's key.
+    """
+    n, dtype = space.n, space.ball_family.index_dtype
+    key = np.cumsum(ball_ends(space), axis=1, dtype=dtype) * dtype(n)
+    return key + np.arange(n, dtype=dtype)[:, None]
 
 
 def balls_naive(space):
@@ -60,9 +103,10 @@ def extremal_witness_rowwise(space, f):
     n = space.n
     values = np.full(n, -math.inf)
     best = [(n + 1, n, math.nan)] * n  # (rank, center, radius)
+    ends = ball_ends(space)
     for c in range(n):
         rank = 0
-        for pos in np.flatnonzero(fam.is_ball_end[c]):
+        for pos in np.flatnonzero(ends[c]):
             rank += 1
             a = avg[c, pos]
             radius = float(space.dist[c, fam.order[c, pos]])
@@ -156,9 +200,10 @@ def bmo_ball_rows_table(space, f):
     n = space.n
     vals = np.full((n, n), -np.inf)
     tri = np.tril(np.ones((n, n)), k=0)
+    at_ends = ball_ends(space)
     for c in range(n):
         order = fam.order[c]
-        ends = np.flatnonzero(fam.is_ball_end[c])
+        ends = np.flatnonzero(at_ends[c])
         dev = f[order][None, :] - a[c, ends][:, None]
         np.abs(dev, out=dev)
         dev *= space.measure[order][None, :]
@@ -176,10 +221,11 @@ def sup_over_table(space, table):
     the ball ends. Reference for the streamed `BallFamily.sup_over_balls`.
     """
     fam = space.ball_family
-    value = table.max(where=fam.is_ball_end, initial=-np.inf)
+    ends = ball_ends(space)
+    value = table.max(where=ends, initial=-np.inf)
     hits = table == value if value == value else np.isnan(table)
-    hits &= fam.is_ball_end
-    ranks = np.cumsum(fam.is_ball_end, axis=1)
+    hits &= ends
+    ranks = np.cumsum(ends, axis=1)
     c, p = min(zip(*np.nonzero(hits)), key=lambda cp: (ranks[cp], cp[0]))
     radius = float(space.dist[c, fam.order[c, p]])
     return float(value), BallRef(int(c), int(ranks[c, p]), radius)
@@ -217,9 +263,10 @@ def doubling_rowwise(space):
     best = 1.0
     wit_center, wit_radius = None, None
     fam = space.ball_family
+    ends = ball_ends(space)
     for c in range(space.n):
         sd = space.dist[c, fam.order[c]]
-        e = sd[fam.is_ball_end[c]]
+        e = sd[ends[c]]
         samples = np.unique(np.concatenate([e, e / 2.0]))
         samples = samples[samples > 0.0]
         if samples.size == 0:
@@ -236,8 +283,7 @@ def doubling_rowwise(space):
     if wit_center is not None:
         sd = space.dist[wit_center, fam.order[wit_center]]
         pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
-        witness = BallRef(wit_center, int(fam.ball_key[wit_center, pos]) // space.n,
-                          float(sd[pos]))
+        witness = BallRef(wit_center, int(ends[wit_center, :pos + 1].sum()), float(sd[pos]))
     return best, witness, wit_radius
 
 
@@ -294,8 +340,9 @@ def annular_tables(space, alpha, r_min):
     # fresh per-center temporaries made the speed depend on the allocator
     n = space.n
     bufs = (np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=bool))
+    at_ends = ball_ends(space)
     for c in range(n):
-        ends = fam.is_ball_end[c]
+        ends = at_ends[c]
         e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
         m = len(e) - 1
         if m == 0:

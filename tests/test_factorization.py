@@ -182,7 +182,7 @@ class TestJonesFactor:
         monkeypatch.setattr(fam, "scan", counted)
         with pytest.raises(InvalidParams, match="at every probed point"):
             jones_factor(space, u, 1.2, FULL)
-        assert calls <= 2 * np.count_nonzero(fam.is_ball_end) + 1
+        assert calls <= 2 * np.count_nonzero(oracles.ball_ends(space)) + 1
 
 
 class TestRefinedJones:

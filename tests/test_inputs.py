@@ -88,6 +88,9 @@ W = [1.0, 2.0]
     (lambda sp: sp.ball_family.ball_at(2, 1), (InvalidParams, "center 2")),
     (lambda sp: sp.ball_family.ball_at(1.5, 1), (InvalidParams, "center 1.5")),
     (lambda sp: sp.ball_family.ball_at(0, 1.5), (InvalidParams, "rank 1.5")),
+    (lambda sp: sp.ball_family.ball_at(0, 0), (InvalidParams, "rank 0 at center 0")),
+    (lambda sp: sp.ball_family.ball_at(0, int(sp.ball_family.ball_count[0]) + 1),
+     (InvalidParams, "rank 3 at center 0")),
 ], ids=["grid-n", "grid-nx", "path-n", "snowflake-eps", "annular-nan-r_min",
         "maximal", "blo", "blo-ragged", "a1", "ragged-matrix", "scalar-matrix", "scalar-edges",
         "scalar-coords", "empty-space", "weight-family", "sample-max-n", "tolerance-nan",
@@ -98,7 +101,8 @@ W = [1.0, 2.0]
         "transform-nan",
         "transform-inf", "transform-lengths", "transform-ragged", "verify-pair-length",
         "verify-pair-p-str", "annular-alpha-str", "annular-r_min-str", "ball-center-negative",
-        "ball-center-n", "ball-center-float", "ball-rank-float"])
+        "ball-center-n", "ball-center-float", "ball-rank-float", "ball-rank-0",
+        "ball-rank-past-count"])
 def test_bad_input_raises_its_weightlab_error(two_point, call, error):
     error, match = error if isinstance(error, tuple) else (error, None)  # match: the message
     with warnings.catch_warnings():

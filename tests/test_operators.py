@@ -232,18 +232,19 @@ def _scatter_fold(space, f):
     """Mnat f and its witness keys, each block scattered to point order and folded by rows."""
     fam = space.ball_family
     none = np.iinfo(fam.index_dtype).max
+    ends, ball_keys = oracles.ball_ends(space), oracles.ball_keys(space)
     values = np.full(space.n, -np.inf)
     for rows in fam.row_blocks():
-        best = np.where(fam.is_ball_end[rows], _fancy_averages(fam, f, rows), -np.inf)
+        best = np.where(ends[rows], _fancy_averages(fam, f, rows), -np.inf)
         np.maximum.accumulate(best[:, ::-1], axis=1, out=best[:, ::-1])
         np.maximum(values, _scattered(fam, rows, best).max(axis=0), out=values)
     keys = np.full(space.n, none, dtype=fam.index_dtype)
     for rows in fam.row_blocks():
         avg = _fancy_averages(fam, f, rows)
-        np.copyto(avg, -np.inf, where=~fam.is_ball_end[rows])
+        np.copyto(avg, -np.inf, where=~ends[rows])
         rev = avg[:, ::-1]
         best = np.maximum.accumulate(rev, axis=1)
-        key = np.where(rev == best, fam.ball_key[rows, ::-1], none)
+        key = np.where(rev == best, ball_keys[rows, ::-1], none)
         np.minimum.accumulate(key, axis=1, out=key)
         cand = _scattered(fam, rows, best[:, ::-1])
         cand_key = _scattered(fam, rows, key[:, ::-1])
@@ -310,9 +311,10 @@ class TestNaNWitnesses:
         fam = space.ball_family
         avg = fam.averages_at_pos(f)
         keys = np.full(space.n, np.iinfo(np.int64).max)
-        for c, pos in zip(*np.nonzero(fam.is_ball_end & np.isnan(avg))):
+        ball_keys = oracles.ball_keys(space)
+        for c, pos in zip(*np.nonzero(oracles.ball_ends(space) & np.isnan(avg))):
             members = fam.order[c, :pos + 1]
-            keys[members] = np.minimum(keys[members], fam.ball_key[c, pos])
+            keys[members] = np.minimum(keys[members], ball_keys[c, pos])
         return keys
 
     @pytest.mark.parametrize("make", [
@@ -618,10 +620,10 @@ def _full_sup(fam, tables, table):
     build = {"avg": fam.averages_at_pos, "min": fam.running_min_at_pos,
              "max": fam.running_max_at_pos}
     vals = table(slice(None), *[build[kind](vec) for vec, kind in tables])
-    ends = fam.is_ball_end
+    ends = oracles.ball_ends(fam.space)
     top = float(vals.max(where=ends, initial=-np.inf))
     hits = (vals == top if top == top else np.isnan(vals)) & ends
-    key = int(fam.ball_key[hits].min())
+    key = int(oracles.ball_keys(fam.space)[hits].min())
     rank, center = divmod(key, fam.n)
     return top, BallRef(center, rank, fam.end_of_key(key)[1])
 
@@ -631,12 +633,12 @@ def _full_operator(space, f):
     fam = space.ball_family
     none = np.iinfo(fam.index_dtype).max
     avg = fam.averages_at_pos(f)
-    np.copyto(avg, -np.inf, where=~fam.is_ball_end)
+    np.copyto(avg, -np.inf, where=~oracles.ball_ends(space))
     best = np.empty_like(avg)
     np.maximum.accumulate(avg[:, ::-1], axis=1, out=best[:, ::-1])
     values = np.full(space.n, -np.inf)
     np.maximum.at(values, fam.order.ravel(), best.ravel())
-    key = np.where((avg == best) | (avg != avg), fam.ball_key, none)
+    key = np.where((avg == best) | (avg != avg), oracles.ball_keys(space), none)
     np.minimum.accumulate(key[:, ::-1], axis=1, out=key[:, ::-1])
     want = values[fam.order]
     hit = (best == want) | (best != best) & (want != want)
@@ -716,11 +718,12 @@ class TestBallIndexedTables:
         # ends a ball, and a BallLayout elsewhere, whatever n and the block's width
         space = self.SPACES[name]()
         fam = space.ball_family
+        ends = oracles.ball_ends(space)
         blocks = list(fam.row_blocks())
         assert len(blocks) >= (3 if name in ("linf-grid", "euclidean-grid") else 1)
         for rows in blocks:
             layout = fam.layout(rows)
-            tie_free = bool(fam.is_ball_end[rows].all())
+            tie_free = bool(ends[rows].all())
             assert tie_free == (name in self.TIE_FREE)
             assert layout is IdentityLayout if tie_free else isinstance(layout, BallLayout)
         self.assert_bytes(space)
@@ -731,11 +734,12 @@ class TestBallIndexedTables:
         # in order: random points get the identity layout, n = 1 and 2 theirs
         space = self.SPACES[name]()
         fam = space.ball_family
+        at_ends = oracles.ball_ends(space)
         for rows in fam.row_blocks():
             layout = fam.layout(rows)
             assert layout is not None
             for r in range(rows.stop - rows.start):
-                ends = np.flatnonzero(fam.is_ball_end[rows.start + r])
+                ends = np.flatnonzero(at_ends[rows.start + r])
                 got = [layout.end(r, j) for j in range(len(ends))]
                 assert np.array_equal(got, ends), (name, rows.start + r)
         self.assert_bytes(space, seed=6)
@@ -745,18 +749,21 @@ class TestBallIndexedTables:
         fam = space.ball_family
         rows = next(r for r in fam.row_blocks() if r.start <= 157 < r.stop)
         layout = fam.layout(rows)
-        counts = np.count_nonzero(fam.is_ball_end[rows], axis=1)
+        ends = oracles.ball_ends(space)
+        counts = np.count_nonzero(ends[rows], axis=1)
         # the grid's middle points have about half the balls of a center at its edge
         assert counts.max() == layout.ends.shape[1] and counts.min() <= 0.6 * counts.max()
         local = layout.ends - (np.arange(rows.stop - rows.start) * space.n)[:, None]
         for r, count in enumerate(counts):
-            assert np.array_equal(local[r, :count], np.flatnonzero(fam.is_ball_end[rows.start + r]))
+            assert np.array_equal(local[r, :count], np.flatnonzero(ends[rows.start + r]))
             assert (local[r, count:] == space.n - 1).all()
         self.assert_bytes(space, seed=7)
 
     def test_radii_read_from_the_layout(self):
         space = self.SPACES["euclidean-grid"]()
         fam = space.ball_family
-        keys = fam.ball_key[fam.is_ball_end].astype(np.int64)
-        want = np.array([fam.end_of_key(k)[0] for k in keys.tolist()])
+        ends = oracles.ball_ends(space)
+        keys = oracles.ball_keys(space)[ends].astype(np.int64)
+        want = np.nonzero(ends)[1]  # the position of each ball end, row by row as the keys
         assert np.array_equal(fam.end_positions(keys), want)
+        assert [fam.end_of_key(k)[0] for k in keys.tolist()] == want.tolist()

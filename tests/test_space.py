@@ -122,25 +122,23 @@ class TestBuildSpace:
         finally:
             gc.enable()
 
-    def test_index_holds_at_most_17_bytes_per_cell(self):
-        # order and ball_key (int32), prefix_measure, is_ball_end
+    def test_index_holds_at_most_12_bytes_per_cell_and_the_counts(self):
+        # order (int32) and prefix_measure, and one int32 count per center
         space = generate("random-points", {"n": 100}, seed=0)
-        fam = space.ball_family
-        assert fam.index_dtype == np.int32
+        fam, n = space.ball_family, space.n
+        assert fam.index_dtype == np.int32 and fam.ball_count.shape == (n,)
         held = sum(v.nbytes for v in vars(fam).values() if isinstance(v, np.ndarray))
-        assert held <= 17 * space.n ** 2
+        assert held <= 12 * n ** 2 + 4 * n
 
     @pytest.mark.parametrize("kind, params", [
-        ("grid", {"nx": 5, "ny": 6, "metric": "linf"}),
-        ("random-points", {"n": 30}),
+        ("random-points", {"n": 30}),  # tie-free
+        ("grid", {"nx": 5, "ny": 6, "metric": "linf"}),  # tied, one block
+        ("grid", {"nx": 20, "ny": 20, "metric": "l1"}),  # tied, several blocks
     ])
-    def test_ball_key_is_rank_times_n_plus_center(self, kind, params):
+    def test_counts_and_keys_match_the_full_formulas(self, kind, params):
         space = generate(kind, params, seed=2)
-        fam, n = space.ball_family, space.n
-        for c in range(n):
-            ends = np.flatnonzero(fam.is_ball_end[c])
-            ranks = np.arange(1, len(ends) + 1)
-            assert np.array_equal(fam.ball_key[c, ends], ranks * n + c)
+        assert (len(list(space.ball_family.row_blocks())) > 1) == (space.n == 400)
+        _assert_counts_and_keys(space)
 
     def test_prefix_measure_strictly_increasing_to_total(self):
         space = generate("random-points", {"n": 11, "measure": "random"}, seed=6)
@@ -150,18 +148,26 @@ class TestBuildSpace:
             space.total_mass, rel=1e-15)
 
 
-def _full_index(space):
-    """The four index arrays by the full-array formulas, n x n temporaries and all."""
-    dist, n = space.dist, space.n
-    dtype = space.ball_family.index_dtype
-    order = np.argsort(dist, axis=1, kind="stable").astype(dtype)
-    prefix = np.cumsum(space.measure[order], axis=1)
-    sorted_dist = np.take_along_axis(dist, order, axis=1)
-    ends = np.empty((n, n), dtype=bool)
-    np.greater(sorted_dist[:, 1:], sorted_dist[:, :-1], out=ends[:, :-1])
-    ends[:, -1] = True
-    key = np.cumsum(ends, axis=1, dtype=dtype) * dtype(n) + np.arange(n, dtype=dtype)[:, None]
-    return {"order": order, "prefix_measure": prefix, "is_ball_end": ends, "ball_key": key}
+def _assert_counts_and_keys(space):
+    """The counts, and every column of every block's key table, by the oracle's full formulas.
+
+    Column j of a row holds the row's (j+1)-th ball, or its last in a pad:
+    the position the layout reads there ends that ball, and the column's
+    key is the oracle's key at that position.
+    """
+    fam, n = space.ball_family, space.n
+    ends, keys = oracles.ball_ends(space), oracles.ball_keys(space)
+    assert np.array_equal(fam.ball_count, np.count_nonzero(ends, axis=1))
+    for rows in fam.row_blocks():
+        layout = fam.layout(rows)
+        cells = np.arange(rows.start * n, rows.stop * n).reshape(-1, n)
+        pos = layout.take(cells) - cells[:, :1]  # the position each column reads
+        got = fam.keys(rows, pos.shape[1])
+        assert got.dtype == fam.index_dtype
+        for r, c in enumerate(range(rows.start, rows.stop)):
+            balls = np.flatnonzero(ends[c])
+            assert np.array_equal(pos[r], balls[np.minimum(np.arange(pos.shape[1]), len(balls) - 1)])
+            assert np.array_equal(got[r], keys[c, pos[r]])
 
 
 def _full_coords_dist(coords, metric_kind):
@@ -224,9 +230,11 @@ class TestStreamedBuild:
         if base is not None:
             assert space.dist.tobytes() == np.power(base.dist, 0.5).tobytes()
         fam = space.ball_family
-        for name, want in _full_index(space).items():
-            got = getattr(fam, name)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        order = np.argsort(space.dist, axis=1, kind="stable").astype(fam.index_dtype)
+        assert fam.order.dtype == order.dtype and fam.order.tobytes() == order.tobytes()
+        prefix = np.cumsum(space.measure[order], axis=1)
+        assert fam.prefix_measure.tobytes() == prefix.tobytes()
+        _assert_counts_and_keys(space)
 
     def test_three_block_grid_is_byte_equal_to_the_full_build(self, three_block_grid):
         self._assert_full_bytes(three_block_grid)
@@ -247,7 +255,7 @@ class TestStreamedBuild:
     ])
     def test_generate_and_index_peak_at_their_held_bytes(self, kind, params):
         # the full-array builds peaked at 40 n^2 (generate) and 37 n^2 (index);
-        # 25 n^2 is held: distances 8 bytes per cell, the index 17
+        # 20 n^2 is held: distances 8 bytes per cell, the index 12
         tracemalloc.start()
         try:
             space = generate(kind, params, seed=1)
@@ -256,7 +264,7 @@ class TestStreamedBuild:
         finally:
             tracemalloc.stop()
         assert space.n == 3000
-        assert peak <= 27 * space.n ** 2
+        assert peak <= 22 * space.n ** 2
 
     @pytest.mark.parametrize("kind, params", [
         ("grid", {"nx": 50, "ny": 60, "metric": "linf"}),
@@ -278,7 +286,7 @@ class TestStreamedBuild:
         else:
             assert all(layout is IdentityLayout for layout in layouts)
             assert not any(isinstance(v, np.ndarray) for v in vars(IdentityLayout).values())
-        assert peak <= 27 * space.n ** 2
+        assert peak <= 22 * space.n ** 2
 
     def test_layout_bytes_per_cell_at_the_widest(self):
         # distances 1 + ((i + j) mod k) / k, all in [1, 2], so a metric: with
@@ -295,8 +303,8 @@ class TestStreamedBuild:
         held = sum(getattr(layout, name).nbytes for layout in layouts
                    for name in BallLayout.__slots__)
         # ends and starts 4 bytes per cell each, first and last 8 per row; with
-        # the 25 of distances and index and a suite's 1.8, n = 15 000 needs
-        # 34.9 n^2 = 7.85 GB
+        # the 20 of distances and index and a suite's 1.8, n = 15 000 needs
+        # 29.9 n^2 = 6.73 GB
         assert held <= 8.1 * n ** 2
 
     @pytest.mark.parametrize("source", ["snowflake", "document"])
@@ -403,8 +411,9 @@ class TestEnumerateBalls:
     ])
     def test_index_counts_every_rank(self, kind, params):
         space = generate(kind, params, seed=2)
-        assert int(space.ball_family.is_ball_end.sum()) == \
-            len(enumerate_balls(space, dedupe=False))
+        balls = len(enumerate_balls(space, dedupe=False))
+        assert int(space.ball_family.ball_count.sum()) == balls
+        assert np.count_nonzero(oracles.ball_ends(space)) == balls
 
     def test_matches_naive_enumeration(self):
         space = generate("random-points", {"n": 17, "dim": 2}, seed=3)
@@ -584,9 +593,10 @@ def _analyze_points(seed):
 def _table_cells(space, r_min):
     """Cells of the full (interval, j) tables of every center."""
     fam = space.ball_family
+    ends = oracles.ball_ends(space)
     total = 0
     for c in range(space.n):
-        e = space.dist[c, fam.order[c, fam.is_ball_end[c]]]
+        e = space.dist[c, fam.order[c, ends[c]]]
         m = len(e) - 1
         total += (m + 1 - int(np.searchsorted(np.append(e[1:], np.inf), r_min))) * m
     return total
@@ -623,7 +633,7 @@ class TestAnnularScreen:
         space = generate("grid", {"nx": 20, "ny": 20, "metric": "l1"}, seed=1)
         fam = space.ball_family
         assert len(list(fam.row_blocks())) > 1
-        assert len(set(np.count_nonzero(fam.is_ball_end, axis=1))) > 1
+        assert len(set(np.count_nonzero(oracles.ball_ends(space), axis=1))) > 1
         for alpha in (0.0, 0.5, 1.0):
             for r_min in (0.5, 2.0, 7.0):
                 _assert_annular_matches_rowwise(space, alpha, r_min)

@@ -161,10 +161,11 @@ class TestRowBlocks:
         table = fam.averages_at_pos(np.arange(space.n, dtype=float))
         table[0, 0] = 1e9  # the number sup sits on the smallest key of all
         table[blocks[-1].stop - 1, -1] = 1e12  # and a larger number comes last
-        table[0, ~fam.is_ball_end[0]] = np.nan  # not a ball: ignored
+        ends = oracles.ball_ends(space)
+        table[0, ~ends[0]] = np.nan  # not a ball: ignored
         for b in nan_blocks:
             c = blocks[b].start + 4
-            table[c, np.flatnonzero(fam.is_ball_end[c])[2]] = np.nan
+            table[c, np.flatnonzero(ends[c])[2]] = np.nan
         got = fam.sup_over_balls(lambda rows: table[rows])
         assert math.isnan(got[0]) and got[1].rank == 3
         assert got[1].center == blocks[nan_blocks[0]].start + 4
@@ -246,7 +247,7 @@ def _balls_summed(space, f) -> int:
 
 def _every_ball(space) -> int:
     """The balls of a space other than the singletons, which read zero unsummed."""
-    return int(np.count_nonzero(space.ball_family.is_ball_end)) - space.n
+    return int(np.count_nonzero(oracles.ball_ends(space))) - space.n
 
 
 def _table_shapes(space) -> set[str]:
@@ -442,7 +443,7 @@ class TestBmoEveryBall:
         table = oracles.bmo_ball_rows_table(space, f)
         fam = space.ball_family
         value, ref = oracles.sup_over_table(space, table)
-        attaining = np.flatnonzero(((table == value) & fam.is_ball_end).any(axis=1))
+        attaining = np.flatnonzero(((table == value) & oracles.ball_ends(space)).any(axis=1))
         blocks = [rows for rows in fam.row_blocks()
                   if np.any((attaining >= rows.start) & (attaining < rows.stop))]
         assert len(blocks) >= 2 and _table_shapes(space) == {"balls"}
