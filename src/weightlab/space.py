@@ -2,14 +2,15 @@
 
 Provides:
   * FiniteMetricMeasureSpace: n points, pairwise distances, positive masses.
-  * BallFamily: per-center sorted-distance index with measure prefix sums,
-    two n x n arrays (12 bytes per cell) built with the layouts of its blocks
-    of centers. Every ball of the space is a closed sub-level set of
-    dist(center, .) at one of the center's distinct distances, so the family
-    is a complete, finite realization of all balls. Its `scan` feeds every ball reduction
-    block by block of centers, over tables with one column per ball: each
-    block reads its tables through its layout, a `BallLayout` or, where
-    every position ends a ball, the `IdentityLayout`.
+  * BallFamily: per-center sorted-distance index, one n x n array of point
+    ids (2 bytes per cell) with the layouts of its blocks of centers and
+    the mass of every ball they read. Every ball of the space is a closed
+    sub-level set of dist(center, .) at one of the center's distinct
+    distances, so the family is a complete, finite realization of all
+    balls. Its `scan` feeds every ball reduction block by block of
+    centers, over tables with one column per ball: each block reads its
+    tables through its layout, a `BallLayout` or, where every position
+    ends a ball, the `IdentityLayout`.
   * Ball enumeration, the doubling constant, and the annular decay constant,
     each with an extremal witness; both constants scan blocks of centers.
   * Generators for standard space families and a JSON document format.
@@ -149,14 +150,19 @@ class BallFamily:
     boundary positions, in a fixed summation order (ascending distance, then
     id), which makes every downstream constant reproducible bit for bit.
 
-    The index is the only source of ball structure. It holds two n x n
-    arrays, order and prefix_measure (12 bytes per cell with int32
-    indices), ball_count (each center's number of balls) and the layout of
-    each `row_blocks` slice of centers. Radii are read from the space's
-    distances through order. All are built one slice at a time, straight
-    into their rows, so the build holds no n x n temporary. Where the balls
-    end, and the key of each (`keys`, the package's one tie rule), are read
-    from the layouts and the counts.
+    The index is the only source of ball structure. It holds one n x n
+    array, order (uint16 up to 65 536 points, 2 bytes per cell), ball_count
+    (each center's number of balls), the layout of each `row_blocks` slice
+    of centers, and ball_mass: the mass of every column of every block's
+    per-ball tables, pads included (`ball_masses`), as one flat array that
+    each block reads through a 2-D view. A tie-free block keeps full rows,
+    so it holds 8 bytes per cell there, a tied one 8 per ball column. Each
+    mass is the sequential cumsum of the measure in the center's order,
+    read at a ball end. Radii are read from the space's distances through
+    order. All are built one slice at a time, straight into their rows, so
+    the build holds no n x n temporary. Where the balls end, and the key of
+    each (`keys`, the package's one tie rule), are read from the layouts
+    and the counts.
 
     A per-ball table (averages, running extrema and what is computed from
     them) is built one block of centers at a time, over the row slices of
@@ -173,23 +179,33 @@ class BallFamily:
         # cyclic collector runs
         self._space = weakref.ref(space)
         n = space.n
-        # int32 indices halve the memory traffic of the operator sweeps
+        # int32 counts and keys halve the memory traffic of the operator sweeps
         self.index_dtype = np.int32 if n <= 30_000 else np.int64
-        self.order = np.empty((n, n), dtype=self.index_dtype)
-        self.prefix_measure = np.empty((n, n))
+        # point ids fit 2 bytes up to 65 536 points
+        self.order = np.empty((n, n), dtype=np.uint16 if n <= 1 << 16 else self.index_dtype)
         self.ball_count = np.empty(n, dtype=self.index_dtype)
-        self._layouts = []  # (rows, layout) of each `row_blocks` slice, in order
         self._kept = _KeptBlock()  # per thread: the block cast by `block_index`
         # rows are independent: each block of centers is built straight into
-        # its rows of the arrays, which hold the bytes of a full build
+        # its rows, which hold the bytes of a full build. A first pass sorts
+        # and lays out every block, so the masses are allocated at their size
+        # and then filled block by block
+        blocks = []
         for rows in self.row_blocks():
             # stable sort: ties in distance resolve to ascending point id, so
             # order[c, 0] == c on a validated space
             self.order[rows] = np.argsort(space.dist[rows], axis=1, kind="stable")
-            prefix = np.take(space.measure, self.order[rows])
-            np.cumsum(prefix, axis=1, out=self.prefix_measure[rows])
             layout, self.ball_count[rows] = self._block_layout(rows)
-            self._layouts.append((rows, layout))
+            # one column per ball of the block's widest row: n on a tie-free block
+            width = int(self.ball_count[rows].max())
+            blocks.append((rows, layout, (rows.stop - rows.start) * width))
+        self.ball_mass = np.empty(sum(size for _, _, size in blocks))
+        self._layouts = []  # (rows, layout, masses) of each `row_blocks` slice, in order
+        at = 0
+        for rows, layout, size in blocks:
+            masses = self.ball_mass[at:at + size].reshape(rows.stop - rows.start, -1)
+            at += size
+            masses[...] = layout.take(np.cumsum(np.take(space.measure, self.order[rows]), axis=1))
+            self._layouts.append((rows, layout, masses))
 
     def _block_layout(self, rows):
         """The layout of a slice of centers and each one's number of balls, from the index."""
@@ -221,19 +237,19 @@ class BallFamily:
         its own `BallLayout`. A slice the index was not built by (CHUNK_CELLS
         changed since) gets its layout afresh.
         """
-        built, layout = self._block(rows.start)
+        built, layout, _ = self._block(rows.start)
         return layout if built == rows else self._block_layout(rows)[0]
 
     def _block(self, center: int):
-        """(rows, layout) of the block of the index's build that holds a center."""
+        """(rows, layout, masses) of the block of the index's build that holds a center."""
         # the first block's stop is the build's rows per block
         return self._layouts[center // self._layouts[0][0].stop]
 
     def block_index(self, rows) -> np.ndarray:
         """order[rows], as intp where a space has several blocks: one block's gather index.
 
-        np.take and ufunc.at cast an int32 index to intp in full on every
-        call, which made a gather of a CHUNK_CELLS block 3x slower. So in a
+        np.take and ufunc.at cast a uint16 or int32 index to intp in full on
+        every call, which made a gather of a CHUNK_CELLS block 3x slower. So in a
         space of several blocks, a slice of at most one block's rows is cast
         into a buffer of one block, kept per thread, and read by every call
         for the same rows until another is asked for: the tables and
@@ -280,9 +296,24 @@ class BallFamily:
         fs = np.take(f * self.space.measure, self.block_index(rows))
         np.cumsum(fs, axis=1, out=fs)
         fs = layout.take(fs)
-        fs /= layout.take(self.prefix_measure[rows])
+        fs /= self.ball_masses(rows, layout)
         fs[:, 0] = f[rows]
         return fs
+
+    def ball_masses(self, rows, layout=IdentityLayout) -> np.ndarray:
+        """Mass of each prefix of the centers `rows`, through `layout` as in `averages_at_pos`.
+
+        The index keeps them for each block of its build, through the
+        block's layout, and returns its own, which no caller may write to.
+        Other rows or another layout (a per-position table of a tied block,
+        a slice of a CHUNK_CELLS changed since) get them from the same
+        cumsum afresh, with the same bytes.
+        """
+        if isinstance(rows, slice) and rows.start is not None and 0 <= rows.start < self.n:
+            built, kept, masses = self._block(rows.start)
+            if built == rows and kept is layout:
+                return masses
+        return layout.take(np.cumsum(np.take(self.space.measure, self.block_index(rows)), axis=1))
 
     def running_min_at_pos(self, f: np.ndarray, rows=slice(None), *,
                            layout=IdentityLayout) -> np.ndarray:
@@ -314,7 +345,7 @@ class BallFamily:
     def end_of_key(self, key: int) -> tuple[int, float]:
         """End position and radius of the ball with key `key`, read from its block's layout."""
         rank, center = divmod(key, self.n)
-        rows, layout = self._block(center)
+        rows, layout, _ = self._block(center)
         pos = int(layout.end(center - rows.start, rank - 1))
         return pos, float(self.radius_at_pos(center, pos))
 
@@ -322,7 +353,7 @@ class BallFamily:
         """End position of the ball of each key, as `end_of_key`, for an int64 array of keys."""
         rank, center = np.divmod(keys, self.n)
         pos = np.empty_like(keys)
-        for rows, layout in self._layouts:
+        for rows, layout, _ in self._layouts:
             at = np.flatnonzero((center >= rows.start) & (center < rows.stop))
             pos[at] = layout.end(center[at] - rows.start, rank[at] - 1)
         return pos
@@ -336,7 +367,7 @@ class BallFamily:
     def ball_at_pos(self, center: int, pos: int) -> Ball:
         """The ball of a center that ends at position pos of its order."""
         sd = self.radius_at_pos(center, slice(pos + 1))
-        members = np.sort(self.order[center, : pos + 1])
+        members = np.sort(self.order[center, : pos + 1]).astype(self.index_dtype)
         # its rank counts the center's distinct distances up to it
         return Ball(center, int(np.count_nonzero(np.diff(sd))) + 1, float(sd[-1]), members)
 
@@ -708,7 +739,7 @@ def enumerate_balls(space: FiniteMetricMeasureSpace, dedupe: bool = True) -> lis
     out: list[Ball] = []
     seen: set[bytes] = set()
     for c in range(space.n):
-        rows, layout = fam._block(c)
+        rows, layout, _ = fam._block(c)
         for end in layout.end(c - rows.start, np.arange(fam.ball_count[c])).tolist():
             ball = fam.ball_at_pos(c, end)
             if dedupe:
@@ -750,7 +781,7 @@ def _ball_columns(fam: BallFamily, rows: slice):
     closed balls at them; past them e reads +inf and cum repeats the last
     ball's mass, so a search or a comparison in a row meets only that
     center's balls. Both are read at the ball ends through the block's
-    layout.
+    layout; cum is the index's own (`BallFamily.ball_masses`), read only.
     """
     space, n = fam.space, fam.n
     layout = fam.layout(rows)
@@ -760,7 +791,7 @@ def _ball_columns(fam: BallFamily, rows: slice):
     e = np.take(space.dist[rows], at)
     m = (fam.ball_count[rows] - 1).astype(np.intp)
     e[np.arange(e.shape[1]) > m[:, None]] = np.inf
-    return e, layout.take(fam.prefix_measure[rows]), m
+    return e, fam.ball_masses(rows, layout), m
 
 
 def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:

@@ -279,6 +279,7 @@ def _bmo_sup(space: FiniteMetricMeasureSpace, f: np.ndarray):
     def table(rows, avg, avg_xx=None):
         nonlocal best
         layout = fam.layout(rows)
+        masses = fam.ball_masses(rows, layout)
         keep = np.arange(avg.shape[1]) < fam.ball_count[rows, None]  # a ball, not a pad
         keep[:, 0] = False  # singletons oscillate exactly zero
         vals = np.full(avg.shape, -np.inf)
@@ -302,7 +303,7 @@ def _bmo_sup(space: FiniteMetricMeasureSpace, f: np.ndarray):
                 dev *= mo[rk]
                 dev *= members[pos[k:k + chunk]]  # gathered rows: 2x faster than a compare
                 out[k:k + chunk] = dev.sum(axis=1)
-            vals[r, j] = out / fam.prefix_measure[rows][r, pos]
+            vals[r, j] = out / masses[r, j]
             summed += r.size
 
         if avg_xx is not None:

@@ -55,6 +55,12 @@ def ball_keys(space):
     return key + np.arange(n, dtype=dtype)[:, None]
 
 
+@_once_per_space
+def prefix_measure(space):
+    """Mass of every prefix of every center's order, by the full-array cumsum."""
+    return np.cumsum(space.measure[space.ball_family.order], axis=1)
+
+
 def balls_naive(space):
     """All realized balls as member-index arrays, deduplicated."""
     seen = set()
@@ -171,13 +177,14 @@ def bmo_rowwise(space, f):
     vals = np.empty((n, n))
     tri = np.tril(np.ones((n, n)), k=0)
     dev = np.empty((n, n))
+    prefix = prefix_measure(space)
     for c in range(n):
         order = fam.order[c]
         np.subtract(f[order][None, :], a[c][:, None], out=dev)
         np.abs(dev, out=dev)
         dev *= space.measure[order][None, :]
         dev *= tri
-        vals[c] = dev.sum(axis=1) / fam.prefix_measure[c]
+        vals[c] = dev.sum(axis=1) / prefix[c]
     vals[:, 0] = 0.0
     return sup_over_table(space, vals)
 
@@ -200,7 +207,7 @@ def bmo_ball_rows_table(space, f):
     n = space.n
     vals = np.full((n, n), -np.inf)
     tri = np.tril(np.ones((n, n)), k=0)
-    at_ends = ball_ends(space)
+    at_ends, prefix = ball_ends(space), prefix_measure(space)
     for c in range(n):
         order = fam.order[c]
         ends = np.flatnonzero(at_ends[c])
@@ -208,7 +215,7 @@ def bmo_ball_rows_table(space, f):
         np.abs(dev, out=dev)
         dev *= space.measure[order][None, :]
         dev *= tri[ends]
-        vals[c, ends] = dev.sum(axis=1) / fam.prefix_measure[c, ends]
+        vals[c, ends] = dev.sum(axis=1) / prefix[c, ends]
     vals[:, 0] = 0.0
     return vals
 
@@ -263,7 +270,7 @@ def doubling_rowwise(space):
     best = 1.0
     wit_center, wit_radius = None, None
     fam = space.ball_family
-    ends = ball_ends(space)
+    ends, prefix = ball_ends(space), prefix_measure(space)
     for c in range(space.n):
         sd = space.dist[c, fam.order[c]]
         e = sd[ends[c]]
@@ -274,7 +281,7 @@ def doubling_rowwise(space):
         # open-ball mass at radius r: prefix mass of points with dist < r
         lo = np.searchsorted(sd, samples, side="left")
         hi = np.searchsorted(sd, 2.0 * samples, side="left")
-        ratios = fam.prefix_measure[c, hi - 1] / fam.prefix_measure[c, lo - 1]
+        ratios = prefix[c, hi - 1] / prefix[c, lo - 1]
         i = int(ratios.argmax())
         if ratios[i] > best:
             best = float(ratios[i])
@@ -340,14 +347,14 @@ def annular_tables(space, alpha, r_min):
     # fresh per-center temporaries made the speed depend on the allocator
     n = space.n
     bufs = (np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=bool))
-    at_ends = ball_ends(space)
+    at_ends, prefix = ball_ends(space), prefix_measure(space)
     for c in range(n):
         ends = at_ends[c]
         e = space.dist[c, fam.order[c, ends]]  # distinct distances, e[0] == 0
         m = len(e) - 1
         if m == 0:
             continue
-        cum = fam.prefix_measure[c, ends]  # mass of {d <= e[i]}
+        cum = prefix[c, ends]  # mass of {d <= e[i]}
         # interval i covers r in (e[i], e[i+1]] for i < m, and (e[m], inf);
         # rows are the intervals reaching r_min, columns the j = 1..m
         i = np.arange(np.searchsorted(np.append(e[1:], np.inf), r_min), m + 1)

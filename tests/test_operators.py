@@ -216,7 +216,7 @@ def _fancy_averages(fam, f, rows):
     """averages_at_pos as a 2-D fancy-index gather, the formula before np.take."""
     fs = (f * fam.space.measure)[fam.order[rows]]
     np.cumsum(fs, axis=1, out=fs)
-    np.divide(fs, fam.prefix_measure[rows], out=fs)
+    np.divide(fs, oracles.prefix_measure(fam.space)[rows], out=fs)
     fs[:, 0] = f[rows]
     return fs
 
