@@ -5,7 +5,6 @@ Subcommands:
   analyze  all constants, norms, and witnesses of one named weight
   verify   run the check suite on a document or a seeded random batch
   factor   refined two-factor decomposition with certificates
-  bench    kernel timings with a fast-vs-naive equality gate
 
 Exit codes: 0 success / all hard checks pass, 1 a hard check failed,
 2 invalid input or parameters. WEIGHTLAB_TOLERANCE overrides the default
@@ -20,13 +19,11 @@ import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import factorization, families, theorems
 from .errors import InvalidParams, NonpositiveWeight, WeightlabError
-from .operators import maximal, maximal_naive
 from .report import Tolerances, aggregate_verdict, reports_to_csv, reports_to_jsonl
 from .space import (
     GENERATOR_KINDS,
@@ -239,67 +236,6 @@ def cmd_factor(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        raise InvalidParams(f"--sizes must list integers, got {args.sizes!r}") from None
-    if args.repeats < 1 or any(n < 1 for n in sizes):
-        raise InvalidParams("--repeats and every --sizes entry must be >= 1")
-    rows = [("n", "kernel", "seconds")]
-    # equality gate: the suffix-sweep path must match the naive enumeration
-    gate = generate("random-points", {"n": min(100, max(sizes, default=100)),
-                                      "dim": 2}, seed=7)
-    rng = np.random.default_rng(11)
-    f = rng.uniform(0.1, 5.0, size=gate.n)
-    fast = maximal(gate, f).values
-    naive = maximal_naive(gate, f)
-    dev = float(np.abs(fast / naive - 1.0).max())
-    if dev > 1e-12:
-        print(f"bench: fast path deviates from naive by {dev:.3e}", file=sys.stderr)
-        return 1
-    print(f"gate: fast vs naive max relative deviation {dev:.3e} on n={gate.n}")
-
-    times = {}
-    for n in sizes:
-        nx = max(d for d in range(1, int(np.sqrt(n)) + 1) if n % d == 0)
-        t0 = time.perf_counter()
-        space = generate("grid", {"nx": nx, "ny": n // nx}, seed=1)
-        t_gen = time.perf_counter() - t0
-        g = np.random.default_rng(5).uniform(0.1, 5.0, size=space.n)
-        t0 = time.perf_counter()
-        space.ball_family  # the per-center index realizes every ball
-        t_enum = time.perf_counter() - t0
-        best = np.inf
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            maximal(space, g)
-            best = min(best, time.perf_counter() - t0)
-        # hard checks minus the factor search, whose cost is an optimizer
-        # budget rather than a kernel property
-        suite_params = theorems.SuiteParams(include_soft=False,
-                                            include_factorization=False)
-        t0 = time.perf_counter()
-        theorems.run_suite(space, {"w": g}, suite_params)
-        t_suite = time.perf_counter() - t0
-        rows.append((space.n, "generate", f"{t_gen:.6f}"))
-        rows.append((space.n, "ball_enumeration", f"{t_enum:.6f}"))
-        rows.append((space.n, "maximal", f"{best:.6f}"))
-        rows.append((space.n, "suite_core", f"{t_suite:.6f}"))
-        times[space.n] = best
-    text = "\n".join(",".join(str(c) for c in row) for row in rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text, end="")
-    if len(times) >= 2:
-        ns = np.log(np.array(sorted(times)))
-        ts = np.log(np.array([times[k] for k in sorted(times)]))
-        slope = float(np.polyfit(ns, ts, 1)[0])
-        print(f"fitted maximal-path scaling exponent: {slope:.3f}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="weightlab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -353,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--tolerance", type=float, default=None)
     f.add_argument("--out", default=None)
     f.set_defaults(fn=cmd_factor)
-
-    b = sub.add_parser("bench", help="kernel timings")
-    b.add_argument("--sizes", default="")
-    b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--out", default=None)
-    b.set_defaults(fn=cmd_bench)
     return ap
 
 
@@ -366,7 +296,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # a p or s that is not finite and > 1 raises InvalidParams where it is used
         return args.fn(args)
-    except WeightlabError as exc:
+    except (WeightlabError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # exit-code contract is total: 0, 1, or 2

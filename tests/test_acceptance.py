@@ -234,7 +234,7 @@ def test_criterion_7_performance():
 
     sizes = [250, 500, 1000, 2000]
     dims = {250: (10, 25), 500: (20, 25), 1000: (25, 40), 2000: (40, 50)}
-    times = {}
+    times, builds = {}, {}
     t2000_total = None
     for n in sizes:
         nx, ny = dims[n]
@@ -254,7 +254,7 @@ def test_criterion_7_performance():
             maximal(space, g)
             took = time.perf_counter() - t0
             best, spent, calls = min(best, took), spent + took, calls + 1
-        times[n] = best
+        times[n], builds[n] = best, build_time
         if n == 2000:
             t2000_total = build_time + best
         del space
@@ -262,7 +262,9 @@ def test_criterion_7_performance():
     ts = np.log(np.array([times[n] for n in sizes]))
     slope = float(np.polyfit(ns, ts, 1)[0])
     ok = t2000_total < 5.0 and 1.8 <= slope <= 2.4
+    per_size = "; ".join(f"n={n} index build {builds[n] * 1e3:.1f}ms, "
+                         f"maximal min {times[n] * 1e3:.2f}ms" for n in sizes)
     verdict(7, ok,
             f"n=2000 evaluation {t2000_total:.2f}s < 5s "
             f"(sweep {times[2000] * 1e3:.0f}ms), scaling exponent "
-            f"{slope:.2f} in [1.8, 2.4]")
+            f"{slope:.2f} in [1.8, 2.4]; {per_size}")

@@ -38,6 +38,17 @@ class TestGen:
                          "--seed", "9", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_module_entry_point(self, tmp_path):
+        # `python -m weightlab` runs the CLI from a checkout, without installing
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-m", "weightlab", "gen", "--kind", "grid",
+                               "--n", "16", "--seed", "1", "--out", "g.json"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "n=16" in done.stdout and (tmp_path / "g.json").exists()
+
     def test_snowflake_from_base(self, tmp_path, two_point_doc):
         out = tmp_path / "s.json"
         assert main(["gen", "--kind", "snowflake", "--eps", "0.5",
@@ -139,8 +150,6 @@ def test_bad_tolerance_is_an_input_error(argv, env, two_point_doc, monkeypatch, 
 
 
 @pytest.mark.parametrize("argv", [
-    ["bench", "--repeats", "0", "--sizes", "16"],
-    ["bench", "--sizes", "abc"],
     ["verify", "--random", "--seed", "1", "--max-n", "1"],
     ["verify", "--random", "--seed", "1", "--count", "0"],
     ["verify", "--random", "--seed", "1", "--count", "-3"],
@@ -151,13 +160,27 @@ def test_bad_tolerance_is_an_input_error(argv, env, two_point_doc, monkeypatch, 
     ["verify", "--random", "--seed", "1", "--count", "1", "--p", "inf"],
     ["verify", "--random", "--seed", "1", "--count", "1", "--s", "inf"],
     ["analyze", "--p", "inf"],
-], ids=["bench-repeats-0", "bench-sizes-not-int", "verify-max-n-1", "verify-count-0",
-        "verify-count-negative", "factor-p-nan", "factor-s-inf",
-        "verify-p-nan", "verify-s-nan", "verify-p-inf", "verify-s-inf", "analyze-p-inf"])
+], ids=["verify-max-n-1", "verify-count-0", "verify-count-negative", "factor-p-nan",
+        "factor-s-inf", "verify-p-nan", "verify-s-nan", "verify-p-inf", "verify-s-inf",
+        "analyze-p-inf"])
 def test_bad_option_is_an_input_error(argv, two_point_doc, capsys):
     if argv[0] in ("factor", "analyze"):
         argv = argv + ["--input", two_point_doc]
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "grid", "--n", "4", "--seed", "1", "--out", "{missing}"],
+    ["verify", "--input", "{doc}", "--report", "{missing}"],
+    ["analyze", "--input", "{doc}", "--out-prefix", "{missing}"],
+    ["factor", "--input", "{doc}", "--out", "{missing}"],
+    ["verify", "--input", "{doc}", "--summary", "{dir}"],
+], ids=["gen-out", "verify-report", "analyze-out-prefix", "factor-out", "verify-summary-dir"])
+def test_unwritable_output_is_an_input_error(argv, two_point_doc, tmp_path, capsys):
+    paths = {"doc": two_point_doc, "missing": str(tmp_path / "missing" / "out"),
+             "dir": str(tmp_path)}
+    assert main([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -250,37 +273,6 @@ class TestFactor:
     def test_missing_weight_is_exit_2(self, two_point_doc):
         assert main(["factor", "--input", two_point_doc,
                      "--weight", "nope"]) == 2
-
-
-class TestBench:
-    def test_small_sizes(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "64,100", "--repeats", "1",
-                     "--out", str(out)]) == 0
-        text = out.read_text()
-        assert text.startswith("n,kernel,seconds")
-        assert "maximal" in text and "ball_enumeration" in text
-        assert "suite_core" in text
-        # set-up splits into generating the space and building its index
-        kernels = [line.split(",")[:2] for line in text.splitlines()[1:]]
-        for n in ("64", "100"):
-            assert [k for m, k in kernels if m == n][:2] == ["generate", "ball_enumeration"]
-        assert "gate: fast vs naive" in capsys.readouterr().out
-
-    def test_empty_sizes_header_only(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "", "--out", str(out)]) == 0
-        assert out.read_text() == "n,kernel,seconds\n"
-
-    def test_module_entry_point(self, tmp_path):
-        # `python -m weightlab` runs the CLI from a checkout, without installing
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-m", "weightlab", "bench", "--sizes", ""],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert "gate: fast vs naive" in done.stdout
 
 
 class TestToleranceOverride:

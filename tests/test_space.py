@@ -821,7 +821,7 @@ class TestDocuments:
             load(path)
 
     def test_documented_sample_is_three_point_path(self, three_path):
-        space, weights = load("docs/sample_space.json")
+        space, weights = load(Path(__file__).resolve().parents[1] / "docs" / "sample_space.json")
         assert np.array_equal(space.dist, three_path.dist)
         assert np.array_equal(space.measure, three_path.measure)
         assert "w" in weights
