@@ -12,7 +12,8 @@ Provides:
     tables through its layout, a `BallLayout` or, where every position
     ends a ball, the `IdentityLayout`.
   * Ball enumeration, the doubling constant, and the annular decay constant,
-    each with an extremal witness; both constants scan blocks of centers.
+    each with an extremal witness. Doubling is one `Sup` in `scan`; only
+    the annular scan runs its own blocks of centers.
   * Generators for standard space families and a JSON document format.
 
 Radius conventions. Balls are open, B(x, r) = {y : dist(x, y) < r}. On a
@@ -362,14 +363,12 @@ class BallFamily:
         if not (isinstance(center, numbers.Integral) and isinstance(rank, numbers.Integral)
                 and 0 <= center < self.n and 1 <= rank <= self.ball_count[center]):
             raise InvalidParams(f"no ball of rank {rank!r} at center {center!r}")
-        return self.ball_at_pos(center, self.end_of_key(rank * self.n + center)[0])
+        return self.ball_at_pos(center, int(rank), self.end_of_key(rank * self.n + center)[0])
 
-    def ball_at_pos(self, center: int, pos: int) -> Ball:
-        """The ball of a center that ends at position pos of its order."""
-        sd = self.radius_at_pos(center, slice(pos + 1))
+    def ball_at_pos(self, center: int, rank: int, pos: int) -> Ball:
+        """The ball of a center of rank `rank`, which ends at position pos of its order."""
         members = np.sort(self.order[center, : pos + 1]).astype(self.index_dtype)
-        # its rank counts the center's distinct distances up to it
-        return Ball(center, int(np.count_nonzero(np.diff(sd))) + 1, float(sd[-1]), members)
+        return Ball(center, rank, float(self.radius_at_pos(center, pos)), members)
 
     def scan(self, reducers) -> list:
         """One pass over `row_blocks` that feeds every reducer; their results, in order.
@@ -459,9 +458,10 @@ class Sup:
         # hits is never empty, as top is the value of a ball of the block.
         # In the first column with a hit, every row that hits holds a ball,
         # not a pad: a pad repeats its row's last ball, which would hit in
-        # an earlier column (or, in `weights._bmo_sup`, reads -inf, never
-        # top). So those hits have that column's rank, the smallest of any
-        # hit, and the first of them the smallest center.
+        # an earlier column (or reads below every top it could hit: -inf in
+        # `weights._bmo_sup`, 1 in `doubling_constant`, whose top of 1 hits
+        # in column 0, never a pad). So those hits have that column's rank,
+        # the smallest of any hit, and the first of them the smallest center.
         col = int(hits.any(axis=0).argmax())
         k = (col + 1) * self.fam.n + rows.start + int(hits[:, col].argmax())
         self.key = k if self.key is None or _above(top, self.value) else min(self.key, k)
@@ -740,8 +740,9 @@ def enumerate_balls(space: FiniteMetricMeasureSpace, dedupe: bool = True) -> lis
     seen: set[bytes] = set()
     for c in range(space.n):
         rows, layout, _ = fam._block(c)
-        for end in layout.end(c - rows.start, np.arange(fam.ball_count[c])).tolist():
-            ball = fam.ball_at_pos(c, end)
+        ends = layout.end(c - rows.start, np.arange(fam.ball_count[c])).tolist()
+        for rank, end in enumerate(ends, 1):
+            ball = fam.ball_at_pos(c, rank, end)
             if dedupe:
                 k = ball.key()
                 if k in seen:
@@ -795,68 +796,42 @@ def _ball_columns(fam: BallFamily, rows: slice):
 
 
 def doubling_constant(space: FiniteMetricMeasureSpace) -> FunctionalResult:
-    """sup over centers x and radii r of mu(B(x,2r)) / mu(B(x,r)).
+    """sup over centers x and radii r of mu(B(x,2r)) / mu(B(x,r)): one `Sup` over ball columns.
 
-    Both masses are step functions of r, constant on the intervals cut by
-    the breakpoint set D_x union D_x/2 (D_x the distinct distances from x),
-    so evaluating one representative per interval makes the sup exact. The
-    representative is the interval's right endpoint: r = e or r = e/2 for
-    each distance e > 0 in D_x.
-
-    The scan takes one `row_blocks` slice of centers at a time, over the
-    per-ball columns of `_ball_columns`. The open ball B(x, r) is the
-    closed ball of rank #{e in D_x : e < r}, so one search of each center's
-    distinct distances for all its radii 2r and r finds every mass. The
-    witness center is the first center whose maximum beats every earlier
-    one, and r the smallest of its radii that attain it: value, witness and
-    sample radius are those of a scan of each center's sorted samples, bit
-    for bit.
+    On an interval (e_{k-1}, e_k] between consecutive distinct distances
+    from x the open ball B(x, r) is the closed ball at e_{k-1}, and B(x, 2r)
+    grows with r, so the sup over the interval is taken at r = e_k: one
+    sample per ball. Column k > 0 of the table, the ball at e_k, holds
+    mu(B(x, 2e_k)) / mu(B(x, e_k)), the numerator found by one search of 2e
+    over the center's distinct distances, the denominator column k - 1's
+    mass. Column 0 holds 1, as r = 0 is no sample, a pad column 1 and a NaN
+    ratio -inf, so neither wins a sup above 1. The witness is the open ball
+    B(x, r), the ball before the attaining column of smallest key
+    (`BallFamily.keys`), and the sample radius r is that column's radius.
     """
-    best = 1.0
-    wit_center, wit_radius = None, None
     fam = space.ball_family
-    for rows in fam.row_blocks():
-        e_block, cum_block, _ = _ball_columns(fam, rows)
-        w = e_block.shape[1] - 1
-        if w == 0:
-            continue
-        # pieces of rows with at most CHUNK_CELLS radii of both kinds
-        step = max(1, CHUNK_CELLS // (2 * w))
-        for p0 in range(0, len(e_block), step):
-            e, cum = e_block[p0:p0 + step], cum_block[p0:p0 + step]
-            s = e[:, 1:]  # r = e; a pad column reads ratio 1 at both of its radii
-            half = s / 2.0  # r = e/2
-            twice = 2.0 * half  # e, unless the halving rounded a subnormal e
-            exact = np.array_equal(twice, s)
-            radii = np.concatenate((2.0 * s, half) if exact else (2.0 * s, half, twice), axis=1)
-            del twice
-            below = np.empty(radii.shape, dtype=np.intp)
-            for r in range(len(e)):
-                below[r] = e[r].searchsorted(radii[r])
-            del radii
-            # r = e/2 is 0 only at the least subnormal e: no sample, read as ratio 1
-            np.maximum(below, 1, out=below)
-            below += np.arange(-1, len(e) * (w + 1) - 1, w + 1)[:, None]
-            mass = np.take(cum, below)  # of the open balls at the radii
-            del below
-            ratio = mass[:, :w] / cum[:, :-1]
-            ratio_half = (cum[:, :-1] if exact else mass[:, 2 * w:]) / mass[:, w:2 * w]
-            del mass
-            top = np.maximum(ratio.max(axis=1), ratio_half.max(axis=1))
-            # a center with a NaN ratio never beat the best: argmax stopped at the NaN
-            top[np.isnan(top)] = -np.inf
-            r = int(top.argmax())
-            if top[r] > best:
-                best = float(top[r])
-                wit_center = rows.start + p0 + r
-                wit_radius = float(min(s[r, ratio[r] == top[r]].min(initial=np.inf),
-                                       half[r, ratio_half[r] == top[r]].min(initial=np.inf)))
-    witness = None
-    if wit_center is not None:
-        sd = space.dist[wit_center, fam.order[wit_center]]
-        ball = fam.ball_at_pos(wit_center, int(np.searchsorted(sd, wit_radius, side="left")) - 1)
-        witness = BallRef(wit_center, ball.rank, ball.radius)
-    return FunctionalResult("doubling", best, witness, sample_radius=wit_radius)
+
+    def ratios(rows):
+        e, cum, _ = _ball_columns(fam, rows)
+        below = np.empty(e.shape, dtype=np.intp)
+        for r in range(len(e)):
+            below[r] = e[r].searchsorted(2.0 * e[r])
+        del e
+        # the open ball B(x, 2e) is the closed ball before the first distance >= 2e
+        below += np.arange(-1, below.size - 1, below.shape[1])[:, None]
+        out = np.take(cum, below)  # column 0 reads the cell before its row, and is set to 1
+        del below
+        out[:, 1:] /= cum[:, :-1]
+        out[:, 0] = 1.0
+        out[np.isnan(out)] = -np.inf
+        return out
+
+    value, ball = fam.scan([Sup(fam, (), ratios)])[0]
+    if not value > 1.0:
+        return FunctionalResult("doubling", 1.0)
+    radius = fam.end_of_key((ball.rank - 1) * fam.n + ball.center)[1]
+    return FunctionalResult("doubling", value, BallRef(ball.center, ball.rank - 1, radius),
+                            sample_radius=ball.radius)
 
 
 @dataclass(frozen=True)

@@ -264,11 +264,14 @@ def doubling_rowwise(space):
     """Doubling as (value, BallRef or None, sample radius), one center at a time.
 
     The per-center loop `space.doubling_constant` ran before it scanned
-    blocks of centers, kept verbatim: it is the bit-level reference for the
-    block scan.
+    blocks of centers, its samples r in D_x union D_x/2 and its arithmetic
+    kept verbatim: it is the bit-level reference for the scan, which
+    samples r in D_x alone. A NaN ratio never wins. Across centers the
+    witness B(x, r) of smallest (rank, center) wins, and the sample radius
+    is the right end of its interval, the next distinct distance.
     """
     best = 1.0
-    wit_center, wit_radius = None, None
+    wit = None  # (rank, center, distinct distances of the center)
     fam = space.ball_family
     ends, prefix = ball_ends(space), prefix_measure(space)
     for c in range(space.n):
@@ -282,16 +285,16 @@ def doubling_rowwise(space):
         lo = np.searchsorted(sd, samples, side="left")
         hi = np.searchsorted(sd, 2.0 * samples, side="left")
         ratios = prefix[c, hi - 1] / prefix[c, lo - 1]
-        i = int(ratios.argmax())
-        if ratios[i] > best:
-            best = float(ratios[i])
-            wit_center, wit_radius = c, float(samples[i])
-    witness = None
-    if wit_center is not None:
-        sd = space.dist[wit_center, fam.order[wit_center]]
-        pos = int(np.searchsorted(sd, wit_radius, side="left")) - 1
-        witness = BallRef(wit_center, int(ends[wit_center, :pos + 1].sum()), float(sd[pos]))
-    return best, witness, wit_radius
+        ratios[np.isnan(ratios)] = -np.inf
+        top = float(ratios.max())
+        # the rank of B(c, r): the center's distinct distances below r
+        rank = int(np.cumsum(ends[c])[lo - 1][ratios == top].min())
+        if top > best or (top == best and wit is not None and rank < wit[0]):
+            best, wit = top, (rank, c, e)
+    if wit is None:
+        return best, None, None
+    rank, c, e = wit
+    return best, BallRef(c, rank, float(e[rank - 1])), float(e[rank])
 
 
 def annular_naive(space, alpha, r_min):

@@ -36,6 +36,7 @@ from weightlab.space import (
     GENERATOR_KINDS,
     BallFamily,
     BallLayout,
+    BallRef,
     IdentityLayout,
     TRIANGLE_TOL_FACTOR,
     _annular_bounds,
@@ -512,6 +513,19 @@ class TestDoubling:
             space = generate("random-points", {"n": 6}, seed=seed)
             assert doubling_constant(space).value > 1.0
 
+    def test_tie_resolves_to_smallest_key(self):
+        # the points at 3 and 4 (centers 2 and 3) both reach 3, at r = 2
+        # and r = 1: B(3, 2) = {3, 4} has rank 2, B(4, 1) = {4} rank 1,
+        # the smaller key
+        res = doubling_constant(_tied_line())
+        assert res.value == 3.0
+        assert res.witness == BallRef(3, 1, 0.0)
+        assert res.sample_radius == 1.0
+
+
+def _tied_line():
+    return build_space(np.array([0., 1, 3, 4, 5, 6]), "l1", np.ones(6))
+
 
 def _assert_doubling_matches_rowwise(space):
     res = doubling_constant(space)
@@ -546,6 +560,9 @@ class TestDoublingBlocks:
             _assert_doubling_matches_rowwise(
                 build_space(np.array(coords), "l1", np.array([1.0, 2.0, 3.0, 4.0])))
 
+    def test_tied_line(self):
+        _assert_doubling_matches_rowwise(_tied_line())
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_analyze_inputs(self, seed):
         _assert_doubling_matches_rowwise(_analyze_points(seed)[0])
@@ -561,6 +578,41 @@ class TestDoublingBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * space.n ** 2
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("grid", {"nx": 40, "ny": 50, "metric": "linf"}),
+    ("random-points", {"n": 1500, "measure": "random"}),
+])
+def test_doubling_metamorphic(kind, params):
+    """Relations between spaces rebuilt from coordinates, at sizes no oracle runs."""
+    base = generate(kind, params, seed=1)
+    coords, metric, mu = base.coords, base.metric_kind, base.measure
+    del base
+
+    def doubling(coords, mu):
+        return doubling_constant(build_space(coords, metric, mu))
+
+    res = doubling(coords, mu)
+    assert res.value > 1.0
+    # coordinates x2: every distance doubles exactly, every mass stays
+    scaled = doubling(2.0 * coords, mu)
+    assert scaled.value == res.value
+    assert (scaled.witness.center, scaled.witness.rank) == (res.witness.center, res.witness.rank)
+    assert scaled.witness.radius == 2.0 * res.witness.radius
+    assert scaled.sample_radius == 2.0 * res.sample_radius
+    # measure x2: every mass doubles exactly, so every ratio keeps its bits
+    assert doubling(coords, 2.0 * mu) == res
+    # points permuted: sums change order, and on the grid ties move the witness
+    perm = np.random.default_rng(1).permutation(len(mu))
+    moved = doubling(coords[perm], mu[perm])
+    assert moved.value == pytest.approx(res.value, rel=1e-12)
+    d = build_space(coords, metric, mu).dist[perm[moved.witness.center]]
+    r = moved.sample_radius
+    ball = d <= moved.witness.radius
+    assert np.array_equal(ball, d < r)
+    assert len(np.unique(d[ball])) == moved.witness.rank
+    assert mu[d < 2.0 * r].sum() / mu[ball].sum() == pytest.approx(res.value, rel=1e-12)
 
 
 class TestAnnularDecay:
